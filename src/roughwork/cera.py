@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
-from roughwork.granular import AxiomCheck, AxiomReport
+from roughwork.granular import AxiomCheck, AxiomReport, first_violation
 from roughwork.prerough import QuotientAlgebra
 
 # Identity checking materializes full binary operation tables.
@@ -168,21 +168,14 @@ class CeraModel:
         return self.rightsquig(x, y)
 
 
-def _first_witness(bad: np.ndarray, axes: tuple, clause: str) -> tuple | None:
-    """Map the first True cell of a violation array back onto elements."""
-    hits = np.argwhere(bad)
-    if hits.size == 0:
-        return None
-    first = hits[0]
-    return (clause,) + tuple(axis[i] for axis, i in zip(axes, first))
-
-
 def check_cera_identities(model: CeraModel) -> AxiomReport:
     """Exhaustively verify the identity suite of the mixed algebra.
 
-    Binary tables are materialized once; ternary laws are evaluated by
-    indexing tables with tables, so the scan stays vectorized.  Guarded
-    laws quantify only over the tags named in their premises.
+    Binary tables are materialized once, in the narrowest integer dtype
+    that indexes the carrier, and every law is evaluated by indexing
+    tables with tables.  No law builds more than carrier² cells at once:
+    ternary laws are swept one leading element at a time.  Guarded laws
+    quantify only over the tags named in their premises.
     """
     els = model.elements()
     n = len(els)
@@ -195,15 +188,16 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
     t2 = np.flatnonzero(~type1)
     arange = np.arange(n)
 
-    plus = np.empty((n, n), dtype=np.int32)
-    times = np.empty((n, n), dtype=np.int32)
+    dtype = np.min_scalar_type(n - 1)
+    plus = np.empty((n, n), dtype=dtype)
+    times = np.empty((n, n), dtype=dtype)
     for i, a in enumerate(els):
         for j, b in enumerate(els):
             plus[i, j] = index[model.oplus(a, b)]
             times[i, j] = index[model.commonality(a, b)]
-    low = np.array([index[model.frak_l(a)] for a in els])
-    dia = np.array([index[model.black_lozenge(a)] for a in els])
-    neg = np.array([index[model.sim_neg(a)] for a in els])
+    low = np.array([index[model.frak_l(a)] for a in els], dtype=dtype)
+    dia = np.array([index[model.black_lozenge(a)] for a in els], dtype=dtype)
+    neg = np.array([index[model.sim_neg(a)] for a in els], dtype=dtype)
     bot_i, top_i = index[model.bottom], index[model.top]
     zero_i, one_i = index[model.zero], index[model.one]
 
@@ -214,11 +208,11 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
     results: dict[str, AxiomCheck] = {}
 
     def record(name: str, clauses) -> None:
-        """clauses: iterable of (label, violation array, element axes)."""
+        """clauses: (label, violation array or row function, element axes)."""
         for clause, bad, axes in clauses:
-            witness = _first_witness(bad, axes, clause)
+            witness = first_violation(bad, axes)
             if witness is not None:
-                results[name] = AxiomCheck(False, witness)
+                results[name] = AxiomCheck(False, (clause, *witness))
                 return
         results[name] = AxiomCheck(True)
 
@@ -299,19 +293,18 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
         ],
     )
 
-    # Same-type ternary laws.
-    def assoc(table: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+    # Same-type ternary laws, as functions of the leading element.
+    def assoc(table: np.ndarray, idxs: np.ndarray):
         sub = table[np.ix_(idxs, idxs)]
-        left = table[idxs][:, sub]
-        right = table[sub][:, :, idxs]
-        return left != right
+        return lambda i: table[idxs[i]][sub] != table[
+            np.ix_(table[idxs[i], idxs], idxs)
+        ]
 
-    def distrib(idxs: np.ndarray) -> np.ndarray:
-        psub = plus[np.ix_(idxs, idxs)]
+    def distrib(idxs: np.ndarray):
         tsub = times[np.ix_(idxs, idxs)]
-        left = plus[idxs][:, tsub]
-        right = times[psub[:, :, None], psub[:, None, :]]
-        return left != right
+        return lambda i: plus[idxs[i]][tsub] != times[
+            np.ix_(plus[idxs[i], idxs], plus[idxs[i], idxs])
+        ]
 
     for tag, idxs, axis in (("1", t1, all1), ("2", t2, all2)):
         three = (axis, axis, axis)

@@ -435,9 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "csv", "json"), default="text"
     )
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized suites"
-    )
     common.add_argument("--cap", type=int, help="search/carrier size cap")
 
     parser = argparse.ArgumentParser(prog="roughwork")

@@ -14,6 +14,8 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from roughwork.approx import (
     ApproximationSpace,
     Subset,
@@ -93,6 +95,49 @@ class AxiomCheck:
     def __post_init__(self):
         assert self.passed == (self.witness is None)
 
+    @classmethod
+    def of(cls, witness: tuple | None) -> AxiomCheck:
+        """PASS without a witness, FAIL at the given one."""
+        return cls(witness is None, witness)
+
+
+def first_violation(
+    bad: np.ndarray | Callable[[int], np.ndarray], axes: Sequence[Sequence]
+) -> tuple | None:
+    """The elements at the first violating cell of a law, or None.
+
+    ``bad`` is a boolean array, True where the law fails, whose
+    dimensions run over the leading ``axes`` (any further axes are
+    ignored).  Cells are taken in row-major order, which is the
+    order of the nested loops ``for a in axes[0]: for b in axes[1]: ...``,
+    so the witness is the one such a loop would stop at.  A law whose
+    array would exceed carrier² cells passes ``bad`` as a function from
+    an index on the first axis to the array over the remaining axes; its
+    rows are then built and swept one at a time, in order.
+    """
+    if callable(bad):
+        for i, lead in enumerate(axes[0]):
+            rest = first_violation(bad(i), axes[1:])
+            if rest is not None:
+                return (lead, *rest)
+        return None
+    if not bad.any():
+        return None
+    cell = np.unravel_index(int(bad.argmax()), bad.shape)
+    return tuple(axis[int(i)] for axis, i in zip(axes, cell))
+
+
+def sweep_laws(carrier: Sequence, laws: dict) -> dict[str, AxiomCheck]:
+    """Check laws over powers of one carrier, keeping their order.
+
+    Each law is a violation array or row function, as ``first_violation``
+    takes them, over carrier^k for k of at most 3.
+    """
+    axes = (carrier,) * 3
+    return {
+        name: AxiomCheck.of(first_violation(bad, axes)) for name, bad in laws.items()
+    }
+
 
 class AxiomReport:
     """Named axiom results; a failing axiom carries its first witness."""
@@ -149,6 +194,23 @@ def from_space(space: ApproximationSpace) -> GranularModel:
     )
 
 
+def _mask_tables(universe: Universe, *ops: OperatorTable) -> tuple[np.ndarray, ...]:
+    """The masks themselves, then each operator's table, as index arrays."""
+    dtype = np.min_scalar_type((1 << universe.size) - 1)
+    masks = np.arange(1 << universe.size, dtype=dtype)
+    return (masks, *(np.array(op._table, dtype=dtype) for op in ops))
+
+
+def _not_within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cellwise: the mask in ``a`` is not a subset of the mask in ``b``."""
+    return a & ~b != 0
+
+
+def _monotonicity(masks: np.ndarray, op: np.ndarray) -> Callable[[int], np.ndarray]:
+    """Row ``x`` of x ⊆ y with op(x) ⊄ op(y), one row per sweep step."""
+    return lambda x: ~_not_within(masks[x], masks) & _not_within(op[x], op)
+
+
 def check_gos_axioms(model: GranularModel, strict_upper: bool = False) -> AxiomReport:
     """The defining operator axioms, each with a first-failure witness.
 
@@ -156,35 +218,20 @@ def check_gos_axioms(model: GranularModel, strict_upper: bool = False) -> AxiomR
     matching one printed reading that classical models cannot satisfy.
     """
     u = model.universe
-    subsets = list(u.subsets())
-    results: dict[str, AxiomCheck] = {}
-
-    def scan(name: str, ok: Callable[[Subset], bool]) -> None:
-        for x in subsets:
-            if not ok(x):
-                results[name] = AxiomCheck(False, (x,))
-                return
-        results[name] = AxiomCheck(True)
-
-    scan("lower-contraction", lambda x: model.lower(x) <= x)
-    scan("lower-idempotence", lambda x: model.lower(model.lower(x)) == model.lower(x))
-    scan("upper-expansion", lambda x: x <= model.upper(x))
-    if strict_upper:
-        scan("upper-strict-expansion", lambda x: model.upper(x) < model.upper(model.upper(x)))
-    else:
-        scan("upper-weak-expansion", lambda x: model.upper(x) <= model.upper(model.upper(x)))
-
-    def scan_monotone(name: str, op: Callable[[Subset], Subset]) -> None:
-        for x in subsets:
-            for y in subsets:
-                if x <= y and not op(x) <= op(y):
-                    results[name] = AxiomCheck(False, (x, y))
-                    return
-        results[name] = AxiomCheck(True)
-
-    scan_monotone("lower-monotonicity", model.lower)
-    scan_monotone("upper-monotonicity", model.upper)
-
+    masks, lo, up = _mask_tables(u, model.lower_op, model.upper_op)
+    uu = up[up]
+    expansion = "upper-strict-expansion" if strict_upper else "upper-weak-expansion"
+    results = sweep_laws(
+        list(u.subsets()),
+        {
+            "lower-contraction": _not_within(lo, masks),
+            "lower-idempotence": lo[lo] != lo,
+            "upper-expansion": _not_within(masks, up),
+            expansion: _not_within(up, uu) | (strict_upper & (up == uu)),
+            "lower-monotonicity": _monotonicity(masks, lo),
+            "upper-monotonicity": _monotonicity(masks, up),
+        },
+    )
     empty_ok = model.lower(u.empty).is_empty and model.upper(u.empty).is_empty
     results["empty-fixed"] = AxiomCheck(empty_ok, None if empty_ok else (u.empty,))
     top_ok = model.lower(u.full) <= u.full and model.upper(u.full) <= u.full
@@ -196,58 +243,46 @@ def check_operator_axioms(table: OperatorTable, kind: str) -> AxiomReport:
     """Standalone table discipline: lower-style or upper-style."""
     if kind not in ("lower", "upper"):
         raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
-    u = table.universe
-    subsets = list(u.subsets())
-    results: dict[str, AxiomCheck] = {}
-
-    def scan(name: str, ok: Callable[[Subset], bool]) -> None:
-        for x in subsets:
-            if not ok(x):
-                results[name] = AxiomCheck(False, (x,))
-                return
-        results[name] = AxiomCheck(True)
-
+    masks, op = _mask_tables(table.universe, table)
     if kind == "lower":
-        scan("non-increasing", lambda x: not x < table(x))
-        scan("idempotence", lambda x: table(table(x)) == table(x))
+        laws = {
+            "non-increasing": ~_not_within(masks, op) & (masks != op),
+            "idempotence": op[op] != op,
+        }
     else:
-        scan("increasing", lambda x: x <= table(x))
-    name = "monotonicity"
-    for x in subsets:
-        hit = None
-        for y in subsets:
-            if x <= y and not table(x) <= table(y):
-                hit = (x, y)
-                break
-        if hit:
-            results[name] = AxiomCheck(False, hit)
-            break
-    else:
-        results[name] = AxiomCheck(True)
-    return AxiomReport(results)
+        laws = {"increasing": _not_within(masks, op)}
+    laws["monotonicity"] = _monotonicity(masks, op)
+    return AxiomReport(sweep_laws(list(table.universe.subsets()), laws))
 
 
-def _signature_groups(universe: Universe, granules: Sequence[Subset]) -> list[int]:
+def _signature_groups(size: int, granule_masks: Sequence[int]) -> list[int]:
     """Masks of the atom groups sharing a granule-membership signature.
 
     These groups are the atoms of the field of sets generated by the
     granules, so a subset lies in the field iff it splits no group.
     """
-    buckets: dict[tuple[bool, ...], int] = {}
-    for i, name in enumerate(universe.atoms):
-        sig = tuple(name in g for g in granules)
+    buckets: dict[tuple[int, ...], int] = {}
+    for i in range(size):
+        sig = tuple(g >> i & 1 for g in granule_masks)
         buckets[sig] = buckets.get(sig, 0) | (1 << i)
     return list(buckets.values())
+
+
+def _field_contains(groups: list[int], masks: Iterable[int]) -> bool:
+    """Whether every mask splits no signature group, i.e. lies in the field."""
+    for m in masks:
+        for group in groups:
+            inter = m & group
+            if inter != 0 and inter != group:
+                return False
+    return True
 
 
 def generated_field_contains(
     universe: Universe, granules: Sequence[Subset], x: Subset
 ) -> bool:
-    for group in _signature_groups(universe, granules):
-        inter = group & x.mask
-        if inter != 0 and inter != group:
-            return False
-    return True
+    groups = _signature_groups(universe.size, [g.mask for g in granules])
+    return _field_contains(groups, (x.mask,))
 
 
 def generated_field_masks(universe: Universe, granules: Sequence[Subset]) -> set[int]:
@@ -296,19 +331,11 @@ def check_admissibility(model: GranularModel) -> AdmissibilityReport:
     common definite object, and a one-granule model holds vacuously.
     """
     u = model.universe
-    groups = _signature_groups(u, model.granules)
-
-    def in_field(x: Subset) -> bool:
-        for group in groups:
-            inter = group & x.mask
-            if inter != 0 and inter != group:
-                return False
-        return True
-
+    groups = _signature_groups(u.size, [g.mask for g in model.granules])
     wra = AxiomCheck(True)
     for x in u.subsets():
         for out in (model.lower(x), model.upper(x)):
-            if not in_field(out):
+            if not _field_contains(groups, (out.mask,)):
                 wra = AxiomCheck(False, (x, out))
                 break
         if not wra.passed:
@@ -375,16 +402,8 @@ def search_admissible_granulations(
     found = []
     for k in range(1, max_granules + 1):
         for family in combinations(pool, k):
-            buckets: dict[tuple[int, ...], int] = {}
-            for i in range(n):
-                sig = tuple(g.mask >> i & 1 for g in family)
-                buckets[sig] = buckets.get(sig, 0) | (1 << i)
-            groups = list(buckets.values())
-            if any(
-                (group & out) not in (0, group)
-                for out in outputs
-                for group in groups
-            ):
+            groups = _signature_groups(n, [g.mask for g in family])
+            if not _field_contains(groups, outputs):
                 continue
             model = GranularModel(
                 universe=universe,

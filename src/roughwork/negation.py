@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from roughwork.granular import AxiomCheck, AxiomReport
+from roughwork.granular import AxiomCheck, AxiomReport, sweep_laws
 
 FALSIFY_SIZE_CAP = 6
 CLAIM_IDS = (
@@ -215,91 +215,42 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
     for x, fx in f.mapping.items():
         if x not in carrier or fx not in carrier:
             raise ValueError(f"operation leaves the carrier at {x!r}")
-    bot = poset.bottom
-    results: dict[str, AxiomCheck] = {}
-
-    def first(name: str, violations) -> None:
-        witness = next(iter(violations), None)
-        results[name] = AxiomCheck(witness is None, witness)
-
-    first(
-        "N1",
-        (
-            (x,)
-            for x in els
-            if f(x) is not None
-            and poset.meet(x, f(x)) is not None
-            and poset.meet(x, f(x)) != bot
-        ),
+    # Tables hold element indices, with -1 where a meet, join or f is
+    # undefined; every read through a -1 is masked by a definedness test,
+    # which keeps the weak-equality semantics.
+    dtype = np.min_scalar_type(-len(els))
+    rel = np.array(poset._rel, dtype=bool)
+    meet, join = (
+        np.array([[-1 if v is None else v for v in row] for row in table], dtype=dtype)
+        for table in (poset._meet, poset._join)
     )
-    first(
-        "N2",
-        (
-            (x, y)
-            for x in els
-            for y in els
-            if poset.leq(x, y)
-            and f(x) is not None
-            and f(y) is not None
-            and not poset.leq(f(y), f(x))
-        ),
-    )
-    first(
-        "N3",
-        (
-            (x,)
-            for x in els
-            if f.iterate(x, 2) is not None and not poset.leq(x, f.iterate(x, 2))
-        ),
-    )
-    first(
-        "N4",
-        (
-            (x, y)
-            for x in els
-            for y in els
-            if f(y) is not None
-            and poset.leq(x, f(y))
-            and f(x) is not None
-            and not poset.leq(y, f(x))
-        ),
+    F = np.array([-1 if f(x) is None else poset._index[f(x)] for x in els], dtype=dtype)
+    r = np.arange(len(els), dtype=dtype)
+    bot = poset._bottom
+    defined = F >= 0
+    both = defined[:, None] & defined[None, :]
+    FF = np.where(defined, F[F], -1)
+    f_join = np.where(join >= 0, F[join], -1)
+    meet_ff = np.where(both, meet[F[:, None], F[None, :]], -1)
+    y_below_fx = rel[r[None, :], F[:, None]]
+    results = sweep_laws(
+        els,
+        {
+            "N1": defined & (meet[r, F] >= 0) & (meet[r, F] != bot),
+            "N2": rel & both & ~rel[F[None, :], F[:, None]],
+            "N3": (FF >= 0) & ~rel[r, FF],
+            "N4": rel[r[:, None], F[None, :]] & both & ~y_below_fx,
+            "N6": (f_join >= 0) & (meet_ff >= 0) & (f_join != meet_ff),
+            "N9": defined[:, None] & (((meet < 0) | (meet == bot)) != y_below_fx),
+        },
     )
     index = _iterate_index(els, f)
     results["N5"] = AxiomCheck(index is not None, None if index else ("no-cycle",))
-
-    def n6_violations():
-        for x in els:
-            for y in els:
-                join = poset.join(x, y)
-                left = None if join is None else f(join)
-                fx, fy = f(x), f(y)
-                right = (
-                    None
-                    if fx is None or fy is None
-                    else poset.meet(fx, fy)
-                )
-                if left is not None and right is not None and left != right:
-                    yield (x, y)
-
-    first("N6", n6_violations())
-
-    def n9_violations():
-        for x in els:
-            fx = f(x)
-            if fx is None:
-                continue
-            for y in els:
-                m = poset.meet(x, y)
-                disjoint = m is None or m == bot
-                if disjoint != poset.leq(y, fx):
-                    yield (x, y)
-
-    first("N9", n9_violations())
-
+    checks = AxiomReport({name: results[name] for name in CONDITION_NAMES})
     if index is None:
-        return NegationProfile(AxiomReport(results), None, None, None)
+        return NegationProfile(checks, None, None, None)
     m, n = index
-    return NegationProfile(AxiomReport(results), index, n, n - m)
+    return NegationProfile(checks, index, n, n - m)
 
 
 def check_interior(poset: BoundedPoset, i: UnaryOp) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel, DialecticalPair
-from roughwork.granular import AxiomCheck, GranularModel
+from roughwork.granular import AxiomCheck, GranularModel, first_violation
 
 MATRIX_CAP = 1024
 
@@ -180,11 +180,7 @@ def analyze(kind: ParthoodKind, model, cap: int = MATRIX_CAP) -> RelationReport:
     elements, rows = relation_matrix(kind, model, cap)
     m = np.array(rows, dtype=bool)
 
-    refl_bad = np.flatnonzero(~np.diagonal(m))
-    reflexive = AxiomCheck(
-        refl_bad.size == 0,
-        None if refl_bad.size == 0 else (elements[refl_bad[0]],),
-    )
+    reflexive = AxiomCheck.of(first_violation(~np.diagonal(m), (elements,)))
 
     reach = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
     trans_bad = np.argwhere(reach & ~m)
@@ -197,11 +193,5 @@ def analyze(kind: ParthoodKind, model, cap: int = MATRIX_CAP) -> RelationReport:
 
     sym = m & m.T
     np.fill_diagonal(sym, False)
-    anti_bad = np.argwhere(sym)
-    antisymmetric = AxiomCheck(
-        anti_bad.size == 0,
-        None
-        if anti_bad.size == 0
-        else tuple(elements[int(v)] for v in anti_bad[0]),
-    )
+    antisymmetric = AxiomCheck.of(first_violation(sym, (elements, elements)))
     return RelationReport(reflexive, transitive, antisymmetric)

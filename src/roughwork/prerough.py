@@ -9,11 +9,15 @@ stranded in a boundary) is re-asserted on each result.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
-from roughwork.granular import AxiomCheck, AxiomReport
+from roughwork.granular import AxiomReport, sweep_laws
 
 
 class QuotientAlgebra:
@@ -54,7 +58,7 @@ class QuotientAlgebra:
         return self.meet(left, right)
 
     def leq(self, a: RoughClass, b: RoughClass) -> bool:
-        return self.meet(a, b) == a
+        return a.lower <= b.lower and a.upper <= b.upper
 
     def to_candidate(self) -> FiniteAlgebraCandidate:
         index = {c: i for i, c in enumerate(self.carrier)}
@@ -94,14 +98,27 @@ class FiniteAlgebraCandidate:
     join: list[list[int]] | None = None
 
     def __post_init__(self):
+        self._validate()
+
+    def _validate(self) -> None:
+        """Raise ValueError unless every table is square and in range.
+
+        The checkers call this again, since the tables are mutable lists.
+        """
         n = len(self.carrier)
-        tables = [self.meet] + ([self.join] if self.join is not None else [])
-        for table in tables:
-            assert len(table) == n and all(len(row) == n for row in table)
-            assert all(0 <= v < n for row in table for v in row)
-        for table in (self.neg, self.necessity):
-            assert len(table) == n and all(0 <= v < n for v in table)
-        assert 0 <= self.zero < n and 0 <= self.one < n
+        if n == 0:
+            raise ValueError("carrier must be nonempty")
+        for name, table in (("meet", self.meet), ("join", self.join)):
+            if table is None:
+                continue
+            if len(table) != n or any(len(row) != n for row in table):
+                raise ValueError(f"{name} table must be {n}x{n}")
+            _check_indices(name, chain.from_iterable(table), n)
+        for name in ("neg", "necessity"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} table must have {n} entries")
+            _check_indices(name, getattr(self, name), n)
+        _check_indices("zero/one", (self.zero, self.one), n)
 
     @property
     def size(self) -> int:
@@ -116,105 +133,72 @@ class FiniteAlgebraCandidate:
         return self.meet[a][b] == a
 
 
-def _scan1(cand: FiniteAlgebraCandidate, ok: Callable[[int], bool]) -> AxiomCheck:
-    for a in range(cand.size):
-        if not ok(a):
-            return AxiomCheck(False, (cand.carrier[a],))
-    return AxiomCheck(True)
+def _check_indices(name: str, values: Iterable, n: int) -> None:
+    try:
+        values = list(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} has a non-integer entry") from None
+    low, high = min(values), max(values)
+    if low < 0 or high >= n:
+        bad = low if low < 0 else high
+        raise ValueError(f"{name} entry {bad} is not an index below {n}")
 
 
-def _scan2(cand: FiniteAlgebraCandidate, ok: Callable[[int, int], bool]) -> AxiomCheck:
-    for a in range(cand.size):
-        for b in range(cand.size):
-            if not ok(a, b):
-                return AxiomCheck(False, (cand.carrier[a], cand.carrier[b]))
-    return AxiomCheck(True)
+def _tables(cand: FiniteAlgebraCandidate) -> tuple[np.ndarray, ...]:
+    """meet, join, neg, necessity and the carrier indices as index arrays."""
+    cand._validate()
+    dtype = np.min_scalar_type(cand.size - 1)
+    mt = np.array(cand.meet, dtype=dtype)
+    ng = np.array(cand.neg, dtype=dtype)
+    L = np.array(cand.necessity, dtype=dtype)
+    if cand.join is None:
+        jn = ng[mt[np.ix_(ng, ng)]]
+    else:
+        jn = np.array(cand.join, dtype=dtype)
+    return mt, jn, ng, L, np.arange(cand.size, dtype=dtype)
 
 
-def _scan3(
-    cand: FiniteAlgebraCandidate, ok: Callable[[int, int, int], bool]
-) -> AxiomCheck:
-    for a in range(cand.size):
-        for b in range(cand.size):
-            for c in range(cand.size):
-                if not ok(a, b, c):
-                    return AxiomCheck(
-                        False, (cand.carrier[a], cand.carrier[b], cand.carrier[c])
-                    )
-    return AxiomCheck(True)
-
-
-def _lattice_base(cand: FiniteAlgebraCandidate) -> dict[str, AxiomCheck]:
-    mt, jn = cand.meet.__getitem__, cand.join_of
-    results = {
-        "meet-idempotent": _scan1(cand, lambda a: mt(a)[a] == a),
-        "meet-commutative": _scan2(cand, lambda a, b: mt(a)[b] == mt(b)[a]),
-        "meet-associative": _scan3(
-            cand, lambda a, b, c: mt(mt(a)[b])[c] == mt(a)[mt(b)[c]]
-        ),
-        "join-idempotent": _scan1(cand, lambda a: jn(a, a) == a),
-        "join-commutative": _scan2(cand, lambda a, b: jn(a, b) == jn(b, a)),
-        "join-associative": _scan3(
-            cand, lambda a, b, c: jn(jn(a, b), c) == jn(a, jn(b, c))
-        ),
-        "absorption": _scan2(
-            cand, lambda a, b: mt(a)[jn(a, b)] == a and jn(a, mt(a)[b]) == a
-        ),
-        "distributivity": _scan3(
-            cand,
-            lambda a, b, c: mt(a)[jn(b, c)] == jn(mt(a)[b], mt(a)[c])
-            and jn(a, mt(b)[c]) == mt(jn(a, b))[jn(a, c)],
-        ),
-        "bounds": _scan1(
-            cand,
-            lambda a: jn(cand.zero, a) == a
-            and mt(cand.zero)[a] == cand.zero
-            and mt(cand.one)[a] == a
-            and jn(cand.one, a) == cand.one,
-        ),
-        "negation-involution": _scan1(cand, lambda a: cand.neg[cand.neg[a]] == a),
-        "negation-de-morgan": _scan2(
-            cand,
-            lambda a, b: cand.neg[jn(a, b)] == mt(cand.neg[a])[cand.neg[b]]
-            and cand.neg[mt(a)[b]] == jn(cand.neg[a], cand.neg[b]),
-        ),
+def _lattice_base(cand: FiniteAlgebraCandidate, mt, jn, ng, r) -> dict:
+    col = r[:, None]
+    return {
+        "meet-idempotent": mt[r, r] != r,
+        "meet-commutative": mt != mt.T,
+        "meet-associative": lambda a: mt[mt[a]] != mt[a][mt],
+        "join-idempotent": jn[r, r] != r,
+        "join-commutative": jn != jn.T,
+        "join-associative": lambda a: jn[jn[a]] != jn[a][jn],
+        "absorption": (mt[col, jn] != col) | (jn[col, mt] != col),
+        "distributivity": lambda a: (mt[a][jn] != jn[np.ix_(mt[a], mt[a])])
+        | (jn[a][mt] != mt[np.ix_(jn[a], jn[a])]),
+        "bounds": (jn[cand.zero] != r)
+        | (mt[cand.zero] != cand.zero)
+        | (mt[cand.one] != r)
+        | (jn[cand.one] != cand.one),
+        "negation-involution": ng[ng] != r,
+        "negation-de-morgan": (ng[jn] != mt[np.ix_(ng, ng)])
+        | (ng[mt] != jn[np.ix_(ng, ng)]),
     }
-    return results
 
 
 def check_pre_rough(cand: FiniteAlgebraCandidate) -> AxiomReport:
     """Distributive De Morgan lattice plus the modal-operator identities."""
-    mt, jn, ng, L = cand.meet.__getitem__, cand.join_of, cand.neg, cand.necessity
-    results = _lattice_base(cand)
-    results.update(
+    mt, jn, ng, L, r = _tables(cand)
+    laws = _lattice_base(cand, mt, jn, ng, r)
+    laws.update(
         {
-            "L-contraction": _scan1(cand, lambda a: mt(L[a])[a] == L[a]),
-            "L-join-distribution": _scan2(
-                cand, lambda a, b: L[jn(a, b)] == jn(L[a], L[b])
-            ),
-            "L-possibility-stable": _scan1(
-                cand, lambda a: ng[L[ng[L[a]]]] == L[a]
-            ),
-            "L-idempotence": _scan1(cand, lambda a: L[L[a]] == L[a]),
-            "L-top": AxiomCheck(L[cand.one] == cand.one)
-            if L[cand.one] == cand.one
-            else AxiomCheck(False, (cand.carrier[cand.one],)),
-            "L-meet-distribution": _scan2(
-                cand, lambda a, b: L[mt(a)[b]] == mt(L[a])[L[b]]
-            ),
-            "L-excluded-middle": _scan1(
-                cand, lambda a: jn(ng[L[a]], L[a]) == cand.one
-            ),
-            "quasi-equation": _scan2(
-                cand,
-                lambda a, b: not (
-                    mt(L[a])[L[b]] == L[a]
-                    and ng[L[ng[mt(a)[b]]]] == ng[L[ng[a]]]
-                )
-                or mt(a)[b] == a,
-            ),
+            "L-contraction": mt[L, r] != L,
+            "L-join-distribution": L[jn] != jn[np.ix_(L, L)],
+            "L-possibility-stable": ng[L[ng[L]]] != L,
+            "L-idempotence": L[L] != L,
+            "L-top": (r == cand.one) & (L != r),
+            "L-meet-distribution": L[mt] != mt[np.ix_(L, L)],
+            "L-excluded-middle": jn[ng[L], L] != cand.one,
+            "quasi-equation": (mt[np.ix_(L, L)] == L[:, None])
+            & (ng[L[ng[mt]]] == ng[L[ng]][:, None])
+            & (mt != r[:, None]),
         }
     )
+    results = sweep_laws(cand.carrier, laws)
     # On a finite carrier the lattice is complete, so complete
     # distributivity reduces to the plain distributive law.
     results["completely-distributive-finite"] = results["distributivity"]
@@ -223,29 +207,19 @@ def check_pre_rough(cand: FiniteAlgebraCandidate) -> AxiomReport:
 
 def check_essential_pre_rough(cand: FiniteAlgebraCandidate) -> AxiomReport:
     """Quasi-Boolean base plus the six defining conditions."""
-    mt, ng, L = cand.meet.__getitem__, cand.neg, cand.necessity
-    dia = lambda a: ng[L[ng[a]]]
-    results = _lattice_base(cand)
-    results.update(
+    mt, jn, ng, L, r = _tables(cand)
+    dia = ng[L[ng]]
+    laws = _lattice_base(cand, mt, jn, ng, r)
+    laws.update(
         {
-            "E1-top": AxiomCheck(True)
-            if L[cand.one] == cand.one
-            else AxiomCheck(False, (cand.carrier[cand.one],)),
-            "E2-contraction": _scan1(cand, lambda a: mt(L[a])[a] == L[a]),
-            "E3-meet-distribution": _scan2(
-                cand, lambda a, b: L[mt(a)[b]] == mt(L[a])[L[b]]
-            ),
-            "E4-possibility-stable": _scan1(cand, lambda a: ng[L[ng[L[a]]]] == L[a]),
-            "E5-no-contradiction": _scan1(
-                cand, lambda a: mt(ng[L[a]])[L[a]] == cand.zero
-            ),
-            "E6-order-determination": _scan2(
-                cand,
-                lambda a, b: not (
-                    cand.leq(dia(a), dia(b)) and cand.leq(L[a], L[b])
-                )
-                or cand.leq(a, b),
-            ),
+            "E1-top": (r == cand.one) & (L != r),
+            "E2-contraction": mt[L, r] != L,
+            "E3-meet-distribution": L[mt] != mt[np.ix_(L, L)],
+            "E4-possibility-stable": ng[L[ng[L]]] != L,
+            "E5-no-contradiction": mt[ng[L], L] != cand.zero,
+            "E6-order-determination": (mt[np.ix_(dia, dia)] == dia[:, None])
+            & (mt[np.ix_(L, L)] == L[:, None])
+            & (mt != r[:, None]),
         }
     )
-    return AxiomReport(results)
+    return AxiomReport(sweep_laws(cand.carrier, laws))

@@ -11,9 +11,9 @@ from roughwork.cera import (
     CeraModel,
     MixedElement,
     UndefinedOperationError,
-    _first_witness,
     check_cera_identities,
 )
+from roughwork.granular import first_violation
 from test_approx import spaces
 
 IDENTITY_NAMES = (
@@ -212,10 +212,11 @@ def test_witness_mapping_points_at_cells():
     bad = np.zeros((2, 3), dtype=bool)
     bad[1, 2] = True
     axes = (np.array(["r0", "r1"]), np.array(["c0", "c1", "c2"]))
-    assert _first_witness(bad, axes, "law") == ("law", "r1", "c2")
-    assert _first_witness(np.zeros((2, 3), dtype=bool), axes, "law") is None
+    assert first_violation(bad, axes) == ("r1", "c2")
+    assert first_violation(np.zeros((2, 3), dtype=bool), axes) is None
     single = np.array([True])
-    assert _first_witness(single, (np.array(["k"]),), "law") == ("law", "k")
+    assert first_violation(single, (np.array(["k"]),)) == ("k",)
+    assert first_violation(lambda i: bad[i], axes) == ("r1", "c2")
 
 
 def test_payload_validation():

@@ -176,6 +176,10 @@ def test_exit_codes_for_bad_input(capsys):
     code, _, _ = run(capsys, "eval", "xz")
     assert code == 2
 
+    code, _, err = run(capsys, "space", "show", "--seed", "1")
+    assert code == 2
+    assert "unrecognized arguments: --seed" in err
+
     code, _, _ = run(capsys, "space", "show", "--model", "/no/such/file.json")
     assert code == 3
 

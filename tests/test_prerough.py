@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +138,50 @@ def test_e5_violation_detected():
     report = check_essential_pre_rough(chain)
     assert not report["E5-no-contradiction"].passed
     assert report["E5-no-contradiction"].witness == ("m",)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("meet", [[0, 0], [0, 5]]),
+        ("meet", [[0, 0], [0]]),
+        ("join", [[0, 1], [1, -1]]),
+        ("join", [[0, 1], [1, 1.0]]),
+        ("neg", [1, 2]),
+        ("necessity", [0]),
+        ("one", 2),
+        ("carrier", ()),
+    ],
+)
+def test_candidate_rejects_malformed_tables(field, value):
+    good = boolean_pair_candidate()
+    with pytest.raises(ValueError):
+        dataclasses.replace(good, **{field: value})
+
+
+def test_checkers_revalidate_mutated_tables():
+    cand = boolean_pair_candidate()
+    cand.meet[1][1] = -1
+    with pytest.raises(ValueError):
+        check_pre_rough(cand)
+    with pytest.raises(ValueError):
+        check_essential_pre_rough(cand)
+
+
+def test_candidate_validation_survives_optimize():
+    code = (
+        "from roughwork.prerough import FiniteAlgebraCandidate as C\n"
+        "try:\n"
+        "    C(('0', '1'), [[0, 0], [0, 5]], [1, 0], [0, 1], 0, 1)\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.startswith("rejected: meet entry 5")
 
 
 def test_seeded_mutants_detected(example_space):
