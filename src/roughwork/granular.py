@@ -3,8 +3,12 @@
 A model carries an explicit granule list plus lower/upper operators given
 as total tables, so non-classical operators are first-class citizens.
 Admissibility bundles three conditions: representability of both operators
-over the granules (decided through the generated field of sets), lower
-stability of granules, and pairwise underlap inside definite supersets.
+over the granules, lower stability of granules, and pairwise underlap
+inside definite supersets.  Each has one definition, shared by the check
+and the search.  Representability is a bitmask cover test: a set lies in
+the field the granules generate iff every pair of atoms it splits is split
+by some granule.  Lower stability is a fact about one granule and full
+underlap about one pair; both are computed once per granule and kept.
 """
 
 from __future__ import annotations
@@ -255,58 +259,83 @@ def check_operator_axioms(table: OperatorTable, kind: str) -> AxiomReport:
     return AxiomReport(sweep_laws(list(table.universe.subsets()), laws))
 
 
-def _signature_groups(size: int, granule_masks: Sequence[int]) -> list[int]:
-    """Masks of the atom groups sharing a granule-membership signature.
-
-    These groups are the atoms of the field of sets generated by the
-    granules, so a subset lies in the field iff it splits no group.
-    """
-    buckets: dict[tuple[int, ...], int] = {}
-    for i in range(size):
-        sig = tuple(g >> i & 1 for g in granule_masks)
-        buckets[sig] = buckets.get(sig, 0) | (1 << i)
-    return list(buckets.values())
+def _separation(n: int, m: int) -> int:
+    """The ordered atom pairs (i, j) that mask ``m`` splits, as bit i·n + j."""
+    full = (1 << n) - 1
+    sep = 0
+    for i in range(n):
+        sep |= (full & ~m if m >> i & 1 else m) << (i * n)
+    return sep
 
 
-def _field_contains(groups: list[int], masks: Iterable[int]) -> bool:
-    """Whether every mask splits no signature group, i.e. lies in the field."""
+def _cover(n: int, masks: Iterable[int]) -> int:
+    """The atom pairs some mask splits.  Atoms no generator splits are
+    inseparable in the field they generate, so a mask lies in that field
+    iff ``_separation(n, mask) & ~cover == 0``."""
+    cover = 0
     for m in masks:
-        for group in groups:
-            inter = m & group
-            if inter != 0 and inter != group:
-                return False
-    return True
+        cover |= _separation(n, m)
+    return cover
 
 
 def generated_field_contains(
     universe: Universe, granules: Sequence[Subset], x: Subset
 ) -> bool:
-    groups = _signature_groups(universe.size, [g.mask for g in granules])
-    return _field_contains(groups, (x.mask,))
+    n = universe.size
+    return _separation(n, x.mask) & ~_cover(n, (g.mask for g in granules)) == 0
 
 
-def generated_field_masks(universe: Universe, granules: Sequence[Subset]) -> set[int]:
-    """The field by brute closure under union, intersection and complement.
+def _ls_witness(
+    part: ParthoodPredicate, g: Subset, subsets: Sequence[Subset], lowers: Sequence[Subset]
+) -> Subset | None:
+    """The first ``a`` with g part of a but not of a's lower, or None."""
+    for a, low in zip(subsets, lowers):
+        if part.holds(g, a) and not part.holds(g, low):
+            return a
+    return None
 
-    Independent of the signature route; the two must agree everywhere.
+
+def _definite_above(part: ParthoodPredicate, g: Subset, definite: Sequence[Subset]) -> int:
+    """Bit i set iff g is a proper part of ``definite[i]``.
+
+    Two granules underlap fully iff their masks share a bit.
     """
-    full = universe.full.mask
-    masks = {0, full} | {g.mask for g in granules}
-    while True:
-        fresh = set()
-        current = list(masks)
-        for i, a in enumerate(current):
-            c = a ^ full
-            if c not in masks:
-                fresh.add(c)
-            for b in current[i:]:
-                if a | b not in masks:
-                    fresh.add(a | b)
-                if a & b not in masks:
-                    fresh.add(a & b)
-        if not fresh:
-            return masks
-        masks |= fresh
+    above = 0
+    for i, z in enumerate(definite):
+        if part.proper(g, z):
+            above |= 1 << i
+    return above
+
+
+class _GranuleTests:
+    """Lower stability and the definite sets above a granule, per granule.
+
+    Both are computed on first use and kept, so a granule costs its
+    predicate calls at most once however many families it sits in.
+    """
+
+    def __init__(
+        self, part: ParthoodPredicate, lower_op: OperatorTable, upper_op: OperatorTable
+    ):
+        u = lower_op.universe
+        lo, up = lower_op._table, upper_op._table
+        self.part = part
+        self.subsets = list(u.subsets())
+        self.lowers = [Subset(u, m) for m in lo]
+        self.definite = [z for z in self.subsets if lo[z.mask] == z.mask == up[z.mask]]
+        self.ls: dict[int, Subset | None] = {}
+        self.above: dict[int, int] = {}
+
+    def ls_witness(self, g: Subset) -> Subset | None:
+        if g.mask not in self.ls:
+            self.ls[g.mask] = _ls_witness(self.part, g, self.subsets, self.lowers)
+        return self.ls[g.mask]
+
+    def underlap(self, x: Subset, y: Subset) -> bool:
+        for g in (x, y):
+            if g.mask not in self.above:
+                self.above[g.mask] = _definite_above(self.part, g, self.definite)
+        return self.above[x.mask] & self.above[y.mask] != 0
 
 
 @dataclass(frozen=True)
@@ -330,43 +359,21 @@ def check_admissibility(model: GranularModel) -> AdmissibilityReport:
     glosses it as every two distinct granules sitting properly inside a
     common definite object, and a one-granule model holds vacuously.
     """
-    u = model.universe
-    groups = _signature_groups(u.size, [g.mask for g in model.granules])
-    wra = AxiomCheck(True)
-    for x in u.subsets():
-        for out in (model.lower(x), model.upper(x)):
-            if not _field_contains(groups, (out.mask,)):
-                wra = AxiomCheck(False, (x, out))
-                break
-        if not wra.passed:
-            break
-
-    ls = AxiomCheck(True)
-    part = model.parthood
-    for g in model.granules:
-        for a in u.subsets():
-            if part.holds(g, a) and not part.holds(g, model.lower(a)):
-                ls = AxiomCheck(False, (g, a))
-                break
-        if not ls.passed:
-            break
-
-    fu = AxiomCheck(True)
-    for x, y in combinations(model.granules, 2):
-        found = False
-        for z in u.subsets():
-            if (
-                part.proper(x, z)
-                and part.proper(y, z)
-                and model.lower(z) == z
-                and model.upper(z) == z
-            ):
-                found = True
-                break
-        if not found:
-            fu = AxiomCheck(False, (x, y))
-            break
-    return AdmissibilityReport(wra=wra, ls=ls, fu=fu)
+    u, n = model.universe, model.universe.size
+    lo, up = model.lower_op._table, model.upper_op._table
+    cover = _cover(n, (g.mask for g in model.granules))
+    unrepresented = (
+        (Subset(u, m), Subset(u, out))
+        for m in range(1 << n)
+        for out in (lo[m], up[m])
+        if _separation(n, out) & ~cover
+    )
+    tests = _GranuleTests(model.parthood, model.lower_op, model.upper_op)
+    unstable = ((g, a) for g in model.granules if (a := tests.ls_witness(g)) is not None)
+    apart = (pair for pair in combinations(model.granules, 2) if not tests.underlap(*pair))
+    return AdmissibilityReport(
+        *(AxiomCheck.of(next(first, None)) for first in (unrepresented, unstable, apart))
+    )
 
 
 def search_admissible_granulations(
@@ -378,9 +385,20 @@ def search_admissible_granulations(
 ) -> list[tuple[Subset, ...]]:
     """All granule families of bounded size admissible for the given tables.
 
-    Families are drawn from nonempty subsets in canonical order, so the
-    result order is deterministic.  The candidate count is bounded up
-    front; an oversized search raises instead of running forever.
+    Families are drawn from nonempty subsets in canonical order: by size,
+    then lexicographically by mask, so the result order is deterministic.
+    The candidate count is bounded up front; an oversized search raises
+    instead of running forever.
+
+    No family is checked whole.  A depth-first walk over granules of
+    increasing mask, which meets the families of each size in canonical
+    order, carries each family's cover (``_cover``) down: the family is
+    representable iff the cover holds every pair a table output splits.
+    Lower stability is per granule and full underlap per pair, so a
+    family failing either fails with every extension and the walk prunes
+    there.  Both are worked out only for granules of representable
+    families, once each: over the whole pool up front they would cost
+    about 4^n predicate calls even when no family is representable.
     """
     if max_granules < 1:
         raise ValueError("max_granules must be at least 1")
@@ -393,25 +411,46 @@ def search_admissible_granulations(
         raise SearchCapExceededError(
             f"{total} candidate families exceed the cap of {candidate_cap}"
         )
-    pool = [Subset(universe, m) for m in range(1, 1 << universe.size)]
-    # Representability only depends on the tables' distinct outputs, so a
-    # cheap mask-level split test culls most families before the full check.
-    outputs = {lower_op(x).mask for x in universe.subsets()}
-    outputs |= {upper_op(x).mask for x in universe.subsets()}
     n = universe.size
-    found = []
-    for k in range(1, max_granules + 1):
-        for family in combinations(pool, k):
-            groups = _signature_groups(n, [g.mask for g in family])
-            if not _field_contains(groups, outputs):
+    pool = [Subset(universe, m) for m in range(1, 1 << n)]
+    seps = [_separation(n, g.mask) for g in pool]
+    need = _cover(n, set(lower_op._table) | set(upper_op._table))
+    tests = _GranuleTests(parthood, lower_op, upper_op)
+    found: list[list[tuple[Subset, ...]]] = [[] for _ in range(max_granules)]
+
+    def culprit(family: tuple[Subset, ...]) -> int | None:
+        """A position p such that family[:p + 1] already fails, or None if
+        the family is admissible."""
+        for pos, g in enumerate(family):
+            if tests.ls_witness(g) is not None:
+                return pos
+        for q in range(1, len(family)):
+            for p in range(q):
+                if not tests.underlap(family[p], family[q]):
+                    return q
+        return None
+
+    def extend(family: tuple[Subset, ...], cover: int, start: int) -> int | None:
+        """Walk the extensions of ``family`` in canonical order; return p
+        once family[:p + 1] is found to fail, which ends every walk below it."""
+        depth = len(family)
+        for j in range(start, pool_size):
+            g = pool[j]
+            if tests.ls.get(g.mask) is not None:
                 continue
-            model = GranularModel(
-                universe=universe,
-                granules=family,
-                lower_op=lower_op,
-                upper_op=upper_op,
-                parthood=parthood,
-            )
-            if check_admissibility(model).all_pass:
-                found.append(family)
-    return found
+            grown, c = family + (g,), cover | seps[j]
+            if need & ~c == 0:
+                bad = culprit(grown)
+                if bad is not None:
+                    if bad < depth:
+                        return bad
+                    continue
+                found[depth].append(grown)
+            if depth + 1 < max_granules:
+                bad = extend(grown, c, j + 1)
+                if bad is not None and bad < depth:
+                    return bad
+        return None
+
+    extend((), 0, 0)
+    return [family for bucket in found for family in bucket]

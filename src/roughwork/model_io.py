@@ -48,6 +48,24 @@ def _require(condition: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
+def _atom_lists(raw: object, label: str, size: int | None = None) -> list:
+    """A list of nonempty lists of atom names, each of ``size`` if given.
+
+    Checked before use, so a string is never read as its characters.
+    """
+    _require(isinstance(raw, list), f"{label} must be a list")
+    shape = f"a list of {size} atom names" if size else "a nonempty list of atom names"
+    for item in raw:
+        _require(
+            isinstance(item, list)
+            and item
+            and all(isinstance(a, str) for a in item)
+            and (size is None or len(item) == size),
+            f"each entry of {label} must be {shape}, got {item!r}",
+        )
+    return raw
+
+
 def _parse_table(space: ApproximationSpace, raw: object, label: str) -> OperatorTable:
     _require(isinstance(raw, dict), f"{label} must be an object")
     universe = space.universe
@@ -66,8 +84,7 @@ def _parse_table(space: ApproximationSpace, raw: object, label: str) -> Operator
 def _parse_granules(space: ApproximationSpace, raw: object) -> tuple[Subset, ...]:
     _require(isinstance(raw, list) and raw, "granules must be a nonempty list")
     out = []
-    for names in raw:
-        _require(isinstance(names, list), "each granule must be a list of atoms")
+    for names in _atom_lists(raw, "granules"):
         try:
             out.append(space.universe.subset(names))
         except UnknownAtomError as exc:
@@ -94,7 +111,8 @@ def _parse_case_space(name: str, raw: object) -> CaseSpace:
     _require("worlds" in raw and "valuation" in raw,
              f"case space {name!r} needs worlds and valuation")
     worlds = raw["worlds"]
-    _require(isinstance(worlds, list), f"case space {name!r}: worlds must be a list")
+    _require(isinstance(worlds, list) and all(isinstance(w, str) for w in worlds),
+             f"case space {name!r}: worlds must be a list of names")
     valuation_raw = raw["valuation"]
     _require(isinstance(valuation_raw, dict),
              f"case space {name!r}: valuation must be an object")
@@ -102,6 +120,11 @@ def _parse_case_space(name: str, raw: object) -> CaseSpace:
     for sentence, per_world in valuation_raw.items():
         _require(isinstance(per_world, dict),
                  f"case space {name!r}: valuation for {sentence!r} must be an object")
+        for world, bits in per_world.items():
+            _require(isinstance(bits, list) and len(bits) == 2
+                     and all(isinstance(b, int) and b in (0, 1) for b in bits),
+                     f"case space {name!r}: {sentence!r} at {world!r} must be a"
+                     " [t, f] pair of booleans")
         valuation[sentence] = {
             world: tuple(bool(bit) for bit in bits)
             for world, bits in per_world.items()
@@ -140,9 +163,10 @@ def parse_model(raw: object, source: str = "<memory>") -> LoadedModel:
 
     try:
         if has_partition:
-            space = ApproximationSpace.from_partition(universe_raw, raw["partition"])
+            blocks = _atom_lists(raw["partition"], "partition")
+            space = ApproximationSpace.from_partition(universe_raw, blocks)
         else:
-            pairs = [tuple(p) for p in raw["relationPairs"]]
+            pairs = [tuple(p) for p in _atom_lists(raw["relationPairs"], "relationPairs", 2)]
             space = ApproximationSpace.from_pairs(universe_raw, pairs)
     except (ValueError, TypeError) as exc:
         raise ModelFormatError(str(exc)) from exc

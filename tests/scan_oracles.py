@@ -5,14 +5,30 @@ before their laws became index expressions over operation tables.  They
 call one Python predicate per cell, in nested-loop order, and stop at the
 first violation; ``test_differential.py`` asserts that the table sweeps
 report the same status and the same first witness for every law.
+
+The granulation search and admissibility check that tested every family
+whole, through the signature groups of the generated field, are kept
+here too, with the brute-force closure of that field.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import combinations
+from math import comb
+from typing import Callable, Iterable, Sequence
 
-from roughwork.approx import Subset
-from roughwork.granular import AxiomCheck, AxiomReport, GranularModel, OperatorTable
+from roughwork.approx import Subset, Universe, UniverseMismatchError
+from roughwork.granular import (
+    INCLUSION,
+    SEARCH_CANDIDATE_CAP,
+    AdmissibilityReport,
+    AxiomCheck,
+    AxiomReport,
+    GranularModel,
+    OperatorTable,
+    ParthoodPredicate,
+    SearchCapExceededError,
+)
 from roughwork.negation import BoundedPoset, NegationProfile, UnaryOp, _iterate_index
 from roughwork.prerough import FiniteAlgebraCandidate
 
@@ -322,3 +338,144 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
         return NegationProfile(AxiomReport(results), None, None, None)
     m, n = index
     return NegationProfile(AxiomReport(results), index, n, n - m)
+
+
+def _signature_groups(size: int, granule_masks: Sequence[int]) -> list[int]:
+    """Masks of the atom groups sharing a granule-membership signature.
+
+    These groups are the atoms of the field of sets generated by the
+    granules, so a subset lies in the field iff it splits no group.
+    """
+    buckets: dict[tuple[int, ...], int] = {}
+    for i in range(size):
+        sig = tuple(g >> i & 1 for g in granule_masks)
+        buckets[sig] = buckets.get(sig, 0) | (1 << i)
+    return list(buckets.values())
+
+
+def _field_contains(groups: list[int], masks: Iterable[int]) -> bool:
+    """Whether every mask splits no signature group, i.e. lies in the field."""
+    for m in masks:
+        for group in groups:
+            inter = m & group
+            if inter != 0 and inter != group:
+                return False
+    return True
+
+
+def generated_field_masks(universe: Universe, granules: Sequence[Subset]) -> set[int]:
+    """The field by brute closure under union, intersection and complement.
+
+    Independent of the signature route; the two must agree everywhere.
+    """
+    full = universe.full.mask
+    masks = {0, full} | {g.mask for g in granules}
+    while True:
+        fresh = set()
+        current = list(masks)
+        for i, a in enumerate(current):
+            c = a ^ full
+            if c not in masks:
+                fresh.add(c)
+            for b in current[i:]:
+                if a | b not in masks:
+                    fresh.add(a | b)
+                if a & b not in masks:
+                    fresh.add(a & b)
+        if not fresh:
+            return masks
+        masks |= fresh
+
+
+def admissibility_oracle(model: GranularModel) -> AdmissibilityReport:
+    """Representability, lower stability, and pairwise full underlap.
+
+    Underlap quantifies over distinct granule pairs; the defining text
+    glosses it as every two distinct granules sitting properly inside a
+    common definite object, and a one-granule model holds vacuously.
+    """
+    u = model.universe
+    groups = _signature_groups(u.size, [g.mask for g in model.granules])
+    wra = AxiomCheck(True)
+    for x in u.subsets():
+        for out in (model.lower(x), model.upper(x)):
+            if not _field_contains(groups, (out.mask,)):
+                wra = AxiomCheck(False, (x, out))
+                break
+        if not wra.passed:
+            break
+
+    ls = AxiomCheck(True)
+    part = model.parthood
+    for g in model.granules:
+        for a in u.subsets():
+            if part.holds(g, a) and not part.holds(g, model.lower(a)):
+                ls = AxiomCheck(False, (g, a))
+                break
+        if not ls.passed:
+            break
+
+    fu = AxiomCheck(True)
+    for x, y in combinations(model.granules, 2):
+        found = False
+        for z in u.subsets():
+            if (
+                part.proper(x, z)
+                and part.proper(y, z)
+                and model.lower(z) == z
+                and model.upper(z) == z
+            ):
+                found = True
+                break
+        if not found:
+            fu = AxiomCheck(False, (x, y))
+            break
+    return AdmissibilityReport(wra=wra, ls=ls, fu=fu)
+
+
+def search_oracle(
+    lower_op: OperatorTable,
+    upper_op: OperatorTable,
+    max_granules: int,
+    parthood: ParthoodPredicate = INCLUSION,
+    candidate_cap: int = SEARCH_CANDIDATE_CAP,
+) -> list[tuple[Subset, ...]]:
+    """All granule families of bounded size admissible for the given tables.
+
+    Families are drawn from nonempty subsets in canonical order, so the
+    result order is deterministic.  The candidate count is bounded up
+    front; an oversized search raises instead of running forever.
+    """
+    if max_granules < 1:
+        raise ValueError("max_granules must be at least 1")
+    if lower_op.universe != upper_op.universe:
+        raise UniverseMismatchError("operator tables over different universes")
+    universe = lower_op.universe
+    pool_size = (1 << universe.size) - 1
+    total = sum(comb(pool_size, k) for k in range(1, max_granules + 1))
+    if total > candidate_cap:
+        raise SearchCapExceededError(
+            f"{total} candidate families exceed the cap of {candidate_cap}"
+        )
+    pool = [Subset(universe, m) for m in range(1, 1 << universe.size)]
+    # Representability only depends on the tables' distinct outputs, so a
+    # cheap mask-level split test culls most families before the full check.
+    outputs = {lower_op(x).mask for x in universe.subsets()}
+    outputs |= {upper_op(x).mask for x in universe.subsets()}
+    n = universe.size
+    found = []
+    for k in range(1, max_granules + 1):
+        for family in combinations(pool, k):
+            groups = _signature_groups(n, [g.mask for g in family])
+            if not _field_contains(groups, outputs):
+                continue
+            model = GranularModel(
+                universe=universe,
+                granules=family,
+                lower_op=lower_op,
+                upper_op=upper_op,
+                parthood=parthood,
+            )
+            if admissibility_oracle(model).all_pass:
+                found.append(family)
+    return found

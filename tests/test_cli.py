@@ -165,7 +165,7 @@ def test_granulation_search(capsys):
     assert code == 4
 
 
-def test_exit_codes_for_bad_input(capsys):
+def test_exit_codes_for_bad_input(capsys, tmp_path):
     code, _, err = run(capsys, "eval", "bc (+)")
     assert code == 2
     assert "parse error" in err
@@ -182,6 +182,28 @@ def test_exit_codes_for_bad_input(capsys):
 
     code, _, _ = run(capsys, "space", "show", "--model", "/no/such/file.json")
     assert code == 3
+
+    # Each was once misread as characters, misrouted to exit 2, or a traceback.
+    for fragment, body in (
+        ("partition must be a list", {"universe": ["a", "b"], "partition": "ab"}),
+        (
+            "entry of granules",
+            {"universe": ["a"], "partition": [["a"]], "granules": [[]]},
+        ),
+        (
+            "pair of booleans",
+            {
+                "universe": ["a"],
+                "partition": [["a"]],
+                "caseSpaces": {"c": {"worlds": ["w"], "valuation": {"p": {"w": 5}}}},
+            },
+        ),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        code, _, err = run(capsys, "space", "show", "--model", str(path))
+        assert code == 3
+        assert "model error" in err and fragment in err
 
 
 def test_model_file_round_trip(capsys, tmp_path):
@@ -248,6 +270,17 @@ def test_model_schema_errors(tmp_path):
         {"universe": ["a"], "partition": [["a"]], "granules": [["z"]]},
         "granule",
     )
+    # Strings are never read as their characters, nor nested lists as atoms.
+    reject({"universe": ["a", "b"], "partition": ["ab"]}, "entry of partition")
+    reject({"universe": ["a", "b"], "relationPairs": ["ab"]}, "list of 2 atom names")
+    reject(
+        {"universe": ["a"], "partition": [["a"]], "granules": [[["a"]]]},
+        "entry of granules",
+    )
+    case = {"worlds": ["w"], "valuation": {"p": {"w": "tf"}}}
+    reject({"universe": ["a"], "partition": [["a"]], "caseSpaces": {"c": case}}, "pair")
+    case = {"worlds": [1], "valuation": {}}
+    reject({"universe": ["a"], "partition": [["a"]], "caseSpaces": {"c": case}}, "worlds")
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

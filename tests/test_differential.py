@@ -4,7 +4,9 @@ Every law must report the same status and the same first witness as the
 oracle in ``scan_oracles``, on every partition of up to five atoms and on
 seeded corruptions of those structures: one-entry mutants of quotient
 candidates, perturbed operator tables, and partial maps on quotient
-orders and on posets whose meets and joins are partial.
+orders and on posets whose meets and joins are partial.  The granulation
+search must return the oracle's families in the oracle's order, and make
+no predicate call the decomposition does not need.
 """
 
 from __future__ import annotations
@@ -15,14 +17,19 @@ import random
 import pytest
 
 import scan_oracles as oracle
-from roughwork import ApproximationSpace
+from roughwork import ApproximationSpace, Universe, granular
 from roughwork.cli import _quotient_poset
 from roughwork.granular import (
+    INCLUSION,
     GranularModel,
     OperatorTable,
+    ParthoodPredicate,
+    SearchCapExceededError,
+    check_admissibility,
     check_gos_axioms,
     check_operator_axioms,
     from_space,
+    search_admissible_granulations,
 )
 from roughwork.negation import BoundedPoset, UnaryOp, check_negation
 from roughwork.prerough import (
@@ -162,3 +169,128 @@ def test_negation_on_quotient_orders_and_partial_posets():
         assert (new.index, new.period, new.pace) == (old.index, old.period, old.pace)
         failing += not all(c.passed for _, c in new.checks.items())
     assert failing >= len(cases) // 2
+
+
+# A reflexive, transitive size order that is not antisymmetric, and an
+# overlap relation that is neither an order nor transitive.
+BY_SIZE = ParthoodPredicate(
+    "by-size", lambda a, b: bin(a.mask).count("1") <= bin(b.mask).count("1")
+)
+OVERLAP = ParthoodPredicate("overlap", lambda a, b: a.mask & b.mask != 0)
+
+
+def search_cases():
+    """(lower, upper, k): partition tables at k <= 3 up to 4 atoms and k <= 2
+    at 5, one-entry perturbations of each at k <= 2, and identity,
+    complement-lower and complement-upper tables."""
+    rng = random.Random(6607)
+    cases = []
+    for space in SPACES:
+        model = from_space(space)
+        k = 3 if space.universe.size <= 4 else 2
+        cases.append((model.lower_op, model.upper_op, k))
+        cases.append(
+            (perturbed(model.lower_op, rng, 1), perturbed(model.upper_op, rng, 1), 2)
+        )
+    for n in range(1, 6):
+        u = Universe("abcde"[:n])
+        identity = OperatorTable.from_callable(u, lambda x: x)
+        complement = OperatorTable.from_callable(u, lambda x: x.complement())
+        k = 3 if n <= 4 else 2
+        # The last pair has every set fixed by the lower table and none by
+        # the upper one, so no set is definite.
+        cases += [(identity, identity, k), (complement, identity, k), (identity, complement, k)]
+    return cases
+
+
+def test_search_matches_oracle():
+    found = 0
+    for lower, upper, k in search_cases():
+        new = search_admissible_granulations(lower, upper, max_granules=k)
+        assert new == oracle.search_oracle(lower, upper, max_granules=k)
+        found += len(new)
+    assert found > len(SPACES)
+
+
+@pytest.mark.parametrize("part", [BY_SIZE, OVERLAP], ids=lambda p: p.name)
+def test_search_matches_oracle_for_custom_parthood(part):
+    found = 0
+    for lower, upper, k in search_cases():
+        if lower.universe.size > 4:
+            continue
+        k = min(k, 2)
+        new = search_admissible_granulations(lower, upper, k, parthood=part)
+        assert new == oracle.search_oracle(lower, upper, k, parthood=part)
+        found += len(new)
+    assert found > 0
+
+
+def test_admissibility_matches_oracle():
+    rng = random.Random(3319)
+    failing = set()
+    for i, (lower, upper, _) in enumerate(search_cases()):
+        u = lower.universe
+        masks = range(1, 1 << u.size)
+        for part in (INCLUSION, BY_SIZE, OVERLAP):
+            granules = tuple(
+                u.from_mask(m) for m in rng.sample(masks, min(len(masks), 1 + i % 3))
+            )
+            model = GranularModel(u, granules, lower, upper, part)
+            new, old = check_admissibility(model), oracle.admissibility_oracle(model)
+            assert new == old
+            failing |= {name for name in ("wra", "ls", "fu") if not getattr(new, name).passed}
+    for space in SPACES:
+        model = from_space(space)
+        assert check_admissibility(model) == oracle.admissibility_oracle(model)
+    assert failing == {"wra", "ls", "fu"}
+
+
+def counting(part: ParthoodPredicate, calls: list) -> ParthoodPredicate:
+    def holds(a, b):
+        calls.append((a.mask, b.mask))
+        return part.holds(a, b)
+
+    return ParthoodPredicate(part.name, holds)
+
+
+def test_search_predicate_calls_are_needed_and_once_per_granule(monkeypatch):
+    u = SPACES[-1].universe
+    identity = OperatorTable.from_callable(u, lambda x: x)
+    calls: list = []
+    # No family of two granules separates five atoms, so none is representable.
+    assert search_admissible_granulations(identity, identity, 2, counting(INCLUSION, calls)) == []
+    assert calls == []
+
+    evaluated = {"ls": [], "above": []}
+    for name, key in (("_ls_witness", "ls"), ("_definite_above", "above")):
+        real = getattr(granular, name)
+
+        def spy(part, g, *rest, real=real, key=key):
+            evaluated[key].append(g.mask)
+            return real(part, g, *rest)
+
+        monkeypatch.setattr(granular, name, spy)
+    granules_tested = 0
+    for lower, upper, k in search_cases()[::9]:
+        for key in evaluated:
+            evaluated[key].clear()
+        new_calls: list = []
+        search_admissible_granulations(lower, upper, k, counting(INCLUSION, new_calls))
+        for key, masks in evaluated.items():
+            assert len(masks) == len(set(masks)), key
+        granules_tested += len(evaluated["ls"])
+        old_calls: list = []
+        oracle.search_oracle(lower, upper, k, counting(INCLUSION, old_calls))
+        assert len(new_calls) <= len(old_calls)
+    assert granules_tested > 0
+
+
+def test_search_cap_raises_before_any_predicate_call(example_space):
+    u = example_space.universe
+    lower = OperatorTable.from_callable(u, example_space.lower)
+    calls: list = []
+    with pytest.raises(SearchCapExceededError, match="exceed the cap of 100"):
+        search_admissible_granulations(
+            lower, lower, 2, counting(INCLUSION, calls), candidate_cap=100
+        )
+    assert calls == []

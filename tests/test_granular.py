@@ -16,9 +16,9 @@ from roughwork.granular import (
     check_operator_axioms,
     from_space,
     generated_field_contains,
-    generated_field_masks,
     search_admissible_granulations,
 )
+from scan_oracles import generated_field_masks
 
 
 @pytest.fixture(scope="module")
