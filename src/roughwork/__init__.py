@@ -4,7 +4,6 @@ from roughwork.approx import (
     ApproximationSpace,
     ApproxTriple,
     RoughClass,
-    RoughOrderPoset,
     Subset,
     Universe,
     UniverseMismatchError,
@@ -69,7 +68,6 @@ __all__ = [
     "PropertySystem",
     "QuotientAlgebra",
     "RoughClass",
-    "RoughOrderPoset",
     "Subset",
     "UnaryOp",
     "UndefinedOperationError",

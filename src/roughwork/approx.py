@@ -2,14 +2,18 @@
 
 Subsets are bitmasks over an ordered atom list, so set algebra is exact
 integer arithmetic.  An approximation space pairs a universe with a
-partition into blocks; lower and upper approximations, rough-equality
-classes and the order induced on them are computed by direct enumeration.
+partition into blocks; single lower and upper approximations are block
+scans.  ``bound_masks`` computes the approximations of every mask at once,
+with the rough-class index of each mask and the bounds of each class; it
+is the one place the classes of a space are worked out.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 EMPTY_NAME = "0"
 FULL_NAME = "S"
@@ -220,7 +224,8 @@ class ApproxTriple(tuple):
     __slots__ = ()
 
     def __new__(cls, x: Subset, lower: Subset, upper: Subset):
-        assert lower <= x <= upper
+        if not lower <= x <= upper:
+            raise ValueError(f"({x}, {lower}, {upper}) breaks lower <= x <= upper")
         return super().__new__(cls, (x, lower, upper))
 
     @property
@@ -363,24 +368,8 @@ class ApproximationSpace:
         The class of the empty set is prepended on request; it is the zero
         of the quotient order and is never roughly equal to a nonempty set.
         """
-        seen: dict[tuple[int, int], None] = {}
-        for mask in range(1, 1 << self.universe.size):
-            x = Subset(self.universe, mask)
-            key = (self.lower(x).mask, self.upper(x).mask)
-            seen.setdefault(key, None)
-        classes = [
-            RoughClass(
-                self, Subset(self.universe, lo), Subset(self.universe, up)
-            )
-            for lo, up in seen
-        ]
-        classes.sort(key=lambda c: c.sample_member().mask)
-        if include_empty:
-            classes.insert(0, self.rough_class_of(self.universe.empty))
-        return classes
-
-    def quotient_order(self) -> RoughOrderPoset:
-        return RoughOrderPoset(self.rough_classes(include_empty=True))
+        classes = bound_masks(self).classes(self)
+        return classes if include_empty else classes[1:]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -483,62 +472,54 @@ class RoughClass:
         return f"<RoughClass bounds=({self.lower}, {self.upper})>"
 
 
-class RoughOrderPoset:
-    """Rough classes under componentwise inclusion of their bounds."""
+class BoundMasks(NamedTuple):
+    """What ``bound_masks`` computes for one space."""
 
-    __slots__ = ("elements",)
+    lower: np.ndarray
+    upper: np.ndarray
+    class_id: np.ndarray
+    class_lower: np.ndarray
+    class_upper: np.ndarray
+    lowbits: int
 
-    def __init__(self, elements: Sequence[RoughClass]):
-        self.elements = tuple(elements)
+    def class_index(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+        """Index of the class with bounds (lower, upper), cellwise.
 
-    def leq(self, a: RoughClass, b: RoughClass) -> bool:
-        return a.lower <= b.lower and a.upper <= b.upper
-
-    def comparable(self, a: RoughClass, b: RoughClass) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
-    def bottom(self) -> RoughClass:
-        bottoms = [a for a in self.elements if all(self.leq(a, b) for b in self.elements)]
-        assert len(bottoms) == 1
-        return bottoms[0]
-
-    def top(self) -> RoughClass:
-        tops = [a for a in self.elements if all(self.leq(b, a) for b in self.elements)]
-        assert len(tops) == 1
-        return tops[0]
-
-    def is_antichain(self, family: Sequence[RoughClass]) -> bool:
-        return all(
-            not self.comparable(a, b)
-            for i, a in enumerate(family)
-            for b in family[i + 1 :]
-        )
-
-    def maximal_antichains(self, limit: int) -> list[tuple[RoughClass, ...]]:
-        """Maximal antichains in deterministic order, at most `limit` of them.
-
-        DFS over index-increasing antichains; a complete candidate is kept
-        when every element of the poset is comparable to one of its members.
+        Raises ValueError unless every pair is the bounds of a class: the
+        realizability check that building one RoughClass per cell makes.
         """
-        if limit < 1:
-            raise ValueError("limit must be at least 1")
-        n = len(self.elements)
-        comp = [
-            [self.comparable(self.elements[i], self.elements[j]) for j in range(n)]
-            for i in range(n)
+        mask = lower | (self.lowbits & upper & ~lower)
+        if (self.lower[mask] != lower).any() or (self.upper[mask] != upper).any():
+            raise ValueError("bounds that no rough class has")
+        return self.class_id[mask]
+
+    def classes(self, space: ApproximationSpace) -> list[RoughClass]:
+        u = space.universe
+        return [
+            RoughClass(space, Subset(u, lo), Subset(u, up))
+            for lo, up in zip(self.class_lower.tolist(), self.class_upper.tolist())
         ]
-        out: list[tuple[RoughClass, ...]] = []
 
-        def extend(prefix: list[int], start: int) -> None:
-            if len(out) >= limit:
-                return
-            if prefix and all(any(comp[j][m] for m in prefix) for j in range(n)):
-                out.append(tuple(self.elements[i] for i in prefix))
-                if len(out) >= limit:
-                    return
-            for k in range(start, n):
-                if all(not comp[k][m] for m in prefix):
-                    extend(prefix + [k], k + 1)
 
-        extend([], 0)
-        return out
+def bound_masks(space: ApproximationSpace) -> BoundMasks:
+    """Lower and upper approximation and rough-class index of every mask,
+    and the bounds of each class.
+
+    Classes are numbered by smallest member, so class 0 is that of the
+    empty set.  The smallest member is the lower bound plus the lowest
+    atom of each boundary block, and a mask that is its own smallest
+    member starts a class.
+    """
+    n = space.universe.size
+    masks = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    lower = np.zeros_like(masks)
+    upper = np.zeros_like(masks)
+    for block in space.blocks:
+        b = block.mask
+        lower[masks & b == b] |= b
+        upper[masks & b != 0] |= b
+    lowbits = sum(block.mask & -block.mask for block in space.blocks)
+    smallest = lower | (lowbits & upper & ~lower)
+    starts = smallest == masks
+    class_id = (np.cumsum(starts) - 1)[smallest]
+    return BoundMasks(lower, upper, class_id, lower[starts], upper[starts], lowbits)

@@ -3,7 +3,10 @@
 The carrier joins every plain subset of the universe (type 1) with every
 rough class of the space, the class of the empty set included (type 2).
 Operations dispatch on the tags; a mixed application collapses the class
-argument through its members and lands back in a class.
+argument through its members and lands back in a class.  The element
+methods answer single queries on objects; ``CeraModel.tables`` gives the
+operations over the whole carrier as index arrays, from the quotient's
+``BoundMasks``, for the identity suite and the parthood matrices.
 """
 
 from __future__ import annotations
@@ -36,12 +39,14 @@ class MixedElement:
 
     @classmethod
     def type1(cls, subset: Subset) -> MixedElement:
-        assert isinstance(subset, Subset)
+        if not isinstance(subset, Subset):
+            raise TypeError(f"type-1 elements hold subsets, got {subset!r}")
         return cls(subset)
 
     @classmethod
     def type2(cls, rough: RoughClass) -> MixedElement:
-        assert isinstance(rough, RoughClass)
+        if not isinstance(rough, RoughClass):
+            raise TypeError(f"type-2 elements hold rough classes, got {rough!r}")
         return cls(rough)
 
     @property
@@ -88,6 +93,42 @@ class CeraModel:
         out = [MixedElement.type1(s) for s in self.space.universe.subsets()]
         out.extend(MixedElement.type2(c) for c in self.quotient.carrier)
         return out
+
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """oplus, commonality, L, black lozenge and sim_neg over ``elements()``.
+
+        Entries are carrier indices: subset ``m`` is element ``m`` and
+        class ``c`` is element ``2^n + c``.
+        """
+        bm = self.quotient.masks
+        size = len(bm.lower)
+        lo, up = bm.class_lower, bm.class_upper
+        dtype = np.min_scalar_type(size + len(lo) - 1)
+        subsets = np.arange(size, dtype=lo.dtype)
+        of_class = (size + bm.class_id).astype(dtype)  # element of each mask's class
+
+        def class_el(lower, upper):
+            return (size + bm.class_index(lower, upper)).astype(dtype)
+
+        def unary(on_subsets, lower, upper):
+            return np.concatenate([on_subsets, class_el(lower, upper)], dtype=dtype)
+
+        def binary(op, collapse):
+            # a class enters a mixed case as the collapse of its members
+            mask = np.concatenate([subsets, collapse])
+            out = of_class[op(mask[:, None], mask)]
+            out[:size, :size] = op(subsets[:, None], subsets)
+            out[size:, size:] = class_el(op(lo[:, None], lo), op(up[:, None], up))
+            return out
+
+        full = size - 1
+        return (
+            binary(np.bitwise_or, up),
+            binary(np.bitwise_and, up if self.soft else lo),
+            unary(bm.lower, lo, lo),
+            unary(bm.upper, up, up),
+            unary(full ^ subsets, full ^ up, full ^ lo),
+        )
 
     # Mixed cases below use two collapses: the union of the members of a
     # class is its upper bound, their intersection is its lower bound.
@@ -171,35 +212,25 @@ class CeraModel:
 def check_cera_identities(model: CeraModel) -> AxiomReport:
     """Exhaustively verify the identity suite of the mixed algebra.
 
-    Binary tables are materialized once, in the narrowest integer dtype
-    that indexes the carrier, and every law is evaluated by indexing
-    tables with tables.  No law builds more than carrier² cells at once:
-    ternary laws are swept one leading element at a time.  Guarded laws
-    quantify only over the tags named in their premises.
+    The tables of ``model.tables()`` are built once, in the narrowest
+    integer dtype that indexes the carrier, and every law is evaluated by
+    indexing tables with tables.  No law builds more than carrier² cells
+    at once: ternary laws are swept one leading element at a time.
+    Guarded laws quantify only over the tags named in their premises.
     """
     els = model.elements()
     n = len(els)
     if n > IDENTITY_CARRIER_CAP:
         raise ValueError(f"carrier of size {n} exceeds identity-check cap")
-    index = {el: i for i, el in enumerate(els)}
 
     type1 = np.array([el.is_type1 for el in els])
     t1 = np.flatnonzero(type1)
     t2 = np.flatnonzero(~type1)
     arange = np.arange(n)
 
-    dtype = np.min_scalar_type(n - 1)
-    plus = np.empty((n, n), dtype=dtype)
-    times = np.empty((n, n), dtype=dtype)
-    for i, a in enumerate(els):
-        for j, b in enumerate(els):
-            plus[i, j] = index[model.oplus(a, b)]
-            times[i, j] = index[model.commonality(a, b)]
-    low = np.array([index[model.frak_l(a)] for a in els], dtype=dtype)
-    dia = np.array([index[model.black_lozenge(a)] for a in els], dtype=dtype)
-    neg = np.array([index[model.sim_neg(a)] for a in els], dtype=dtype)
-    bot_i, top_i = index[model.bottom], index[model.top]
-    zero_i, one_i = index[model.zero], index[model.one]
+    plus, times, low, dia, neg = model.tables()
+    bot_i, top_i = 0, len(t1) - 1
+    zero_i, one_i = len(t1), len(t1) + int(model.quotient.masks.class_id[-1])
 
     els_arr = np.empty(n, dtype=object)
     els_arr[:] = els

@@ -291,7 +291,7 @@ def _quotient_poset(space) -> tuple[BoundedPoset, UnaryOp]:
     quotient = quotient_algebra(space)
     carrier = quotient.carrier
     pairs = [
-        (a, b) for a in carrier for b in carrier if quotient.leq(a, b)
+        (carrier[i], carrier[j]) for i, j in zip(*quotient.leq_matrix().nonzero())
     ]
     poset = BoundedPoset(carrier, pairs)
     op = UnaryOp({c: quotient.neg(c) for c in carrier})

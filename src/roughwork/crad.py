@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from roughwork.approx import RoughClass, Subset
+from roughwork.approx import Subset
 from roughwork.cera import CeraModel, MixedElement, UndefinedOperationError
 
 
@@ -41,10 +41,13 @@ class CradModel:
 
     def __init__(self, cera: CeraModel):
         self.cera = cera
-        subsets = list(cera.space.universe.subsets())
+        # first_pair(x) is (x, [x]) and second_pair(x) is ([x], x)
+        subsets = [MixedElement.type1(x) for x in cera.space.universe.subsets()]
+        classes = [MixedElement.type2(c) for c in cera.quotient.carrier]
+        of = [classes[c] for c in cera.quotient.masks.class_id.tolist()]
         self.carrier = tuple(
-            [self.first_pair(x) for x in subsets]
-            + [self.second_pair(x) for x in subsets]
+            [DialecticalPair(x, c) for x, c in zip(subsets, of)]
+            + [DialecticalPair(c, x) for x, c in zip(subsets, of)]
         )
         self._members = frozenset(self.carrier)
         # orientations never collide: the tags of the components differ
@@ -138,17 +141,15 @@ class CradModel:
             )
         return result
 
-    def _component_class(self, el: MixedElement) -> RoughClass:
-        if el.is_type2:
-            return el.payload
-        return self.cera.space.rough_class_of(el.payload)
-
     def natural_parthood(self, p: DialecticalPair, q: DialecticalPair) -> bool:
-        """Componentwise comparison of the classes of the components."""
+        """Componentwise comparison of the classes of the components.
+
+        Both components of a pair in K have the class of its subset, which
+        its class component holds, so one comparison decides both.
+        """
         self._require(p, q)
-        leq = self.cera.quotient.leq
-        return leq(
-            self._component_class(p.first), self._component_class(q.first)
-        ) and leq(
-            self._component_class(p.second), self._component_class(q.second)
-        )
+        return self.cera.quotient.leq(_class(p), _class(q))
+
+
+def _class(p: DialecticalPair):
+    return (p.first if p.first.is_type2 else p.second).payload

@@ -66,14 +66,23 @@ def _atom_lists(raw: object, label: str, size: int | None = None) -> list:
     return raw
 
 
+def _names(raw: object, label: str) -> list:
+    """A list of names, checked before use like ``_atom_lists``."""
+    _require(isinstance(raw, list) and all(isinstance(a, str) for a in raw),
+             f"{label} must be a list of names, got {raw!r}")
+    return raw
+
+
 def _parse_table(space: ApproximationSpace, raw: object, label: str) -> OperatorTable:
     _require(isinstance(raw, dict), f"{label} must be an object")
     universe = space.universe
     entries: dict[int, int] = {}
     for key, value in raw.items():
+        _require(isinstance(value, str),
+                 f"{label} entry {key!r}: value must be a set string, got {value!r}")
         try:
             entries[universe.parse(key).mask] = universe.parse(value).mask
-        except (UnknownAtomError, TypeError) as exc:
+        except UnknownAtomError as exc:
             raise ModelFormatError(f"{label} entry {key!r}: {exc}") from exc
     try:
         return OperatorTable(universe, entries)
@@ -96,13 +105,12 @@ def _parse_property_system(raw: object) -> PropertySystem:
     _require(isinstance(raw, dict), "propertySystem must be an object")
     for key in ("objects", "properties", "manifests"):
         _require(key in raw, f"propertySystem needs {key!r}")
+    objects = _names(raw["objects"], "propertySystem objects")
+    properties = _names(raw["properties"], "propertySystem properties")
+    manifests = _atom_lists(raw["manifests"], "propertySystem manifests", 2)
     try:
-        return PropertySystem.build(
-            raw["objects"],
-            raw["properties"],
-            [tuple(pair) for pair in raw["manifests"]],
-        )
-    except (ValueError, TypeError) as exc:
+        return PropertySystem.build(objects, properties, [tuple(p) for p in manifests])
+    except ValueError as exc:
         raise ModelFormatError(f"propertySystem: {exc}") from exc
 
 
@@ -110,9 +118,7 @@ def _parse_case_space(name: str, raw: object) -> CaseSpace:
     _require(isinstance(raw, dict), f"case space {name!r} must be an object")
     _require("worlds" in raw and "valuation" in raw,
              f"case space {name!r} needs worlds and valuation")
-    worlds = raw["worlds"]
-    _require(isinstance(worlds, list) and all(isinstance(w, str) for w in worlds),
-             f"case space {name!r}: worlds must be a list of names")
+    worlds = _names(raw["worlds"], f"case space {name!r}: worlds")
     valuation_raw = raw["valuation"]
     _require(isinstance(valuation_raw, dict),
              f"case space {name!r}: valuation must be an object")

@@ -370,14 +370,9 @@ class FalsificationWitness:
 def _condition_masks(poset: BoundedPoset) -> tuple[np.ndarray, ...]:
     """Vectorized N1/N2/N3/N9 masks over every total unary map."""
     n = len(poset.elements)
-    idx = {e: i for i, e in enumerate(poset.elements)}
-    leq = np.array(
-        [[poset.leq(a, b) for b in poset.elements] for a in poset.elements]
-    )
-    meet = np.array(
-        [[idx[poset.meet(a, b)] for b in poset.elements] for a in poset.elements]
-    )
-    bot = idx[poset.bottom]
+    leq = np.array(poset._rel)
+    meet = np.array(poset._meet)
+    bot = poset._bottom
     maps = np.array(list(product(range(n), repeat=n)), dtype=np.int16)
     cols = np.arange(n)
     n1 = (meet[cols[None, :], maps] == bot).all(axis=1)

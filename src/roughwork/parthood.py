@@ -3,8 +3,12 @@
 Each kind is tied to the carrier its defining condition speaks about:
 the bound-based and granule-based kinds compare plain subsets, the
 algebraic kinds compare mixed elements, and the natural kind compares
-dialectical pairs.  Order-theoretic structure is decided by exhaustive
-scan and reported with witnesses.
+dialectical pairs.  Each bound-based kind is one mask expression, which
+``holds`` evaluates on one pair of subsets and ``relation_matrix`` on the
+bound tables of every subset at once; the algebraic and natural matrices
+index the mixed tables and the quotient order.  Only the g-simple matrix
+is filled one ``holds`` call per cell.  Order-theoretic structure is
+decided by exhaustive scan and reported with witnesses.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset
+from roughwork.approx import ApproximationSpace, RoughClass, Subset, bound_masks
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel, DialecticalPair
-from roughwork.granular import AxiomCheck, GranularModel, first_violation
+from roughwork.granular import AxiomCheck, GranularModel, _mask_tables, first_violation
 
 MATRIX_CAP = 1024
 
@@ -67,6 +71,19 @@ MIXED_KINDS = frozenset(
     {ParthoodKind.ROUGHLY_CONSISTENT, ParthoodKind.ADDITIVE, ParthoodKind.COMMON}
 )
 
+# The condition of each bound-based kind on the lower and upper bounds of
+# a and b, as masks: Python ints for one pair, arrays for a whole matrix.
+_BOUND_CONDITIONS = {
+    ParthoodKind.VERY_CAUTIOUS: lambda la, ua, lb, ub: la & ~lb == 0,
+    ParthoodKind.CAUTIOUS: lambda la, ua, lb, ub: la & ~ub == 0,
+    ParthoodKind.LATERAL: lambda la, ua, lb, ub: la & ~(ub & ~lb) == 0,
+    ParthoodKind.POSSIBILIST: lambda la, ua, lb, ub: ua & ~ub == 0,
+    ParthoodKind.ULTRA_CAUTIOUS: lambda la, ua, lb, ub: ua & ~lb == 0,
+    ParthoodKind.LATERAL_PLUS: lambda la, ua, lb, ub: ua & ~(ub & ~lb) == 0,
+    ParthoodKind.BILATERAL: lambda la, ua, lb, ub: ua & ~la & ~(ub & ~lb) == 0,
+    ParthoodKind.LATERAL_PLUS_PLUS: lambda la, ua, lb, ub: ua & ~la & ~lb == 0,
+}
+
 
 @dataclass(frozen=True)
 class RelationReport:
@@ -80,16 +97,6 @@ class RelationReport:
             "transitive": self.transitive.passed,
             "antisymmetric": self.antisymmetric.passed,
         }
-
-
-def _bounds_oracle(model):
-    if isinstance(model, GranularModel):
-        return model.lower_op, model.upper_op
-    if isinstance(model, ApproximationSpace):
-        return model.lower, model.upper
-    raise TypeError(
-        f"subset parthoods need an approximation space or granular model, got {model!r}"
-    )
 
 
 def _class_of(model: CeraModel, el: MixedElement) -> RoughClass:
@@ -111,24 +118,15 @@ def holds(kind: ParthoodKind, model, a, b) -> bool:
                 for g in model.granules
                 if g.is_subset_of(a)
             )
-        lower, upper = _bounds_oracle(model)
-        la, ua = lower(a), upper(a)
-        lb, ub = lower(b), upper(b)
-        if kind is ParthoodKind.VERY_CAUTIOUS:
-            return la.is_subset_of(lb)
-        if kind is ParthoodKind.CAUTIOUS:
-            return la.is_subset_of(ub)
-        if kind is ParthoodKind.LATERAL:
-            return la.is_subset_of(ub - lb)
-        if kind is ParthoodKind.POSSIBILIST:
-            return ua.is_subset_of(ub)
-        if kind is ParthoodKind.ULTRA_CAUTIOUS:
-            return ua.is_subset_of(lb)
-        if kind is ParthoodKind.LATERAL_PLUS:
-            return ua.is_subset_of(ub - lb)
-        if kind is ParthoodKind.BILATERAL:
-            return (ua - la).is_subset_of(ub - lb)
-        return (ua - la).is_subset_of(lb)
+        if not isinstance(model, (GranularModel, ApproximationSpace)):
+            raise TypeError(
+                "subset parthoods need an approximation space or granular model,"
+                f" got {model!r}"
+            )
+        lower, upper = model.lower, model.upper
+        return _BOUND_CONDITIONS[kind](
+            lower(a).mask, upper(a).mask, lower(b).mask, upper(b).mask
+        )
     if kind in MIXED_KINDS:
         if not isinstance(model, CeraModel):
             raise TypeError(f"{kind.value} parthood needs the mixed algebra")
@@ -165,24 +163,44 @@ def carrier_elements(kind: ParthoodKind, model) -> list:
 
 def relation_matrix(
     kind: ParthoodKind, model, cap: int = MATRIX_CAP
-) -> tuple[list, list[list[bool]]]:
+) -> tuple[list, np.ndarray]:
+    """The carrier of the kind and its relation as a boolean matrix."""
     elements = carrier_elements(kind, model)
     if len(elements) > cap:
         raise CarrierCapExceededError(
             f"carrier of size {len(elements)} exceeds the matrix cap {cap}"
         )
-    rows = [[holds(kind, model, a, b) for b in elements] for a in elements]
-    return elements, rows
+    if kind is ParthoodKind.G_SIMPLE:
+        rows = [[holds(kind, model, a, b) for b in elements] for a in elements]
+        return elements, np.array(rows, dtype=bool)
+    if kind in SUBSET_KINDS:
+        if isinstance(model, GranularModel):
+            _, lower, upper = _mask_tables(model.universe, model.lower_op, model.upper_op)
+        else:
+            lower, upper = bound_masks(model)[:2]
+        condition = _BOUND_CONDITIONS[kind]
+        return elements, condition(lower[:, None], upper[:, None], lower, upper)
+    r = np.arange(len(elements))
+    if kind is ParthoodKind.ADDITIVE:
+        return elements, model.tables()[0] == r
+    if kind is ParthoodKind.COMMON:
+        return elements, model.tables()[1] == r[:, None]
+    # Element i < 2^n holds subset i; element 2^n + j holds class j in the
+    # mixed carrier, and the class-first pair on subset j in K.
+    quotient = model.quotient if kind in MIXED_KINDS else model.cera.quotient
+    class_id = quotient.masks.class_id
+    j = r[len(class_id):] - len(class_id)
+    classes = np.concatenate([class_id, j if kind in MIXED_KINDS else class_id[j]])
+    return elements, quotient.leq_matrix()[np.ix_(classes, classes)]
 
 
 def analyze(kind: ParthoodKind, model, cap: int = MATRIX_CAP) -> RelationReport:
     """Decide reflexivity, transitivity, and antisymmetry exhaustively."""
-    elements, rows = relation_matrix(kind, model, cap)
-    m = np.array(rows, dtype=bool)
+    elements, m = relation_matrix(kind, model, cap)
 
     reflexive = AxiomCheck.of(first_violation(~np.diagonal(m), (elements,)))
 
-    reach = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
+    reach = m @ m  # a boolean product, so no path count can wrap
     trans_bad = np.argwhere(reach & ~m)
     if trans_bad.size == 0:
         transitive = AxiomCheck(True)

@@ -2,9 +2,11 @@
 
 Two layers: the concrete quotient algebra a space induces on its rough
 classes, and exhaustive axiom checkers for arbitrary finite candidate
-structures given by operation tables.  Every quotient operation builds a
-fresh RoughClass, so realizability (definite bounds, no singleton block
-stranded in a boundary) is re-asserted on each result.
+structures given by operation tables.  A single quotient operation builds
+a fresh RoughClass, so realizability (definite bounds, no singleton block
+stranded in a boundary) is re-asserted on each result.  Whole tables are
+index expressions over the algebra's ``BoundMasks``, whose lookup by
+bounds makes the same check on every cell at once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset
+from roughwork.approx import ApproximationSpace, RoughClass, Subset, bound_masks
 from roughwork.granular import AxiomReport, sweep_laws
 
 
@@ -25,10 +27,10 @@ class QuotientAlgebra:
 
     def __init__(self, space: ApproximationSpace):
         self.space = space
-        self.carrier = tuple(space.rough_classes(include_empty=True))
-        self.zero = space.rough_class_of(space.universe.empty)
-        self.one = space.rough_class_of(space.universe.full)
-        assert self.zero in self.carrier and self.one in self.carrier
+        self.masks = bound_masks(space)
+        self.carrier = tuple(self.masks.classes(space))
+        self.zero = self.carrier[0]
+        self.one = self.carrier[self.masks.class_id[-1]]
 
     def _cls(self, lower: Subset, upper: Subset) -> RoughClass:
         return RoughClass(self.space, lower, upper)
@@ -60,22 +62,58 @@ class QuotientAlgebra:
     def leq(self, a: RoughClass, b: RoughClass) -> bool:
         return a.lower <= b.lower and a.upper <= b.upper
 
+    def leq_matrix(self) -> np.ndarray:
+        """leq over the carrier, as a boolean matrix in carrier order."""
+        lo, up = self.masks.class_lower, self.masks.class_upper
+        return (lo[:, None] & ~lo == 0) & (up[:, None] & ~up == 0)
+
     def to_candidate(self) -> FiniteAlgebraCandidate:
-        index = {c: i for i, c in enumerate(self.carrier)}
-        n = len(self.carrier)
+        index = self.masks.class_index
+        lo, up = self.masks.class_lower, self.masks.class_upper
+        full = len(self.masks.lower) - 1
         return FiniteAlgebraCandidate(
             carrier=self.carrier,
-            meet=[
-                [index[self.meet(a, b)] for b in self.carrier] for a in self.carrier
-            ],
-            join=[
-                [index[self.join(a, b)] for b in self.carrier] for a in self.carrier
-            ],
-            neg=[index[self.neg(a)] for a in self.carrier],
-            necessity=[index[self.necessity(a)] for a in self.carrier],
-            zero=index[self.zero],
-            one=index[self.one],
+            meet=index(lo[:, None] & lo, up[:, None] & up).tolist(),
+            join=index(lo[:, None] | lo, up[:, None] | up).tolist(),
+            neg=index(full ^ up, full ^ lo).tolist(),
+            necessity=index(lo, lo).tolist(),
+            zero=0,
+            one=int(self.masks.class_id[full]),
         )
+
+    def is_antichain(self, family: Sequence[RoughClass]) -> bool:
+        return not any(
+            self.leq(a, b) or self.leq(b, a)
+            for i, a in enumerate(family)
+            for b in family[i + 1 :]
+        )
+
+    def maximal_antichains(self, limit: int) -> list[tuple[RoughClass, ...]]:
+        """Maximal antichains in deterministic order, at most `limit` of them.
+
+        DFS over index-increasing antichains; a complete candidate is kept
+        when every element of the carrier is comparable to one of its members.
+        """
+        if limit < 1:
+            raise ValueError("limit must be at least 1")
+        n = len(self.carrier)
+        leq = self.leq_matrix()
+        comp = (leq | leq.T).tolist()
+        out: list[tuple[RoughClass, ...]] = []
+
+        def extend(prefix: list[int], start: int) -> None:
+            if len(out) >= limit:
+                return
+            if prefix and all(any(comp[j][m] for m in prefix) for j in range(n)):
+                out.append(tuple(self.carrier[i] for i in prefix))
+                if len(out) >= limit:
+                    return
+            for k in range(start, n):
+                if all(not comp[k][m] for m in prefix):
+                    extend(prefix + [k], k + 1)
+
+        extend([], 0)
+        return out
 
 
 def quotient_algebra(space: ApproximationSpace) -> QuotientAlgebra:

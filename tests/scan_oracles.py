@@ -9,6 +9,13 @@ report the same status and the same first witness for every law.
 The granulation search and admissibility check that tested every family
 whole, through the signature groups of the generated field, are kept
 here too, with the brute-force closure of that field.
+
+So are the object fills that built whole-carrier tables one operation
+call per cell, before those tables became index expressions over a
+space's ``BoundMasks``: the rough classes, the quotient candidate, the
+mixed tables of the identity suite, the parthood relation matrices with
+the bound kinds on ``Subset`` operations, and the maximal antichains of
+the quotient order.
 """
 
 from __future__ import annotations
@@ -17,7 +24,16 @@ from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from roughwork.approx import Subset, Universe, UniverseMismatchError
+import numpy as np
+
+from roughwork.approx import (
+    ApproximationSpace,
+    RoughClass,
+    Subset,
+    Universe,
+    UniverseMismatchError,
+)
+from roughwork.cera import CeraModel
 from roughwork.granular import (
     INCLUSION,
     SEARCH_CANDIDATE_CAP,
@@ -30,7 +46,15 @@ from roughwork.granular import (
     SearchCapExceededError,
 )
 from roughwork.negation import BoundedPoset, NegationProfile, UnaryOp, _iterate_index
-from roughwork.prerough import FiniteAlgebraCandidate
+from roughwork.parthood import (
+    MATRIX_CAP,
+    SUBSET_KINDS,
+    CarrierCapExceededError,
+    ParthoodKind,
+    carrier_elements,
+    holds,
+)
+from roughwork.prerough import FiniteAlgebraCandidate, QuotientAlgebra
 
 
 def _scan1(cand: FiniteAlgebraCandidate, ok: Callable[[int], bool]) -> AxiomCheck:
@@ -479,3 +503,116 @@ def search_oracle(
             if admissibility_oracle(model).all_pass:
                 found.append(family)
     return found
+
+
+def rough_classes(space: ApproximationSpace, include_empty: bool = False) -> list[RoughClass]:
+    """Classes of nonempty subsets, by scanning every mask, ordered by smallest member."""
+    seen: dict[tuple[int, int], None] = {}
+    for mask in range(1, 1 << space.universe.size):
+        x = Subset(space.universe, mask)
+        seen.setdefault((space.lower(x).mask, space.upper(x).mask), None)
+    classes = [
+        RoughClass(space, Subset(space.universe, lo), Subset(space.universe, up))
+        for lo, up in seen
+    ]
+    classes.sort(key=lambda c: c.sample_member().mask)
+    if include_empty:
+        classes.insert(0, space.rough_class_of(space.universe.empty))
+    return classes
+
+
+def quotient_candidate(q: QuotientAlgebra) -> FiniteAlgebraCandidate:
+    """``to_candidate`` by one quotient operation per cell."""
+    index = {c: i for i, c in enumerate(q.carrier)}
+    return FiniteAlgebraCandidate(
+        carrier=q.carrier,
+        meet=[[index[q.meet(a, b)] for b in q.carrier] for a in q.carrier],
+        join=[[index[q.join(a, b)] for b in q.carrier] for a in q.carrier],
+        neg=[index[q.neg(a)] for a in q.carrier],
+        necessity=[index[q.necessity(a)] for a in q.carrier],
+        zero=index[q.space.rough_class_of(q.space.universe.empty)],
+        one=index[q.space.rough_class_of(q.space.universe.full)],
+    )
+
+
+def cera_tables(model: CeraModel) -> tuple[np.ndarray, ...]:
+    """``CeraModel.tables`` by one element operation per cell."""
+    els = model.elements()
+    index = {el: i for i, el in enumerate(els)}
+    n = len(els)
+    dtype = np.min_scalar_type(n - 1)
+    plus = np.empty((n, n), dtype=dtype)
+    times = np.empty((n, n), dtype=dtype)
+    for i, a in enumerate(els):
+        for j, b in enumerate(els):
+            plus[i, j] = index[model.oplus(a, b)]
+            times[i, j] = index[model.commonality(a, b)]
+    low = np.array([index[model.frak_l(a)] for a in els], dtype=dtype)
+    dia = np.array([index[model.black_lozenge(a)] for a in els], dtype=dtype)
+    neg = np.array([index[model.sim_neg(a)] for a in els], dtype=dtype)
+    return plus, times, low, dia, neg
+
+
+def _bound_holds(kind: ParthoodKind, a: tuple[Subset, Subset], b: tuple[Subset, Subset]) -> bool:
+    """The condition of a bound-based kind on (lower, upper) of a and of b."""
+    (la, ua), (lb, ub) = a, b
+    if kind is ParthoodKind.VERY_CAUTIOUS:
+        return la.is_subset_of(lb)
+    if kind is ParthoodKind.CAUTIOUS:
+        return la.is_subset_of(ub)
+    if kind is ParthoodKind.LATERAL:
+        return la.is_subset_of(ub - lb)
+    if kind is ParthoodKind.POSSIBILIST:
+        return ua.is_subset_of(ub)
+    if kind is ParthoodKind.ULTRA_CAUTIOUS:
+        return ua.is_subset_of(lb)
+    if kind is ParthoodKind.LATERAL_PLUS:
+        return ua.is_subset_of(ub - lb)
+    if kind is ParthoodKind.BILATERAL:
+        return (ua - la).is_subset_of(ub - lb)
+    return (ua - la).is_subset_of(lb)
+
+
+def relation_matrix(kind: ParthoodKind, model, cap: int = MATRIX_CAP):
+    """The relation cell by cell: one ``holds`` call per cell, except that
+    the bound-based kinds compare each element's bounds as Subsets."""
+    elements = carrier_elements(kind, model)
+    if len(elements) > cap:
+        raise CarrierCapExceededError(
+            f"carrier of size {len(elements)} exceeds the matrix cap {cap}"
+        )
+    if kind in SUBSET_KINDS and kind is not ParthoodKind.G_SIMPLE:
+        bounds = [(model.lower(a), model.upper(a)) for a in elements]
+        rows = [[_bound_holds(kind, a, b) for b in bounds] for a in bounds]
+    else:
+        rows = [[holds(kind, model, a, b) for b in elements] for a in elements]
+    return elements, np.array(rows, dtype=bool)
+
+
+def maximal_antichains(elements: Sequence[RoughClass], limit: int) -> list[tuple]:
+    """Maximal antichains of classes under bound inclusion, by DFS."""
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
+
+    def comparable(a: RoughClass, b: RoughClass) -> bool:
+        return (a.lower <= b.lower and a.upper <= b.upper) or (
+            b.lower <= a.lower and b.upper <= a.upper
+        )
+
+    n = len(elements)
+    comp = [[comparable(elements[i], elements[j]) for j in range(n)] for i in range(n)]
+    out: list[tuple] = []
+
+    def extend(prefix: list[int], start: int) -> None:
+        if len(out) >= limit:
+            return
+        if prefix and all(any(comp[j][m] for m in prefix) for j in range(n)):
+            out.append(tuple(elements[i] for i in prefix))
+            if len(out) >= limit:
+                return
+        for k in range(start, n):
+            if all(not comp[k][m] for m in prefix):
+                extend(prefix + [k], k + 1)
+
+    extend([], 0)
+    return out

@@ -19,6 +19,7 @@ from roughwork import (
     UniverseMismatchError,
     UnknownAtomError,
 )
+from roughwork.prerough import quotient_algebra
 
 ATOM_POOL = "abcdefgh"
 
@@ -149,15 +150,16 @@ def test_definiteness(example_space):
 
 
 def test_quotient_order_bounds_and_laws(example_space):
-    poset = example_space.quotient_order()
-    assert len(poset.elements) == 18
-    bottom, top = poset.bottom(), poset.top()
+    poset = quotient_algebra(example_space)
+    assert len(poset.carrier) == 18
+    bottom, top = poset.zero, poset.one
     assert (bottom.lower.mask, bottom.upper.mask) == (0, 0)
     assert top.lower == example_space.universe.full
     assert top.upper == example_space.universe.full
-    els = poset.elements
+    els = poset.carrier
     for a in els:
         assert poset.leq(a, a)
+        assert poset.leq(bottom, a) and poset.leq(a, top)
     for a in els:
         for b in els:
             if poset.leq(a, b) and poset.leq(b, a):
@@ -171,28 +173,28 @@ def test_quotient_order_example_pair(example_space):
     u = example_space.universe
     cls_a = example_space.rough_class_of(u.parse("a"))
     cls_abcq = example_space.rough_class_of(u.parse("abcq"))
-    poset = example_space.quotient_order()
+    poset = quotient_algebra(example_space)
     assert poset.leq(cls_a, cls_abcq)
     assert not poset.leq(cls_abcq, cls_a)
 
 
 def test_maximal_antichains_on_chain():
     space = ApproximationSpace.from_partition("ab", [["a", "b"]])
-    poset = space.quotient_order()
+    poset = quotient_algebra(space)
     # 3-chain: [empty] < [a] (bounds (0, ab)) < [ab]
     chains = poset.maximal_antichains(limit=10)
     assert sorted(len(c) for c in chains) == [1, 1, 1]
-    assert {c[0] for c in chains} == set(poset.elements)
+    assert {c[0] for c in chains} == set(poset.carrier)
 
 
 def test_maximal_antichains_properties(example_space):
-    poset = example_space.quotient_order()
+    poset = quotient_algebra(example_space)
     families = poset.maximal_antichains(limit=40)
     assert families, "expected at least one maximal antichain"
     assert families == poset.maximal_antichains(limit=40)
     for fam in families:
         assert poset.is_antichain(fam)
-        for extra in poset.elements:
+        for extra in poset.carrier:
             if extra in fam:
                 continue
             assert not poset.is_antichain(tuple(fam) + (extra,)), (

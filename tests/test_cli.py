@@ -281,6 +281,14 @@ def test_model_schema_errors(tmp_path):
     reject({"universe": ["a"], "partition": [["a"]], "caseSpaces": {"c": case}}, "pair")
     case = {"worlds": [1], "valuation": {}}
     reject({"universe": ["a"], "partition": [["a"]], "caseSpaces": {"c": case}}, "worlds")
+    ps = {"objects": "xy", "properties": "pq", "manifests": [["x", "p"]]}
+    reject({"universe": ["a"], "partition": [["a"]], "propertySystem": ps}, "objects must be")
+    ps = {"objects": ["x"], "properties": 3, "manifests": []}
+    reject({"universe": ["a"], "partition": [["a"]], "propertySystem": ps}, "properties must")
+    ps = {"objects": ["x"], "properties": ["p"], "manifests": ["xp"]}
+    reject({"universe": ["a"], "partition": [["a"]], "propertySystem": ps}, "list of 2 atom")
+    tables = {"lowerTable": {"0": "0", "a": 1}, "upperTable": {"0": "0", "a": "a"}}
+    reject({"universe": ["a"], "partition": [["a"]], **tables}, "value must be a set string")
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

@@ -175,7 +175,10 @@ def test_natural_parthood_examples(model):
 
 def test_natural_parthood_is_a_preorder(model):
     cera = model.cera
-    classes = [model._component_class(p.first) for p in model.carrier]
+    classes = [
+        p.first.payload if p.first.is_type2 else cera.space.rough_class_of(p.first.payload)
+        for p in model.carrier
+    ]
     for p in model.carrier:
         assert model.natural_parthood(p, p)
     for i, p in enumerate(model.carrier):

@@ -6,7 +6,9 @@ seeded corruptions of those structures: one-entry mutants of quotient
 candidates, perturbed operator tables, and partial maps on quotient
 orders and on posets whose meets and joins are partial.  The granulation
 search must return the oracle's families in the oracle's order, and make
-no predicate call the decomposition does not need.
+no predicate call the decomposition does not need.  Every whole-carrier
+table (rough classes, quotient candidate, mixed tables, parthood
+matrices, maximal antichains) must equal the object fill it replaced.
 """
 
 from __future__ import annotations
@@ -14,11 +16,14 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 import scan_oracles as oracle
-from roughwork import ApproximationSpace, Universe, granular
+from roughwork import ApproximationSpace, Universe, granular, parthood
+from roughwork.cera import CeraModel, check_cera_identities
 from roughwork.cli import _quotient_poset
+from roughwork.crad import CradModel
 from roughwork.granular import (
     INCLUSION,
     GranularModel,
@@ -32,6 +37,7 @@ from roughwork.granular import (
     search_admissible_granulations,
 )
 from roughwork.negation import BoundedPoset, UnaryOp, check_negation
+from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
 from roughwork.prerough import (
     check_essential_pre_rough,
     check_pre_rough,
@@ -101,20 +107,30 @@ def perturbed(table: OperatorTable, rng: random.Random, count: int) -> OperatorT
     return OperatorTable(table.universe, entries)
 
 
-def test_gos_and_operator_tables_on_partitions_and_perturbations():
+def gos_models() -> list[list[GranularModel]]:
+    """Per partition: its model, then two with perturbed tables."""
     rng = random.Random(2203)
-    failing = 0
+    out = []
     for space in SPACES:
         model = from_space(space)
-        models = [model] + [
-            GranularModel(
-                universe=model.universe,
-                granules=model.granules,
-                lower_op=perturbed(model.lower_op, rng, rng.randint(1, 3)),
-                upper_op=perturbed(model.upper_op, rng, rng.randint(1, 3)),
-            )
-            for _ in range(2)
-        ]
+        out.append(
+            [model]
+            + [
+                GranularModel(
+                    universe=model.universe,
+                    granules=model.granules,
+                    lower_op=perturbed(model.lower_op, rng, rng.randint(1, 3)),
+                    upper_op=perturbed(model.upper_op, rng, rng.randint(1, 3)),
+                )
+                for _ in range(2)
+            ]
+        )
+    return out
+
+
+def test_gos_and_operator_tables_on_partitions_and_perturbations():
+    failing = 0
+    for models in gos_models():
         for m in models:
             for strict in (False, True):
                 new = check_gos_axioms(m, strict_upper=strict)
@@ -127,6 +143,68 @@ def test_gos_and_operator_tables_on_partitions_and_perturbations():
                         oracle.check_operator_axioms(table, kind),
                     )
     assert failing >= len(SPACES) * 3
+
+
+def test_classes_quotient_tables_and_antichains_on_partitions():
+    for space in SPACES:
+        for include_empty in (False, True):
+            assert space.rough_classes(include_empty) == oracle.rough_classes(
+                space, include_empty
+            )
+        q = quotient_algebra(space)
+        assert q.to_candidate() == oracle.quotient_candidate(q)
+        for limit in (3, 10**6):
+            assert q.maximal_antichains(limit) == oracle.maximal_antichains(
+                q.carrier, limit
+            )
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["odot", "circ"])
+def test_mixed_tables_and_identity_reports_on_partitions(soft, monkeypatch):
+    for space in SPACES:
+        model = CeraModel(space, soft=soft)
+        old = oracle.cera_tables(model)
+        for new_table, old_table in zip(model.tables(), old, strict=True):
+            assert new_table.dtype == old_table.dtype
+            assert np.array_equal(new_table, old_table)
+        report = check_cera_identities(model)
+        with monkeypatch.context() as m:
+            m.setattr(CeraModel, "tables", lambda self: old)
+            same(report, check_cera_identities(model))
+
+
+def test_parthood_matrices_and_reports_on_partitions(monkeypatch):
+    cases = []
+    for space, models in zip(SPACES, gos_models()):
+        cera = CeraModel(space)
+        pairs = CradModel(cera)
+        subsets = list(space.universe.subsets())
+        assert pairs.carrier == tuple(
+            [pairs.first_pair(x) for x in subsets] + [pairs.second_pair(x) for x in subsets]
+        )
+        for kind in ParthoodKind:
+            if kind is ParthoodKind.G_SIMPLE:
+                # g-simple reads the granules only, which perturbation keeps
+                cases.append((kind, models[0]))
+            elif kind in SUBSET_KINDS:
+                # the space's own bounds, then the perturbed tables
+                cases += [(kind, m) for m in [space] + models[1:]]
+            elif kind in MIXED_KINDS:
+                cases.append((kind, cera))
+            else:
+                cases.append((kind, pairs))
+    failing = set()
+    for kind, model in cases:
+        elements, new = parthood.relation_matrix(kind, model)
+        old = oracle.relation_matrix(kind, model)
+        assert elements == old[0]
+        assert new.dtype == bool and np.array_equal(new, old[1]), kind
+        report = analyze(kind, model)
+        with monkeypatch.context() as m:
+            m.setattr(parthood, "relation_matrix", lambda kind, model, cap: old)
+            assert analyze(kind, model) == report
+        failing |= {(kind, flag) for flag, ok in report.flags().items() if not ok}
+    assert len(failing) >= 20
 
 
 def random_poset(rng: random.Random, n: int) -> BoundedPoset:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from roughwork import parthood
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel
-from roughwork.granular import from_space
+from roughwork.granular import AxiomCheck, from_space
 from roughwork.parthood import (
     CarrierCapExceededError,
     ParthoodKind,
@@ -180,6 +182,16 @@ def test_transitivity_witness_re_evaluates(example_space):
         assert holds(ParthoodKind.LATERAL_PLUS, example_space, a, b)
         assert holds(ParthoodKind.LATERAL_PLUS, example_space, b, c)
         assert not holds(ParthoodKind.LATERAL_PLUS, example_space, a, c)
+
+
+def test_transitivity_with_256_intermediates(monkeypatch):
+    # 0 R j for 256 elements j and each j R 257, but not 0 R 257; a path
+    # count in uint8 wraps to 0 here and hid the failure.
+    m = np.eye(258, dtype=bool)
+    m[0, 1:257] = m[1:257, 257] = True
+    monkeypatch.setattr(parthood, "relation_matrix", lambda kind, model, cap: (range(258), m))
+    report = analyze(ParthoodKind.LATERAL, None)
+    assert report.transitive == AxiomCheck(False, (0, 1, 257))
 
 
 @settings(max_examples=15, deadline=None)

@@ -170,18 +170,28 @@ def test_checkers_revalidate_mutated_tables():
 
 def test_candidate_validation_survives_optimize():
     code = (
+        "from roughwork import ApproximationSpace, ApproxTriple, MixedElement\n"
         "from roughwork.prerough import FiniteAlgebraCandidate as C\n"
-        "try:\n"
-        "    C(('0', '1'), [[0, 0], [0, 5]], [1, 0], [0, 1], 0, 1)\n"
-        "except ValueError as exc:\n"
-        "    print('rejected:', exc)\n"
+        "space = ApproximationSpace.from_partition('ab', [['a', 'b']])\n"
+        "u = space.universe\n"
+        "for make, error in (\n"
+        "    (lambda: C(('0', '1'), [[0, 0], [0, 5]], [1, 0], [0, 1], 0, 1), ValueError),\n"
+        "    (lambda: MixedElement.type1(space.rough_class_of(u.full)), TypeError),\n"
+        "    (lambda: MixedElement.type2(u.full), TypeError),\n"
+        "    (lambda: ApproxTriple(u.parse('a'), u.full, 0), ValueError),\n"
+        "):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except error as exc:\n"
+        "        print('rejected:', exc)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code],
         capture_output=True, text=True, env=env, check=True,
-    ).stdout
-    assert out.startswith("rejected: meet entry 5")
+    ).stdout.splitlines()
+    assert len(out) == 4 and all(line.startswith("rejected: ") for line in out)
+    assert out[0].startswith("rejected: meet entry 5")
 
 
 def test_seeded_mutants_detected(example_space):
