@@ -324,23 +324,26 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
         ],
     )
 
-    # Same-type ternary laws, as functions of the leading element.
+    # Same-type ternary laws, as functions of the leading element.  A row
+    # gathers whole rows, or cells by an intp table built once.
     def assoc(table: np.ndarray, idxs: np.ndarray):
-        sub = table[np.ix_(idxs, idxs)]
-        return lambda i: table[idxs[i]][sub] != table[
-            np.ix_(table[idxs[i], idxs], idxs)
-        ]
+        sub = table[idxs][:, idxs].astype(np.intp)
+        cols = table[:, idxs]
+        return lambda i: table[idxs[i]][sub] != cols[table[idxs[i], idxs]]
 
     def distrib(idxs: np.ndarray):
-        tsub = times[np.ix_(idxs, idxs)]
-        return lambda i: plus[idxs[i]][tsub] != times[
-            np.ix_(plus[idxs[i], idxs], plus[idxs[i], idxs])
-        ]
+        tsub = times[idxs][:, idxs].astype(np.intp)
+
+        def row(i: int) -> np.ndarray:
+            sums = plus[idxs[i], idxs]
+            return plus[idxs[i]][tsub] != times[sums][:, sums]
+
+        return row
 
     for tag, idxs, axis in (("1", t1, all1), ("2", t2, all2)):
         three = (axis, axis, axis)
         two = (axis, axis)
-        sub_t = times[np.ix_(idxs, idxs)]
+        sub_t = times[idxs][:, idxs]
         record(f"ter-{tag}1", [("(+) associative", assoc(plus, idxs), three)])
         record(f"ter-{tag}2", [("(+) over (.)", distrib(idxs), three)])
         record(f"ter-{tag}3", [("(.) associative", assoc(times, idxs), three)])
@@ -348,13 +351,13 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
             f"bi-{tag}",
             [
                 ("absorption", plus[idxs[:, None], sub_t] != idxs[:, None], two),
-                ("de morgan", neg[sub_t] != plus[np.ix_(neg[idxs], neg[idxs])], two),
+                ("de morgan", neg[sub_t] != plus[neg[idxs]][:, neg[idxs]], two),
             ],
         )
 
     # Mixed quasi-identities.
-    premise = plus[np.ix_(t1, t2)] == t2[None, :]
-    conclusion = plus[np.ix_(dia[t1], t2)] == t2[None, :]
+    premise = plus[t1][:, t2] == t2[None, :]
+    conclusion = plus[dia[t1]][:, t2] == t2[None, :]
     record("bm", [("x (+) y = y forces Dx (+) y = y", premise & ~conclusion, (all1, all2))])
 
     bad_hra = type1[times[one_i, t1]] | type1[plus[t1, zero_i]]

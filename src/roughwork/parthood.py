@@ -191,7 +191,7 @@ def relation_matrix(
     class_id = quotient.masks.class_id
     j = r[len(class_id):] - len(class_id)
     classes = np.concatenate([class_id, j if kind in MIXED_KINDS else class_id[j]])
-    return elements, quotient.leq_matrix()[np.ix_(classes, classes)]
+    return elements, quotient.leq_matrix()[classes][:, classes]
 
 
 def analyze(kind: ParthoodKind, model, cap: int = MATRIX_CAP) -> RelationReport:
