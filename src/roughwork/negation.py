@@ -4,13 +4,15 @@ Carries the condition checks N1 through N6 and N9 under weak-equality
 semantics (an equation with an undefined side never fails), iterate
 index bookkeeping, interior composition, an exhaustive falsification
 harness over small distributive lattices, and the dialectical predicate
-laws.
+laws.  A poset is one boolean order matrix; its meet and join are tables
+of element indices derived from it, with -1 where undefined, and the
+checks read those tables directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,8 +40,12 @@ class PreconditionError(ValueError):
 class BoundedPoset:
     """Finite poset with a least element and partial meet/join.
 
-    Meet and join are the infimum and supremum where those exist; the
-    lattice and distributivity flags are derived, not declared.
+    ``_rel[i, j]`` says element i is below element j.  ``_meet`` and
+    ``_join`` hold element indices, -1 where the infimum or supremum does
+    not exist: the meet of i and j is the common lower bound whose
+    down-set is as large as the set of common lower bounds, and the join
+    is the meet under the transposed order.  The lattice and
+    distributivity flags are derived, not declared.
     """
 
     def __init__(self, elements: Sequence, leq_pairs: Iterable[tuple]):
@@ -48,46 +54,30 @@ class BoundedPoset:
             raise ValueError("elements must be nonempty and distinct")
         self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
-        rel = [[i == j for j in range(n)] for i in range(n)]
+        rel = np.eye(n, dtype=bool)
         for a, b in leq_pairs:
-            rel[self._index[a]][self._index[b]] = True
-        for i in range(n):
-            for j in range(n):
-                if i != j and rel[i][j] and rel[j][i]:
-                    raise ValueError("order is not antisymmetric")
-                if rel[i][j]:
-                    for k in range(n):
-                        if rel[j][k] and not rel[i][k]:
-                            raise ValueError("order is not transitive")
+            rel[self._index[a], self._index[b]] = True
+        # The first bad cell in row-major order names the error, and
+        # antisymmetry is tested before transitivity on each cell.
+        cycle = rel & rel.T & ~np.eye(n, dtype=bool)
+        bad = cycle | (rel & (~rel @ rel.T))
+        if bad.any():
+            kind = "antisymmetric" if cycle.flat[bad.argmax()] else "transitive"
+            raise ValueError(f"order is not {kind}")
         self._rel = rel
-        bottoms = [i for i in range(n) if all(rel[i])]
-        if not bottoms:
+        bottoms = rel.all(axis=1)
+        if not bottoms.any():
             raise ValueError("poset has no least element")
-        self._bottom = bottoms[0]
-        tops = [i for i in range(n) if all(rel[j][i] for j in range(n))]
-        self._top = tops[0] if tops else None
-        self._meet = [[self._extreme(i, j, True) for j in range(n)] for i in range(n)]
-        self._join = [[self._extreme(i, j, False) for j in range(n)] for i in range(n)]
-
-    def _extreme(self, i: int, j: int, lower: bool) -> int | None:
-        n = len(self.elements)
-        if lower:
-            bounds = [k for k in range(n) if self._rel[k][i] and self._rel[k][j]]
-            best = [g for g in bounds if all(self._rel[k][g] for k in bounds)]
-        else:
-            bounds = [k for k in range(n) if self._rel[i][k] and self._rel[j][k]]
-            best = [g for g in bounds if all(self._rel[g][k] for k in bounds)]
-        return best[0] if best else None
+        self._bottom = int(bottoms.argmax())
+        tops = rel.all(axis=0)
+        self._top = int(tops.argmax()) if tops.any() else None
+        self._meet = _meet_table(rel)
+        self._join = _meet_table(rel.T)
 
     @classmethod
     def chain(cls, labels: Sequence) -> BoundedPoset:
         labels = list(labels)
-        pairs = [
-            (labels[i], labels[j])
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-        ]
-        return cls(labels, pairs)
+        return cls(labels, combinations(labels, 2))
 
     @classmethod
     def boolean_lattice(cls, atom_count: int) -> BoundedPoset:
@@ -105,38 +95,46 @@ class BoundedPoset:
         return None if self._top is None else self.elements[self._top]
 
     def leq(self, a, b) -> bool:
-        return self._rel[self._index[a]][self._index[b]]
+        return bool(self._rel[self._index[a], self._index[b]])
 
     def meet(self, a, b):
-        got = self._meet[self._index[a]][self._index[b]]
-        return None if got is None else self.elements[got]
+        got = self._meet[self._index[a], self._index[b]]
+        return None if got < 0 else self.elements[got]
 
     def join(self, a, b):
-        got = self._join[self._index[a]][self._index[b]]
-        return None if got is None else self.elements[got]
+        got = self._join[self._index[a], self._index[b]]
+        return None if got < 0 else self.elements[got]
 
     @property
     def is_lattice(self) -> bool:
-        return all(
-            v is not None for row in self._meet for v in row
-        ) and all(v is not None for row in self._join for v in row)
+        return bool((self._meet >= 0).all() and (self._join >= 0).all())
 
     @property
     def is_distributive(self) -> bool | None:
         """True/False for lattices, None otherwise."""
         if not self.is_lattice:
             return None
-        for x in self.elements:
-            for y in self.elements:
-                for z in self.elements:
-                    left = self.meet(x, self.join(y, z))
-                    right = self.join(self.meet(x, y), self.meet(x, z))
-                    if left != right:
-                        return False
-        return True
+        mt, jn = self._meet, self._join
+        # x ∧ (y ∨ z) against (x ∧ y) ∨ (x ∧ z), one x at a time
+        return all(
+            (mt[x, jn] == jn[mt[x, :, None], mt[x, None, :]]).all()
+            for x in range(len(mt))
+        )
 
     def __repr__(self) -> str:
         return f"<BoundedPoset {list(self.elements)}>"
+
+
+def _meet_table(rel: np.ndarray) -> np.ndarray:
+    """Meet indices under the order matrix ``rel``, -1 where none; one row at a time."""
+    n = len(rel)
+    down = rel.sum(axis=0)
+    table = np.empty((n, n), dtype=np.min_scalar_type(-n))
+    for i in range(n):
+        common = rel[:, i, None] & rel
+        hit = common & (down[:, None] == common.sum(axis=0))
+        table[i] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+    return table
 
 
 class UnaryOp:
@@ -194,17 +192,13 @@ def _weak_equal_maps(left: tuple, right: tuple) -> bool:
 def _iterate_index(elements: tuple, f: UnaryOp) -> tuple[int, int] | None:
     """Least n admitting m < n with f^m weakly equal to f^n pointwise."""
     maps = [tuple(elements)]
-    seen = {maps[0]: 0}
     for _ in range(10000):
         nxt = tuple(None if v is None else f(v) for v in maps[-1])
+        # every pair of older iterates already failed, so test the new one only
+        for m, earlier in enumerate(maps):
+            if _weak_equal_maps(earlier, nxt):
+                return m, len(maps)
         maps.append(nxt)
-        for n in range(1, len(maps)):
-            for m in range(n):
-                if _weak_equal_maps(maps[m], maps[n]):
-                    return m, n
-        if nxt in seen:
-            break
-        seen[nxt] = len(maps) - 1
     return None
 
 
@@ -218,12 +212,8 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
     # Tables hold element indices, with -1 where a meet, join or f is
     # undefined; every read through a -1 is masked by a definedness test,
     # which keeps the weak-equality semantics.
-    dtype = np.min_scalar_type(-len(els))
-    rel = np.array(poset._rel, dtype=bool)
-    meet, join = (
-        np.array([[-1 if v is None else v for v in row] for row in table], dtype=dtype)
-        for table in (poset._meet, poset._join)
-    )
+    rel, meet, join = poset._rel, poset._meet, poset._join
+    dtype = meet.dtype
     F = np.array([-1 if f(x) is None else poset._index[f(x)] for x in els], dtype=dtype)
     r = np.arange(len(els), dtype=dtype)
     bot = poset._bottom
@@ -370,8 +360,7 @@ class FalsificationWitness:
 def _condition_masks(poset: BoundedPoset) -> tuple[np.ndarray, ...]:
     """Vectorized N1/N2/N3/N9 masks over every total unary map."""
     n = len(poset.elements)
-    leq = np.array(poset._rel)
-    meet = np.array(poset._meet)
+    leq, meet = poset._rel, poset._meet
     bot = poset._bottom
     maps = np.array(list(product(range(n), repeat=n)), dtype=np.int16)
     cols = np.arange(n)

@@ -53,11 +53,10 @@ class QuotientAlgebra:
         return out
 
     def implies(self, a: RoughClass, b: RoughClass) -> RoughClass:
-        left = self.join(self.neg(self.necessity(a)), self.necessity(b))
-        right = self.join(
-            self.necessity(self.neg(a)), self.neg(self.necessity(self.neg(b)))
-        )
-        return self.meet(left, right)
+        """(¬La ⊔ Lb) ⊓ (L¬a ⊔ ¬L¬b), worked out on the bounds: every operand is
+        definite, so this is the definite class of (¬La ∪ Lb) ∩ (¬Ua ∪ Ub)."""
+        x = (a.lower.complement() | b.lower) & (a.upper.complement() | b.upper)
+        return self._cls(x, x)
 
     def leq(self, a: RoughClass, b: RoughClass) -> bool:
         return a.lower <= b.lower and a.upper <= b.upper

@@ -16,6 +16,10 @@ space's ``BoundMasks``: the rough classes, the quotient candidate, the
 mixed tables of the identity suite, the parthood relation matrices with
 the bound kinds on ``Subset`` operations, and the maximal antichains of
 the quotient order.
+
+And so are the bounded poset that stored its order, meet and join as
+lists of lists, filled by one scan per cell, and the quotient
+implication composed from five other quotient operations.
 """
 
 from __future__ import annotations
@@ -503,6 +507,97 @@ def search_oracle(
             if admissibility_oracle(model).all_pass:
                 found.append(family)
     return found
+
+
+class ScanPoset:
+    """Finite poset with a least element and partial meet/join.
+
+    Meet and join are the infimum and supremum where those exist; the
+    lattice and distributivity flags are derived, not declared.
+    """
+
+    def __init__(self, elements: Sequence, leq_pairs: Iterable[tuple]):
+        self.elements = tuple(elements)
+        if not self.elements or len(set(self.elements)) != len(self.elements):
+            raise ValueError("elements must be nonempty and distinct")
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        n = len(self.elements)
+        rel = [[i == j for j in range(n)] for i in range(n)]
+        for a, b in leq_pairs:
+            rel[self._index[a]][self._index[b]] = True
+        for i in range(n):
+            for j in range(n):
+                if i != j and rel[i][j] and rel[j][i]:
+                    raise ValueError("order is not antisymmetric")
+                if rel[i][j]:
+                    for k in range(n):
+                        if rel[j][k] and not rel[i][k]:
+                            raise ValueError("order is not transitive")
+        self._rel = rel
+        bottoms = [i for i in range(n) if all(rel[i])]
+        if not bottoms:
+            raise ValueError("poset has no least element")
+        self._bottom = bottoms[0]
+        tops = [i for i in range(n) if all(rel[j][i] for j in range(n))]
+        self._top = tops[0] if tops else None
+        self._meet = [[self._extreme(i, j, True) for j in range(n)] for i in range(n)]
+        self._join = [[self._extreme(i, j, False) for j in range(n)] for i in range(n)]
+
+    def _extreme(self, i: int, j: int, lower: bool) -> int | None:
+        n = len(self.elements)
+        if lower:
+            bounds = [k for k in range(n) if self._rel[k][i] and self._rel[k][j]]
+            best = [g for g in bounds if all(self._rel[k][g] for k in bounds)]
+        else:
+            bounds = [k for k in range(n) if self._rel[i][k] and self._rel[j][k]]
+            best = [g for g in bounds if all(self._rel[g][k] for k in bounds)]
+        return best[0] if best else None
+
+    @property
+    def bottom(self):
+        return self.elements[self._bottom]
+
+    @property
+    def top(self):
+        return None if self._top is None else self.elements[self._top]
+
+    def leq(self, a, b) -> bool:
+        return self._rel[self._index[a]][self._index[b]]
+
+    def meet(self, a, b):
+        got = self._meet[self._index[a]][self._index[b]]
+        return None if got is None else self.elements[got]
+
+    def join(self, a, b):
+        got = self._join[self._index[a]][self._index[b]]
+        return None if got is None else self.elements[got]
+
+    @property
+    def is_lattice(self) -> bool:
+        return all(
+            v is not None for row in self._meet for v in row
+        ) and all(v is not None for row in self._join for v in row)
+
+    @property
+    def is_distributive(self) -> bool | None:
+        """True/False for lattices, None otherwise."""
+        if not self.is_lattice:
+            return None
+        for x in self.elements:
+            for y in self.elements:
+                for z in self.elements:
+                    left = self.meet(x, self.join(y, z))
+                    right = self.join(self.meet(x, y), self.meet(x, z))
+                    if left != right:
+                        return False
+        return True
+
+
+def implies(q: QuotientAlgebra, a: RoughClass, b: RoughClass) -> RoughClass:
+    """``QuotientAlgebra.implies`` composed from the other quotient operations."""
+    left = q.join(q.neg(q.necessity(a)), q.necessity(b))
+    right = q.join(q.necessity(q.neg(a)), q.neg(q.necessity(q.neg(b))))
+    return q.meet(left, right)
 
 
 def rough_classes(space: ApproximationSpace, include_empty: bool = False) -> list[RoughClass]:

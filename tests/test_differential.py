@@ -9,6 +9,9 @@ search must return the oracle's families in the oracle's order, and make
 no predicate call the decomposition does not need.  Every whole-carrier
 table (rough classes, quotient candidate, mixed tables, parthood
 matrices, maximal antichains) must equal the object fill it replaced.
+The matrix-derived bounded poset must equal the per-cell scan poset
+(order, meet and join tables, bounds, flags and error), and the quotient
+implication the composition of five quotient operations.
 """
 
 from __future__ import annotations
@@ -36,7 +39,12 @@ from roughwork.granular import (
     from_space,
     search_admissible_granulations,
 )
-from roughwork.negation import BoundedPoset, UnaryOp, check_negation
+from roughwork.negation import (
+    BoundedPoset,
+    UnaryOp,
+    check_negation,
+    enumerate_lattices,
+)
 from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
 from roughwork.prerough import (
     check_essential_pre_rough,
@@ -207,7 +215,7 @@ def test_parthood_matrices_and_reports_on_partitions(monkeypatch):
     assert len(failing) >= 20
 
 
-def random_poset(rng: random.Random, n: int) -> BoundedPoset:
+def random_order(rng: random.Random, n: int) -> list[tuple[int, int]]:
     """Element 0 below everything; other pairs drawn upward, then closed."""
     rel = [{i} for i in range(n)]
     rel[0] = set(range(n))
@@ -219,7 +227,11 @@ def random_poset(rng: random.Random, n: int) -> BoundedPoset:
         for i in range(n):
             if k in rel[i]:
                 rel[i] |= rel[k]
-    return BoundedPoset(range(n), [(i, j) for i in range(n) for j in rel[i] if i != j])
+    return [(i, j) for i in range(n) for j in rel[i] if i != j]
+
+
+def random_poset(rng: random.Random, n: int) -> BoundedPoset:
+    return BoundedPoset(range(n), random_order(rng, n))
 
 
 def partial_map(rng: random.Random, elements) -> UnaryOp:
@@ -247,6 +259,90 @@ def test_negation_on_quotient_orders_and_partial_posets():
         assert (new.index, new.period, new.pace) == (old.index, old.period, old.pace)
         failing += not all(c.passed for _, c in new.checks.items())
     assert failing >= len(cases) // 2
+
+
+def leq_pairs(elements, leq) -> list[tuple]:
+    return [(a, b) for a in elements for b in elements if leq(a, b)]
+
+
+def same_poset(elements, pairs) -> str | None:
+    """The matrix poset against the scan oracle; returns the error raised, if any."""
+    try:
+        old = oracle.ScanPoset(elements, pairs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            BoundedPoset(elements, pairs)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    new = BoundedPoset(elements, pairs)
+    assert new._rel.dtype == bool and new._rel.tolist() == old._rel
+    for mine, theirs in ((new._meet, old._meet), (new._join, old._join)):
+        assert mine.tolist() == [[-1 if v is None else v for v in row] for row in theirs]
+    for a in elements:
+        for b in elements:
+            assert (new.meet(a, b), new.join(a, b)) == (old.meet(a, b), old.join(a, b))
+    assert (new.bottom, new.top) == (old.bottom, old.top)
+    assert (new.is_lattice, new.is_distributive) == (old.is_lattice, old.is_distributive)
+    return None
+
+
+def test_poset_on_quotient_orders_lattices_and_random_orders():
+    for space in SPACES:
+        q = quotient_algebra(space)
+        assert same_poset(q.carrier, leq_pairs(q.carrier, q.leq)) is None
+    rng = random.Random(5581)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        assert same_poset(range(n), random_order(rng, n)) is None
+    flags = set()
+    for n in range(1, 6):
+        # every candidate relation the lattice enumeration builds from
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(1 << len(upper)):
+            pairs = [p for k, p in enumerate(upper) if bits >> k & 1]
+            same_poset(range(n), pairs)
+        for p in enumerate_lattices(n):
+            assert same_poset(p.elements, leq_pairs(p.elements, p.leq)) is None
+            flags.add(p.is_distributive)
+    assert flags == {True, False}
+
+
+def test_poset_errors_and_their_precedence_on_unclosed_and_cyclic_relations():
+    rng = random.Random(7723)
+    errors = {}
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        labels = rng.sample("abcdefg", n)
+        density = rng.random()
+        pairs = {(a, b) for a in labels for b in labels if rng.random() < density}
+        if rng.random() < 0.3:
+            # a transitive relation with one reversed pair, so a cycle
+            for c in labels:
+                pairs |= {(a, d) for a, b in pairs for b2, d in pairs if b == b2 == c}
+            if pairs:
+                a, b = rng.choice(sorted(pairs))
+                pairs.add((b, a))
+        cyclic = any(a != b and (b, a) in pairs for a, b in pairs)
+        unclosed = any(
+            a != d and (a, d) not in pairs for a, b in pairs for c, d in pairs if b == c
+        )
+        got = same_poset(labels, sorted(pairs))
+        errors.setdefault((cyclic, unclosed), set()).add(got)
+    cycle, unclosed = "order is not antisymmetric", "order is not transitive"
+    assert errors[(True, True)] == {cycle, unclosed}
+    assert errors[(True, False)] == {cycle}
+    assert errors[(False, True)] == {unclosed}
+    assert errors[(False, False)] == {None, "poset has no least element"}
+    with pytest.raises(ValueError, match="distinct"):
+        BoundedPoset("aa", [])
+
+
+def test_implies_matches_the_composed_form_on_every_class_pair():
+    for space in SPACES:
+        q = quotient_algebra(space)
+        for a in q.carrier:
+            for b in q.carrier:
+                assert q.implies(a, b) == oracle.implies(q, a, b)
 
 
 # A reflexive, transitive size order that is not antisymmetric, and an

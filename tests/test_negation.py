@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughwork import negation
 from roughwork.negation import (
     CLAIM_IDS,
     BoundedPoset,
@@ -11,6 +12,7 @@ from roughwork.negation import (
     PreconditionError,
     SearchTooLargeError,
     UnaryOp,
+    _weak_equal_maps,
     check_dialectical_predicate,
     check_negation,
     enumerate_distributive_lattices,
@@ -118,6 +120,21 @@ def _naive_index(poset, f):
             if all(a is None or b is None or a == b for a, b in zip(maps[m], maps[n])):
                 return m, n
     return None
+
+
+def test_index_compares_each_new_iterate_with_its_predecessors_only(monkeypatch):
+    # cycles of lengths 3, 4, 5 and 7: the first repeat is f^420 = f^0
+    cycles = [range(0, 3), range(3, 7), range(7, 12), range(12, 19)]
+    perm = {c[k]: c[(k + 1) % len(c)] for c in cycles for k in range(len(c))}
+    calls = []
+
+    def counted(left, right):
+        calls.append(None)
+        return _weak_equal_maps(left, right)
+
+    monkeypatch.setattr(negation, "_weak_equal_maps", counted)
+    assert negation._iterate_index(tuple(range(19)), UnaryOp(perm)) == (0, 420)
+    assert len(calls) <= 420 * 421 // 2
 
 
 @given(st.data())
