@@ -113,7 +113,7 @@ class Universe:
             yield Subset(self, mask)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Universe) and self.atoms == other.atoms
+        return other is self or (isinstance(other, Universe) and self.atoms == other.atoms)
 
     def __hash__(self) -> int:
         return hash(self.atoms)

@@ -127,6 +127,13 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """The type of ``--cap``: anything else is an argument error (exit 2)."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _mixed_operand(cera: CeraModel, text: str) -> MixedElement:
     node = expr_mod.parse(text)
     if not isinstance(node, expr_mod.SetLit):
@@ -171,7 +178,7 @@ def _cmd_space(args) -> Report:
         ]
         return Report(["set", "lower", "upper"], rows)
     rows = [
-        (str(c.sample_member()), str(c.lower), str(c.upper), sum(1 for _ in c.members()))
+        (str(c.sample_member()), str(c.lower), str(c.upper), c.member_count())
         for c in space.rough_classes()
     ]
     return Report(["sample", "lower", "upper", "members"], rows)
@@ -227,7 +234,7 @@ def _cmd_parthood(args) -> Report:
             raise ValueError("usage: parthood analyze <kind>")
         kind = ParthoodKind.from_name(args.rest[0])
         model = _parthood_model(kind, loaded)
-        cap = args.cap if args.cap else 1024
+        cap = 1024 if args.cap is None else args.cap
         report = analyze(kind, model, cap=cap)
         rows = _axiom_rows(
             [
@@ -313,7 +320,7 @@ def _cmd_negation(args) -> Report:
         raise ValueError(
             f"unknown claim {claim!r}; expected one of {', '.join(CLAIM_IDS)}"
         )
-    cap = args.cap if args.cap else 5
+    cap = 5 if args.cap is None else args.cap
     witness = falsify_theorem(claim, size_cap=cap)
     if witness is None:
         return Report(
@@ -413,7 +420,7 @@ def _cmd_count(args) -> Report:
 
 def _cmd_granulation(args) -> Report:
     loaded = _load(args)
-    cap = args.cap if args.cap else SEARCH_CANDIDATE_CAP
+    cap = SEARCH_CANDIDATE_CAP if args.cap is None else args.cap
     families = search_admissible_granulations(
         loaded.granular.lower_op,
         loaded.granular.upper_op,
@@ -435,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "csv", "json"), default="text"
     )
-    common.add_argument("--cap", type=int, help="search/carrier size cap")
+    common.add_argument("--cap", type=_positive_int, help="search/carrier size cap")
 
     parser = argparse.ArgumentParser(prog="roughwork")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,7 +1,8 @@
 """Dialectical pair carrier built over the mixed algebra.
 
 K holds every subset twinned with its rough class, in both component
-orders.  The binary operations are partial: a componentwise value only
+orders; membership is read off the space's ``BoundMasks``, so no query
+builds K.  The binary operations are partial: a componentwise value only
 counts when the pair lands back in K, and mixed-orientation cases are
 gated by an explicit side condition that is checked first.
 """
@@ -9,6 +10,7 @@ gated by an explicit side condition that is checked first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from roughwork.approx import Subset
 from roughwork.cera import CeraModel, MixedElement, UndefinedOperationError
@@ -37,27 +39,27 @@ class DialecticalPair:
 
 
 class CradModel:
-    """K with its partial operations, parthood, and constants."""
+    """K with its partial operations, parthood, and constants; K is listed on demand."""
 
     def __init__(self, cera: CeraModel):
         self.cera = cera
-        # first_pair(x) is (x, [x]) and second_pair(x) is ([x], x)
-        subsets = [MixedElement.type1(x) for x in cera.space.universe.subsets()]
-        classes = [MixedElement.type2(c) for c in cera.quotient.carrier]
-        of = [classes[c] for c in cera.quotient.masks.class_id.tolist()]
-        self.carrier = tuple(
-            [DialecticalPair(x, c) for x, c in zip(subsets, of)]
-            + [DialecticalPair(c, x) for x, c in zip(subsets, of)]
-        )
-        self._members = frozenset(self.carrier)
-        # orientations never collide: the tags of the components differ
-        assert len(self._members) == len(self.carrier)
         self.top_pair = DialecticalPair(cera.top, cera.one)
         self.one_pair = DialecticalPair(cera.one, cera.top)
         self.zero_pair = DialecticalPair(cera.zero, cera.bottom)
         self.bottom_pair = DialecticalPair(cera.bottom, cera.zero)
-        constants = {self.top_pair, self.one_pair, self.zero_pair, self.bottom_pair}
-        assert constants <= self._members
+        constants = (self.top_pair, self.one_pair, self.zero_pair, self.bottom_pair)
+        assert all(map(self.contains, constants))
+
+    @cached_property
+    def carrier(self) -> tuple[DialecticalPair, ...]:
+        """K: first_pair(x) for every subset x in mask order, then second_pair(x)."""
+        subsets = [MixedElement.type1(x) for x in self.cera.space.universe.subsets()]
+        classes = [MixedElement.type2(c) for c in self.cera.quotient.carrier]
+        of = [classes[c] for c in self.cera.quotient.masks.class_id.tolist()]
+        return tuple(
+            [DialecticalPair(x, c) for x, c in zip(subsets, of)]
+            + [DialecticalPair(c, x) for x, c in zip(subsets, of)]
+        )
 
     def first_pair(self, x: Subset) -> DialecticalPair:
         """The subset-first element (x, 0 (+) x) of K."""
@@ -70,11 +72,19 @@ class CradModel:
         return DialecticalPair(self.cera.oplus(el, self.cera.zero), el)
 
     def contains(self, p: DialecticalPair) -> bool:
-        return p in self._members
+        """p pairs a subset of the space with its rough class, in either order."""
+        a, b = p.first, p.second
+        if a.is_type1 == b.is_type1:
+            return False
+        x, c = (a.payload, b.payload) if a.is_type1 else (b.payload, a.payload)
+        space, bm = self.cera.space, self.cera.quotient.masks
+        if x.universe != space.universe or c.space != space:
+            return False
+        return bool(bm.lower[x.mask] == c.lower.mask and bm.upper[x.mask] == c.upper.mask)
 
     def _require(self, *pairs: DialecticalPair) -> None:
         for p in pairs:
-            if p not in self._members:
+            if not self.contains(p):
                 raise ValueError(f"{p} is not in the carrier")
 
     def _combine(self, p, q, op, symbol: str, noun: str) -> DialecticalPair:
@@ -82,7 +92,7 @@ class CradModel:
         c, e = q.first, q.second
         if a.is_type1 == c.is_type1:
             result = DialecticalPair(op(a, c), op(b, e))
-            if result not in self._members:
+            if not self.contains(result):
                 raise UndefinedResultError(
                     f"componentwise {noun} lies outside the carrier"
                 )
@@ -103,7 +113,7 @@ class CradModel:
                     f"(c {symbol} b) {symbol} 0 = a {symbol} e fails"
                 )
             result = DialecticalPair(target, op(c, b))
-        if result not in self._members:
+        if not self.contains(result):
             # the aggregation gate already forces membership; the
             # commonality gate does not, so keep the carrier discipline
             raise UndefinedResultError(
@@ -124,7 +134,7 @@ class CradModel:
         result = DialecticalPair(
             self.cera.frak_l(p.first), self.cera.frak_l(p.second)
         )
-        if result not in self._members:
+        if not self.contains(result):
             raise UndefinedResultError(
                 "componentwise interior lies outside the carrier"
             )
@@ -135,7 +145,7 @@ class CradModel:
         result = DialecticalPair(
             self.cera.sim_neg(p.first), self.cera.sim_neg(p.second)
         )
-        if result not in self._members:
+        if not self.contains(result):
             raise UndefinedResultError(
                 "componentwise negation lies outside the carrier"
             )

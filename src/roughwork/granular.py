@@ -25,6 +25,7 @@ from roughwork.approx import (
     Subset,
     Universe,
     UniverseMismatchError,
+    bound_masks,
 )
 
 SEARCH_CANDIDATE_CAP = 10**7
@@ -54,14 +55,25 @@ class OperatorTable:
     __slots__ = ("universe", "_table")
 
     def __init__(self, universe: Universe, entries: dict[int, int]):
-        size = 1 << universe.size
-        if set(entries) != set(range(size)):
+        if set(entries) != set(range(1 << universe.size)):
             raise ValueError("operator table must be total on the power set")
-        for out in entries.values():
-            if not 0 <= out < size:
-                raise ValueError(f"table output {out:#x} out of range")
+        self._fill(universe, [entries[m] for m in range(len(entries))])
+
+    @classmethod
+    def from_list(cls, universe: Universe, table: list[int]) -> OperatorTable:
+        """The table mapping mask ``m`` to ``table[m]``."""
+        if len(table) != 1 << universe.size:
+            raise ValueError("operator table must be total on the power set")
+        out = cls.__new__(cls)
+        out._fill(universe, list(table))
+        return out
+
+    def _fill(self, universe: Universe, table: list[int]) -> None:
+        if min(table) < 0 or max(table) >= len(table):
+            out = next(v for v in table if not 0 <= v < len(table))
+            raise ValueError(f"table output {out:#x} out of range")
         self.universe = universe
-        self._table = [entries[m] for m in range(size)]
+        self._table = table
 
     @classmethod
     def from_callable(
@@ -189,12 +201,13 @@ class GranularModel:
 
 
 def from_space(space: ApproximationSpace) -> GranularModel:
-    universe = space.universe
+    """The space's blocks as granules, its approximations as the tables."""
+    universe, bm = space.universe, bound_masks(space)
     return GranularModel(
         universe=universe,
         granules=tuple(space.blocks),
-        lower_op=OperatorTable.from_callable(universe, space.lower),
-        upper_op=OperatorTable.from_callable(universe, space.upper),
+        lower_op=OperatorTable.from_list(universe, bm.lower.tolist()),
+        upper_op=OperatorTable.from_list(universe, bm.upper.tolist()),
     )
 
 

@@ -186,8 +186,8 @@ def parse_model(raw: object, source: str = "<memory>") -> LoadedModel:
         lower_op = _parse_table(space, raw["lowerTable"], "lowerTable")
         upper_op = _parse_table(space, raw["upperTable"], "upperTable")
     else:
-        lower_op = OperatorTable.from_callable(space.universe, space.lower)
-        upper_op = OperatorTable.from_callable(space.universe, space.upper)
+        kernel = from_space(space)
+        lower_op, upper_op = kernel.lower_op, kernel.upper_op
 
     if "granules" in raw:
         granules = _parse_granules(space, raw["granules"])

@@ -57,3 +57,9 @@ CLASS_LISTING = [
     ["aefq", "befq", "cefq", "abefq", "bcefq", "acefq"],
     ["abceq", "abcfq"],
 ]
+
+# A ten-atom model without operator tables (1024 subsets, 2048 pairs in K).
+TEN_ATOM_MODEL = {
+    "universe": list("abcdefghij"),
+    "partition": [["a", "b", "c"], ["d", "e", "f"], ["g", "h"], ["i"], ["j"]],
+}

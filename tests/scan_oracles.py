@@ -20,6 +20,9 @@ the quotient order.
 And so are the bounded poset that stored its order, meet and join as
 lists of lists, filled by one scan per cell, and the quotient
 implication composed from five other quotient operations.
+
+And the pair carrier K as ``CradModel`` built it on construction, whole
+and as a frozenset, with membership a set lookup.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from roughwork.approx import (
     Universe,
     UniverseMismatchError,
 )
-from roughwork.cera import CeraModel
+from roughwork.cera import CeraModel, MixedElement
+from roughwork.crad import CradModel, DialecticalPair
 from roughwork.granular import (
     INCLUSION,
     SEARCH_CANDIDATE_CAP,
@@ -711,3 +715,32 @@ def maximal_antichains(elements: Sequence[RoughClass], limit: int) -> list[tuple
 
     extend([], 0)
     return out
+
+
+def crad_members(model: CradModel) -> tuple[tuple[DialecticalPair, ...], frozenset]:
+    """K in carrier order and as a set: first_pair(x) for every subset x
+    in mask order, then second_pair(x)."""
+    cera = model.cera
+    subsets = [MixedElement.type1(x) for x in cera.space.universe.subsets()]
+    classes = [MixedElement.type2(c) for c in cera.quotient.carrier]
+    of = [classes[c] for c in cera.quotient.masks.class_id.tolist()]
+    carrier = tuple(
+        [DialecticalPair(x, c) for x, c in zip(subsets, of)]
+        + [DialecticalPair(c, x) for x, c in zip(subsets, of)]
+    )
+    members = frozenset(carrier)
+    # orientations never collide: the tags of the components differ
+    assert len(members) == len(carrier)
+    return carrier, members
+
+
+class MemberSetCrad(CradModel):
+    """``CradModel`` with K built whole on construction; membership is a set lookup."""
+
+    def __init__(self, cera: CeraModel):
+        self.cera = cera
+        self.carrier, self._members = crad_members(self)
+        super().__init__(cera)
+
+    def contains(self, p: DialecticalPair) -> bool:
+        return p in self._members

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import scan_oracles as oracle
+from roughwork import cli
+from roughwork.approx import RoughClass
 from roughwork.cli import main
 from roughwork.model_io import ModelFormatError, load_model, parse_model
 
@@ -163,6 +166,79 @@ def test_granulation_search(capsys):
 
     code, _, _ = run(capsys, "granulation", "search", "--cap", "10")
     assert code == 4
+
+
+CAPPED = [
+    # argv, a cap that passes, the largest cap that is exceeded
+    (("parthood", "analyze", "natural-crad"), "128", "127"),
+    (("negation", "falsify", "no-index-0-n"), "5", None),
+    (("granulation", "search"), "2016", "2015"),
+]
+
+
+@pytest.mark.parametrize("argv, fits, short", CAPPED, ids=[c[0][0] for c in CAPPED])
+def test_cap_is_a_positive_integer_read_as_given(capsys, argv, fits, short):
+    for bad in ("0", "-1", "x"):
+        code, out, err = run(capsys, *argv, "--cap", bad)
+        assert (code, out) == (2, "")
+        assert f"expected a positive integer, got '{bad}'" in err
+    code, out, _ = run(capsys, *argv, "--cap", fits)
+    assert code == 0 and out
+    assert run(capsys, *argv) == run(capsys, *argv, "--cap", fits)
+    if short is not None:
+        code, _, err = run(capsys, *argv, "--cap", short)
+        assert code == 4 and "cap exceeded" in err
+
+
+def test_falsify_cap_is_the_size_reported(capsys):
+    code, out, _ = run(capsys, "negation", "falsify", "n9-implies-n123", "--cap", "3")
+    assert code == 0
+    assert out.strip() == "no counterexample on lattices with at most 3 elements"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_class_member_counts_print_as_the_member_listing(capsys, monkeypatch, ten_atom_model, fmt):
+    for model in ([], ["--model", str(ten_atom_model)]):
+        argv = ["space", "classes", "--format", fmt, *model]
+        counted = run(capsys, *argv)
+        assert counted[0] == 0
+        with monkeypatch.context() as m:
+            m.setattr(RoughClass, "member_count", lambda c: sum(1 for _ in c.members()))
+            assert run(capsys, *argv) == counted
+
+
+PAIR_QUERIES = [
+    ("crad", "plus", "(a,[a])", "(b,[b])"),
+    ("crad", "plus", "(a,[a])", "([eq],fq)"),
+    ("crad", "times", "(q,[q])", "([abcq],abcq)"),
+    ("crad", "times", "(b,[b])", "([b],b)"),
+    ("crad", "pnat", "(a,[a])", "([ab],ab)"),
+    ("crad", "pnat", "(a,b)", "(b,[b])"),
+    ("parthood", "natural-crad", "([ef],ef)", "(abcef,[abcef])"),
+    ("parthood", "analyze", "natural-crad"),
+]
+TEN_ATOM_PAIR_QUERIES = [
+    ("crad", "plus", "(ad,[ad])", "(abcdef,[abcdef])"),
+    ("crad", "plus", "(ad,[ad])", "([gi],gi)"),
+    ("crad", "times", "(adg,[adg])", "(abcgh,[abcgh])"),
+    ("crad", "pnat", "([dj],dj)", "(adij,[adij])"),
+    ("parthood", "natural-crad", "(abc,[abc])", "([S],S)"),
+]
+
+
+def test_pair_commands_print_as_with_the_carrier_built_whole(capsys, monkeypatch, ten_atom_model):
+    cases = [(q, []) for q in PAIR_QUERIES]
+    cases += [(q, ["--model", str(ten_atom_model)]) for q in TEN_ATOM_PAIR_QUERIES]
+    codes = set()
+    for argv, model in cases:
+        for fmt in ("text", "json"):
+            full = [*argv, "--format", fmt, *model]
+            got = run(capsys, *full)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "CradModel", oracle.MemberSetCrad)
+                assert run(capsys, *full) == got, full
+            codes.add(got[0])
+    assert codes == {0, 1}
 
 
 def test_exit_codes_for_bad_input(capsys, tmp_path):

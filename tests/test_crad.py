@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from roughwork.approx import Universe
 from roughwork.cera import CeraModel
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
+from roughwork.model_io import load_model
 from test_approx import spaces
 
 
@@ -210,3 +212,20 @@ def test_random_spaces_closure(space):
                 except UndefinedResultError:
                     continue
                 assert model.contains(r)
+
+
+def test_queries_never_enumerate_the_subsets(ten_atom_model, monkeypatch):
+    """Loading a model and answering pair queries reads the bound masks only."""
+
+    def refuse(self):
+        raise AssertionError("a single query enumerated every subset")
+
+    monkeypatch.setattr(Universe, "subsets", refuse)
+    space = load_model(ten_atom_model).space
+    model = CradModel(CeraModel(space))
+    u = space.universe
+    p, q = model.first_pair(u.parse("ad")), model.first_pair(u.parse("abcdef"))
+    assert model.plus(p, q) == q
+    assert model.times(p, q) == p
+    assert model.natural_parthood(p, q)
+    assert "carrier" not in model.__dict__

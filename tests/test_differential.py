@@ -11,22 +11,28 @@ table (rough classes, quotient candidate, mixed tables, parthood
 matrices, maximal antichains) must equal the object fill it replaced.
 The matrix-derived bounded poset must equal the per-cell scan poset
 (order, meet and join tables, bounds, flags and error), and the quotient
-implication the composition of five quotient operations.
+implication the composition of five quotient operations.  Pair
+membership read off the bound masks must answer as the frozenset of K
+did, on K and on pairs outside it, with the same carrier and the same
+results and errors from every pair operation.  The default operator
+tables, from ``from_space`` and from a model file without tables, must
+equal the object approximations on every partition of up to six atoms.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import scan_oracles as oracle
 from roughwork import ApproximationSpace, Universe, granular, parthood
-from roughwork.cera import CeraModel, check_cera_identities
+from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.cli import _quotient_poset
-from roughwork.crad import CradModel
+from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
 from roughwork.granular import (
     INCLUSION,
     GranularModel,
@@ -45,6 +51,7 @@ from roughwork.negation import (
     check_negation,
     enumerate_lattices,
 )
+from roughwork.model_io import parse_model
 from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
 from roughwork.prerough import (
     check_essential_pre_rough,
@@ -213,6 +220,110 @@ def test_parthood_matrices_and_reports_on_partitions(monkeypatch):
             assert analyze(kind, model) == report
         failing |= {(kind, flag) for flag, ok in report.flags().items() if not ok}
     assert len(failing) >= 20
+
+
+def outside_pairs(space: ApproximationSpace, rng: random.Random) -> list[DialecticalPair]:
+    """Pairs outside K, with members over an equal space built apart.
+
+    Drawn per round: two subsets or two classes; a subset with the class
+    of another subset; a subset with its class under another partition of
+    the same atoms; and pairs over a foreign universe, one atom larger or
+    of the same size, alone or with a subset or class of the space.
+    """
+    u = space.universe
+    subsets = list(u.subsets())
+    others = [s for s in SPACES if s.universe == u and s != space]
+    twin = ApproximationSpace.from_partition(u.atoms, [list(b) for b in space.blocks])
+    foreign = [
+        ApproximationSpace.from_partition("uvwxyz"[:k], ["uvwxyz"[:k]])
+        for k in (u.size, u.size + 1)
+    ]
+
+    def sub(x):
+        return MixedElement.type1(x)
+
+    def cls(sp, x):
+        return MixedElement.type2(sp.rough_class_of(x))
+
+    out = []
+    for _ in range(6):
+        x, y = rng.choice(subsets), rng.choice(subsets)
+        far = rng.choice(foreign)
+        z = far.universe.from_mask(rng.randrange(1 << far.universe.size))
+        pairs = [
+            (sub(x), sub(y)),
+            (cls(space, x), cls(space, y)),
+            (sub(x), cls(space, y)),
+            (cls(space, y), sub(x)),
+            (sub(twin.universe.from_mask(x.mask)), cls(twin, x)),
+            (sub(z), cls(far, z)),
+            (cls(far, z), sub(z)),
+            (sub(z), cls(space, x)),
+            (cls(far, z), sub(x)),
+        ]
+        if others:
+            other = rng.choice(others)
+            pairs += [(sub(x), cls(other, x)), (cls(other, x), sub(x))]
+        out += [DialecticalPair(a, b) for a, b in pairs]
+    return out
+
+
+def outcome(fn, *args):
+    """The call's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_pair_membership_and_operations_match_the_materialized_carrier():
+    rng = random.Random(6113)
+    inside, kinds = Counter(), Counter()
+    for space in SPACES:
+        cera = CeraModel(space)
+        new, old = CradModel(cera), oracle.MemberSetCrad(cera)
+        assert "carrier" not in new.__dict__
+        assert new.carrier == old.carrier and new.carrier is new.carrier
+        members = list(new.carrier)
+        outside = outside_pairs(space, rng)
+        for p in members + outside:
+            assert new.contains(p) is old.contains(p)
+            inside[new.contains(p)] += 1
+            for name in ("l_star", "sim_star"):
+                assert outcome(getattr(new, name), p) == outcome(getattr(old, name), p)
+        operands = [(rng.choice(members), rng.choice(members)) for _ in range(300)]
+        for p in outside:
+            q = rng.choice(members)
+            operands += [(p, q), (q, p)]
+        for p, q in operands:
+            for name in ("plus", "times", "natural_parthood"):
+                got = outcome(getattr(new, name), p, q)
+                assert got == outcome(getattr(old, name), p, q)
+                kinds[got[0] if isinstance(got, tuple) else type(got)] += 1
+    # members and strays; defined and undefined results; rejected operands
+    assert inside[True] > 4000 and inside[False] > 3000
+    assert kinds[DialecticalPair] > 20000 and kinds[bool] > 20000
+    assert kinds[UndefinedResultError] > 10000 and kinds[ValueError] > 15000
+
+
+SPACES_6 = SPACES + [
+    ApproximationSpace.from_partition("abcdef", blocks) for blocks in set_partitions("abcdef")
+]
+
+
+def test_default_tables_equal_the_object_approximations_up_to_six_atoms():
+    assert len(SPACES_6) == 75 + 203
+    for space in SPACES_6:
+        u = space.universe
+        tables = (
+            OperatorTable.from_callable(u, space.lower),
+            OperatorTable.from_callable(u, space.upper),
+        )
+        body = {"universe": list(u.atoms), "partition": [list(b) for b in space.blocks]}
+        for model in (from_space(space), parse_model(body).granular):
+            assert model.granules == space.blocks
+            assert (model.lower_op, model.upper_op) == tables
+            assert {type(v) for v in model.lower_op._table + model.upper_op._table} == {int}
 
 
 def random_order(rng: random.Random, n: int) -> list[tuple[int, int]]:

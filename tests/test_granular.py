@@ -208,3 +208,30 @@ def test_operator_table_must_be_total():
     u = Universe("ab")
     with pytest.raises(ValueError):
         OperatorTable(u, {0: 0})
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([0, 1, 2], "total"),
+        ([0, 1, 2, 3, 0], "total"),
+        ([0, 1, 4, 3], "output 0x4 out of range"),
+        ([0, -1, 2, 9], "output -0x1 out of range"),
+    ],
+)
+def test_operator_table_from_list_is_total_and_in_range(table, message):
+    u = Universe("ab")
+    with pytest.raises(ValueError, match=message):
+        OperatorTable.from_list(u, table)
+    if len(table) == 4:
+        entries = dict(enumerate(table))
+        with pytest.raises(ValueError, match=message):
+            OperatorTable(u, entries)
+
+
+def test_operator_table_from_list_keeps_its_own_copy():
+    u = Universe("ab")
+    table = [0, 1, 2, 3]
+    op = OperatorTable.from_list(u, table)
+    table[1] = 3
+    assert op == OperatorTable(u, {0: 0, 1: 1, 2: 2, 3: 3})
