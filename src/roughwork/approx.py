@@ -137,7 +137,7 @@ class Subset:
         raise AttributeError("Subset is immutable")
 
     def _check(self, other: Subset) -> None:
-        if self.universe != other.universe:
+        if self.universe is not other.universe and self.universe != other.universe:
             raise UniverseMismatchError(
                 f"{self!r} and {other!r} belong to different universes"
             )

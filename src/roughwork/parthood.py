@@ -6,9 +6,11 @@ algebraic kinds compare mixed elements, and the natural kind compares
 dialectical pairs.  Each bound-based kind is one mask expression, which
 ``holds`` evaluates on one pair of subsets and ``relation_matrix`` on the
 bound tables of every subset at once; the algebraic and natural matrices
-index the mixed tables and the quotient order.  Only the g-simple matrix
-is filled one ``holds`` call per cell.  Order-theoretic structure is
-decided by exhaustive scan and reported with witnesses.
+index the mixed tables and the quotient order.  The g-simple matrix is
+read off granule inclusion: a ≤ b fails iff some granule lies inside a
+but not inside b, which one product of granule-by-subset tables counts.
+Order-theoretic structure is decided by exhaustive scan and reported
+with witnesses.
 """
 
 from __future__ import annotations
@@ -171,8 +173,9 @@ def relation_matrix(
             f"carrier of size {len(elements)} exceeds the matrix cap {cap}"
         )
     if kind is ParthoodKind.G_SIMPLE:
-        rows = [[holds(kind, model, a, b) for b in elements] for a in elements]
-        return elements, np.array(rows, dtype=bool)
+        granules = np.array([g.mask for g in model.granules])[:, None]
+        inside = (granules & ~np.arange(len(elements)) == 0).astype(np.float32)
+        return elements, inside.T @ (1 - inside) == 0
     if kind in SUBSET_KINDS:
         if isinstance(model, GranularModel):
             _, lower, upper = _mask_tables(model.universe, model.lower_op, model.upper_op)
@@ -200,7 +203,8 @@ def analyze(kind: ParthoodKind, model, cap: int = MATRIX_CAP) -> RelationReport:
 
     reflexive = AxiomCheck.of(first_violation(~np.diagonal(m), (elements,)))
 
-    reach = m @ m  # a boolean product, so no path count can wrap
+    mf = m.astype(np.float32)  # BLAS; a path count below 2^24 is exact
+    reach = mf @ mf > 0
     trans_bad = np.argwhere(reach & ~m)
     if trans_bad.size == 0:
         transitive = AxiomCheck(True)

@@ -8,7 +8,9 @@ orders and on posets whose meets and joins are partial.  The granulation
 search must return the oracle's families in the oracle's order, and make
 no predicate call the decomposition does not need.  Every whole-carrier
 table (rough classes, quotient candidate, mixed tables, parthood
-matrices, maximal antichains) must equal the object fill it replaced.
+matrices, maximal antichains) must equal the object fill it replaced;
+the g-simple matrix also on granules that overlap, leave atoms uncovered
+or stand alone.
 The matrix-derived bounded poset must equal the per-cell scan poset
 (order, meet and join tables, bounds, flags and error), and the quotient
 implication the composition of five quotient operations.  Pair
@@ -24,12 +26,13 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import scan_oracles as oracle
-from roughwork import ApproximationSpace, Universe, granular, parthood
+from roughwork import ApproximationSpace, Subset, Universe, granular, parthood
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.cli import _quotient_poset
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
@@ -220,6 +223,47 @@ def test_parthood_matrices_and_reports_on_partitions(monkeypatch):
             assert analyze(kind, model) == report
         failing |= {(kind, flag) for flag, ok in report.flags().items() if not ok}
     assert len(failing) >= 20
+
+
+def g_simple_models() -> list[GranularModel]:
+    """Granule families that are not partitions, on up to five atoms."""
+    rng = random.Random(6151)
+    out = []
+    for n in range(1, 6):
+        u = Universe("abcde"[:n])
+        identity = OperatorTable.from_list(u, range(1 << n))
+        families = [[m] for m in range(1, 1 << n)] + [
+            rng.sample(range(1, 1 << n), min(k, (1 << n) - 1))
+            for k in (2, 2, 3, 3, 4, 5)
+        ]
+        for masks in families:
+            granules = tuple(Subset(u, m) for m in masks)
+            out.append(GranularModel(u, granules, identity, identity))
+    return out
+
+
+def test_g_simple_matrices_and_reports_on_granules_that_are_not_partitions(
+    monkeypatch,
+):
+    models = g_simple_models()
+    kinds = Counter()
+    for model in models:
+        masks = [g.mask for g in model.granules]
+        kinds["single"] += len(masks) == 1
+        kinds["overlapping"] += any(a & b for a, b in combinations(masks, 2))
+        kinds["not covering"] += len(masks) > 1 and np.bitwise_or.reduce(
+            masks
+        ) != model.universe.full.mask
+        elements, new = parthood.relation_matrix(ParthoodKind.G_SIMPLE, model)
+        old = oracle.relation_matrix(ParthoodKind.G_SIMPLE, model)
+        assert elements == old[0]
+        assert new.dtype == bool and np.array_equal(new, old[1])
+        report = analyze(ParthoodKind.G_SIMPLE, model)
+        with monkeypatch.context() as m:
+            m.setattr(parthood, "relation_matrix", lambda kind, model, cap: old)
+            assert analyze(ParthoodKind.G_SIMPLE, model) == report
+        kinds["not antisymmetric"] += not report.antisymmetric.passed
+    assert min(kinds.values()) >= 5, kinds
 
 
 def outside_pairs(space: ApproximationSpace, rng: random.Random) -> list[DialecticalPair]:

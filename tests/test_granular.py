@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughwork import ApproximationSpace, Universe
+import scan_oracles as oracle
+from fixture_data import TEN_ATOM_MODEL
+from roughwork import ApproximationSpace, Universe, granular
 from roughwork.granular import (
     GranularModel,
     OperatorTable,
@@ -235,3 +240,120 @@ def test_operator_table_from_list_keeps_its_own_copy():
     op = OperatorTable.from_list(u, table)
     table[1] = 3
     assert op == OperatorTable(u, {0: 0, 1: 1, 2: 2, 3: 3})
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, "1", None])
+def test_operator_table_rejects_non_integer_entries(entry):
+    u = Universe("ab")
+    table = [0, entry, 2, 3]
+    with pytest.raises(ValueError, match="non-integer"):
+        OperatorTable.from_list(u, table)
+    with pytest.raises(ValueError, match="non-integer"):
+        OperatorTable(u, dict(enumerate(table)))
+
+
+def test_operator_table_stores_integer_entries_as_ints():
+    u = Universe("ab")
+    op = OperatorTable.from_list(u, np.array([0, 1, 3, 3]))
+    assert all(type(v) is int for v in op._table)
+    assert str(op(u.parse("b"))) == "S"
+
+
+def test_monotonicity_witness_lies_below_the_first_failing_cover():
+    # Over {a, b} the first cover to fail is {a} ⊂ S, but the first pair
+    # in row order to fail is (∅, S): op(∅) = a is not inside op(S) = ∅.
+    u = Universe("ab")
+    table = OperatorTable.from_list(u, [1, 1, 3, 0])
+    first = (u.empty, u.full)
+    for kind in ("lower", "upper"):
+        check = check_operator_axioms(table, kind)["monotonicity"]
+        assert check.witness == first
+        assert check == oracle.check_operator_axioms(table, kind)["monotonicity"]
+    model = GranularModel(universe=u, granules=(u.full,), lower_op=table, upper_op=table)
+    report = check_gos_axioms(model)
+    for name in ("lower-monotonicity", "upper-monotonicity"):
+        assert report[name].witness == first
+    assert list(report.items()) == list(oracle.check_gos_axioms(model).items())
+
+
+@pytest.fixture
+def swept_rows(monkeypatch) -> list[int]:
+    """The rows every monotonicity sweep visits, in visiting order."""
+    rows: list[int] = []
+    real = granular._monotonicity
+
+    def spy(masks, op):
+        marked, row = real(masks, op)
+
+        def counted(x):
+            rows.append(int(x))
+            return row(x)
+
+        return marked, counted
+
+    monkeypatch.setattr(granular, "_monotonicity", spy)
+    return rows
+
+
+def test_passing_ten_atom_partition_sweeps_no_monotonicity_row(swept_rows):
+    space = ApproximationSpace.from_partition(
+        TEN_ATOM_MODEL["universe"], TEN_ATOM_MODEL["partition"]
+    )
+    model = from_space(space)
+    assert check_gos_axioms(model).all_pass
+    for table in (model.lower_op, model.upper_op):
+        assert check_operator_axioms(table, "upper")["monotonicity"].passed
+    assert swept_rows == []
+
+
+def test_perturbed_table_sweeps_only_rows_below_a_failing_cover(swept_rows):
+    n = 7
+    space = ApproximationSpace.from_partition(
+        "abcdefg", [["a", "b", "c"], ["d", "e"], ["f"], ["g"]]
+    )
+    model = from_space(space)
+    rng = random.Random(3301)
+    failing = 0
+    for base in (model.lower_op, model.upper_op):
+        for _ in range(6):
+            table = list(base._table)
+            table[rng.randrange(1 << n)] = rng.randrange(1 << n)
+            op = OperatorTable.from_list(space.universe, table)
+            swept_rows.clear()
+            check = check_operator_axioms(op, "upper")["monotonicity"]
+            assert check == oracle.check_operator_axioms(op, "upper")["monotonicity"]
+            covers = {
+                x
+                for x in range(1 << n)
+                for i in range(n)
+                if not x >> i & 1 and table[x] & ~table[x | 1 << i]
+            }
+            below = [r for r in range(1 << n) if any(r & ~c == 0 for c in covers)]
+            if check.passed:
+                assert covers == set() and swept_rows == []
+            else:
+                failing += 1
+                last = check.witness[0].mask
+                assert swept_rows == [r for r in below if r <= last]
+    assert failing >= 4
+
+
+def test_gos_and_operator_checks_build_no_power_set(monkeypatch):
+    atoms = "abcdefghijkl"
+    space = ApproximationSpace.from_partition(
+        atoms, [list(atoms[i : i + 2]) for i in range(0, 12, 2)]
+    )
+    model = from_space(space)
+    u = model.universe
+    table = list(model.lower_op._table)
+    table[-1] = 0
+    broken = OperatorTable.from_list(u, table)
+
+    def refuse(self):
+        raise AssertionError("the power set was built")
+
+    monkeypatch.setattr(Universe, "subsets", refuse)
+    assert check_gos_axioms(model).all_pass
+    assert check_operator_axioms(model.lower_op, "lower").all_pass
+    check = check_operator_axioms(broken, "lower")["monotonicity"]
+    assert check.witness == (u.parse("ab"), u.full)
