@@ -6,11 +6,10 @@ algebraic kinds compare mixed elements, and the natural kind compares
 dialectical pairs.  Each bound-based kind is one mask expression, which
 ``holds`` evaluates on one pair of subsets and ``relation_matrix`` on the
 bound tables of every subset at once; the algebraic and natural matrices
-index the mixed tables and the quotient order.  The g-simple matrix is
-read off granule inclusion: a ≤ b fails iff some granule lies inside a
-but not inside b, which one product of granule-by-subset tables counts.
-Order-theoretic structure is decided by exhaustive scan and reported
-with witnesses.
+index the mixed tables and the quotient order; the g-simple matrix
+compares granule codes.  Order-theoretic structure is decided by
+exhaustive scan on one thread (transitivity ORs bit-packed rows: BLAS
+worker threads outlive a product) and reported with witnesses.
 """
 
 from __future__ import annotations
@@ -174,8 +173,8 @@ def relation_matrix(
         )
     if kind is ParthoodKind.G_SIMPLE:
         granules = np.array([g.mask for g in model.granules])[:, None]
-        inside = (granules & ~np.arange(len(elements)) == 0).astype(np.float32)
-        return elements, inside.T @ (1 - inside) == 0
+        codes = np.packbits(granules & ~np.arange(len(elements)) == 0, axis=0)
+        return elements, ~(codes[:, :, None] & ~codes[:, None, :]).any(axis=0)
     if kind in SUBSET_KINDS:
         if isinstance(model, GranularModel):
             _, lower, upper = _mask_tables(model.universe, model.lower_op, model.upper_op)
@@ -203,9 +202,11 @@ def analyze(kind: ParthoodKind, model, cap: int = MATRIX_CAP) -> RelationReport:
 
     reflexive = AxiomCheck.of(first_violation(~np.diagonal(m), (elements,)))
 
-    mf = m.astype(np.float32)  # BLAS; a path count below 2^24 is exact
-    reach = mf @ mf > 0
-    trans_bad = np.argwhere(reach & ~m)
+    m, n = np.ascontiguousarray(m), len(m)
+    words = np.packbits(np.pad(m, ((0, 0), (0, -n % 64))), axis=1).view(np.uint64)
+    cols = np.broadcast_to(words.T.copy(), (n, *words.T.shape))
+    reach = np.bitwise_or.reduce(cols, axis=2, where=m[:, None, :], initial=0)
+    trans_bad = np.argwhere(np.unpackbits(reach.view(np.uint8), axis=1, count=n) > m)
     if trans_bad.size == 0:
         transitive = AxiomCheck(True)
     else:

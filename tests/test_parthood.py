@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +195,44 @@ def test_transitivity_with_256_intermediates(monkeypatch):
     monkeypatch.setattr(parthood, "relation_matrix", lambda kind, model, cap: (range(258), m))
     report = analyze(ParthoodKind.LATERAL, None)
     assert report.transitive == AxiomCheck(False, (0, 1, 257))
+
+
+
+def test_transitivity_witness_on_random_relations(monkeypatch):
+    # Sizes on both sides of 8- and 64-bit word boundaries, and transposed
+    # (non-contiguous) matrices; the first failing (i, k) in row-major
+    # order comes from an integer path count.
+    rng = np.random.default_rng(89)
+    for n in (1, 2, 7, 8, 9, 63, 64, 65, 100, 128, 129, 150):
+        for density in (0.02, 0.1, 0.5):
+            m = rng.random((n, n)) < density
+            for rel in (m, m.T, m | (m.astype(int) @ m.astype(int) > 0)):
+                counts = rel.astype(int) @ rel.astype(int)
+                bad = np.argwhere((counts > 0) & ~rel)
+                monkeypatch.setattr(
+                    parthood, "relation_matrix", lambda kind, model, cap: (range(n), rel)
+                )
+                report = analyze(ParthoodKind.LATERAL, None)
+                if bad.size == 0:
+                    assert report.transitive == AxiomCheck(True)
+                else:
+                    i, k = (int(v) for v in bad[0])
+                    j = int(np.flatnonzero(rel[i] & rel[:, k])[0])
+                    assert report.transitive == AxiomCheck(False, (i, j, k))
+
+
+def test_analyze_runs_on_one_thread(monkeypatch):
+    # A multithreaded BLAS product leaves its worker threads spinning after
+    # it returns, so the process would use more CPU time than wall time.
+    m = np.random.default_rng(5).random((512, 512)) < 0.3
+    m |= np.eye(512, dtype=bool)
+    monkeypatch.setattr(parthood, "relation_matrix", lambda kind, model, cap: (range(512), m))
+    analyze(ParthoodKind.LATERAL, None)
+    cpu0, wall0 = sum(os.times()[:2]), time.perf_counter()
+    while time.perf_counter() - wall0 < 0.3:
+        analyze(ParthoodKind.LATERAL, None)
+    cpu, wall = sum(os.times()[:2]) - cpu0, time.perf_counter() - wall0
+    assert cpu < 1.4 * wall
 
 
 @settings(max_examples=15, deadline=None)
