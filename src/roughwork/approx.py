@@ -5,7 +5,8 @@ integer arithmetic.  An approximation space pairs a universe with a
 partition into blocks; single lower and upper approximations are block
 scans.  ``bound_masks`` computes the approximations of every mask at once,
 with the rough-class index of each mask and the bounds of each class; it
-is the one place the classes of a space are worked out.
+is the one place the classes of a space are worked out.  A space keeps
+it as ``space.masks``, which every other module reads.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ class ApproxTriple(tuple):
 class ApproximationSpace:
     """A universe partitioned into blocks by an equivalence relation."""
 
-    __slots__ = ("universe", "blocks", "_block_of_atom")
+    __slots__ = ("universe", "blocks", "_block_of_atom", "_masks")
 
     def __init__(self, universe: Universe, blocks: Sequence[Subset]):
         seen = 0
@@ -270,6 +271,14 @@ class ApproximationSpace:
             for name in block:
                 lookup[name] = block
         self._block_of_atom = lookup
+        self._masks = None
+
+    @property
+    def masks(self) -> BoundMasks:
+        """The space's ``bound_masks``, computed on first use and kept."""
+        if self._masks is None:
+            self._masks = bound_masks(self)
+        return self._masks
 
     @classmethod
     def from_partition(
@@ -335,9 +344,6 @@ class ApproximationSpace:
     def boundary(self, x: Subset) -> Subset:
         return self.upper(x).difference(self.lower(x))
 
-    def is_definite(self, x: Subset) -> bool:
-        return self.lower(x) == x and self.upper(x) == x
-
     def definiteness(self, x: Subset) -> dict[str, bool]:
         self._check(x)
         lower_def = self.lower(x) == x
@@ -368,7 +374,11 @@ class ApproximationSpace:
         The class of the empty set is prepended on request; it is the zero
         of the quotient order and is never roughly equal to a nonempty set.
         """
-        classes = bound_masks(self).classes(self)
+        u, bm = self.universe, self.masks
+        classes = [
+            RoughClass(self, Subset(u, lo), Subset(u, up))
+            for lo, up in zip(bm.class_lower.tolist(), bm.class_upper.tolist())
+        ]
         return classes if include_empty else classes[1:]
 
     def __eq__(self, other: object) -> bool:
@@ -389,70 +399,52 @@ class ApproximationSpace:
 class RoughClass:
     """All subsets sharing one (lower, upper) approximation pair.
 
-    Stored by its bounds; members are enumerated on demand.  The boundary
-    of a realizable pair never contains a singleton block: such a block
-    would be forced into the lower approximation of any member.
+    Stored by its bounds, checked by ``space.masks``; members are enumerated
+    on demand.  The boundary of a realizable pair never contains a singleton
+    block: such a block would be forced into the lower approximation of any
+    member.
     """
 
-    __slots__ = ("space", "lower", "upper", "_boundary_blocks")
+    __slots__ = ("space", "lower", "upper")
 
     def __init__(self, space: ApproximationSpace, lower: Subset, upper: Subset):
-        if not lower <= upper:
-            raise ValueError(f"bounds out of order: {lower} vs {upper}")
-        if space.lower(lower) != lower or space.upper(upper) != upper:
-            raise ValueError(f"bounds ({lower}, {upper}) are not definite")
-        boundary = upper - lower
-        blocks = tuple(b for b in space.blocks if b.mask & boundary.mask)
-        covered = 0
-        for b in blocks:
-            assert b <= boundary
-            if b.size < 2:
-                raise ValueError(
-                    f"boundary of ({lower}, {upper}) holds singleton block {b}"
-                )
-            covered |= b.mask
-        assert covered == boundary.mask
+        space._check(lower)
+        space._check(upper)
+        space.masks.class_index(lower.mask, upper.mask)
         self.space = space
         self.lower = lower
         self.upper = upper
-        self._boundary_blocks = blocks
+
+    def _boundary_blocks(self) -> list[Subset]:
+        boundary = self.upper.mask & ~self.lower.mask
+        return [b for b in self.space.blocks if b.mask & boundary]
 
     def contains(self, x: Subset) -> bool:
-        return (
-            self.space.lower(x) == self.lower and self.space.upper(x) == self.upper
-        )
+        self.space._check(x)
+        bm, m = self.space.masks, x.mask
+        return bool(bm.lower[m] == self.lower.mask and bm.upper[m] == self.upper.mask)
 
     def member_count(self) -> int:
         n = 1
-        for block in self._boundary_blocks:
+        for block in self._boundary_blocks():
             n *= (1 << block.size) - 2
         return n
 
     def members(self) -> Iterator[Subset]:
         """Every member: lower plus a nonempty proper slice of each boundary block."""
-        universe = self.space.universe
         per_block = []
-        for block in self._boundary_blocks:
-            bits = [1 << universe.index(name) for name in block]
-            slices = []
-            for mask in range(1, 1 << len(bits)):
-                if mask == (1 << len(bits)) - 1:
-                    continue
-                slices.append(sum(bit for i, bit in enumerate(bits) if mask >> i & 1))
-            per_block.append(slices)
+        for block in self._boundary_blocks():
+            slices, s = [], block.mask
+            while s := (s - 1) & block.mask:
+                slices.append(s)
+            per_block.append(slices[::-1])
         for choice in product(*per_block):
-            yield Subset(universe, self.lower.mask | sum(choice))
+            yield Subset(self.space.universe, self.lower.mask | sum(choice))
 
     def sample_member(self) -> Subset:
         """The member with the smallest canonical index."""
-        mask = self.lower.mask
-        for block in self._boundary_blocks:
-            mask |= block.mask & -block.mask
-        return Subset(self.space.universe, mask)
-
-    @property
-    def is_definite_class(self) -> bool:
-        return self.lower == self.upper
+        lower, boundary = self.lower.mask, self.upper.mask & ~self.lower.mask
+        return Subset(self.space.universe, lower | self.space.masks.lowbits & boundary)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -485,20 +477,13 @@ class BoundMasks(NamedTuple):
     def class_index(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """Index of the class with bounds (lower, upper), cellwise.
 
-        Raises ValueError unless every pair is the bounds of a class: the
-        realizability check that building one RoughClass per cell makes.
+        Raises ValueError unless every pair is the bounds of a class: the one
+        realizability check, which ``RoughClass`` makes on one pair of ints.
         """
         mask = lower | (self.lowbits & upper & ~lower)
         if (self.lower[mask] != lower).any() or (self.upper[mask] != upper).any():
             raise ValueError("bounds that no rough class has")
         return self.class_id[mask]
-
-    def classes(self, space: ApproximationSpace) -> list[RoughClass]:
-        u = space.universe
-        return [
-            RoughClass(space, Subset(u, lo), Subset(u, up))
-            for lo, up in zip(self.class_lower.tolist(), self.class_upper.tolist())
-        ]
 
 
 def bound_masks(space: ApproximationSpace) -> BoundMasks:

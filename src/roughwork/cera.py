@@ -5,8 +5,8 @@ rough class of the space, the class of the empty set included (type 2).
 Operations dispatch on the tags; a mixed application collapses the class
 argument through its members and lands back in a class.  The element
 methods answer single queries on objects; ``CeraModel.tables`` gives the
-operations over the whole carrier as index arrays, from the quotient's
-``BoundMasks``, for the identity suite and the parthood matrices.
+operations over the whole carrier as index arrays, from ``space.masks``,
+for the identity suite and the parthood matrices.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class CeraModel:
         Entries are carrier indices: subset ``m`` is element ``m`` and
         class ``c`` is element ``2^n + c``.
         """
-        bm = self.quotient.masks
+        bm = self.space.masks
         size = len(bm.lower)
         lo, up = bm.class_lower, bm.class_upper
         dtype = np.min_scalar_type(size + len(lo) - 1)
@@ -230,7 +230,7 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
 
     plus, times, low, dia, neg = model.tables()
     bot_i, top_i = 0, len(t1) - 1
-    zero_i, one_i = len(t1), len(t1) + int(model.quotient.masks.class_id[-1])
+    zero_i, one_i = len(t1), len(t1) + int(model.space.masks.class_id[-1])
 
     els_arr = np.empty(n, dtype=object)
     els_arr[:] = els

@@ -1,10 +1,11 @@
 """Dialectical pair carrier built over the mixed algebra.
 
 K holds every subset twinned with its rough class, in both component
-orders; membership is read off the space's ``BoundMasks``, so no query
-builds K.  The binary operations are partial: a componentwise value only
-counts when the pair lands back in K, and mixed-orientation cases are
-gated by an explicit side condition that is checked first.
+orders; membership asks the class whether it holds the subset, which
+reads ``space.masks``, so no query builds K or the quotient carrier.
+The binary operations are partial: a componentwise value only counts
+when the pair lands back in K, and mixed-orientation cases are gated by
+an explicit side condition that is checked first.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class CradModel:
         """K: first_pair(x) for every subset x in mask order, then second_pair(x)."""
         subsets = [MixedElement.type1(x) for x in self.cera.space.universe.subsets()]
         classes = [MixedElement.type2(c) for c in self.cera.quotient.carrier]
-        of = [classes[c] for c in self.cera.quotient.masks.class_id.tolist()]
+        of = [classes[c] for c in self.cera.space.masks.class_id.tolist()]
         return tuple(
             [DialecticalPair(x, c) for x, c in zip(subsets, of)]
             + [DialecticalPair(c, x) for x, c in zip(subsets, of)]
@@ -77,10 +78,10 @@ class CradModel:
         if a.is_type1 == b.is_type1:
             return False
         x, c = (a.payload, b.payload) if a.is_type1 else (b.payload, a.payload)
-        space, bm = self.cera.space, self.cera.quotient.masks
+        space = self.cera.space
         if x.universe != space.universe or c.space != space:
             return False
-        return bool(bm.lower[x.mask] == c.lower.mask and bm.upper[x.mask] == c.upper.mask)
+        return c.contains(x)
 
     def _require(self, *pairs: DialecticalPair) -> None:
         for p in pairs:

@@ -27,7 +27,6 @@ from roughwork.approx import (
     Subset,
     Universe,
     UniverseMismatchError,
-    bound_masks,
 )
 
 SEARCH_CANDIDATE_CAP = 10**7
@@ -213,7 +212,7 @@ class GranularModel:
 
 def from_space(space: ApproximationSpace) -> GranularModel:
     """The space's blocks as granules, its approximations as the tables."""
-    universe, bm = space.universe, bound_masks(space)
+    universe, bm = space.universe, space.masks
     return GranularModel(
         universe=universe,
         granules=tuple(space.blocks),

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset, bound_masks
+from roughwork.approx import ApproximationSpace, RoughClass, Subset
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel, DialecticalPair
 from roughwork.granular import AxiomCheck, GranularModel, _mask_tables, first_violation
@@ -145,32 +146,39 @@ def holds(kind: ParthoodKind, model, a, b) -> bool:
     return model.natural_parthood(a, b)
 
 
-def carrier_elements(kind: ParthoodKind, model) -> list:
-    """The carrier the kind quantifies over, in deterministic order."""
+def _carrier(kind: ParthoodKind, model) -> tuple[int, Callable[[], list]]:
+    """The size of the carrier the kind quantifies over, and how to list it."""
     if kind in SUBSET_KINDS:
         if kind is ParthoodKind.G_SIMPLE and not isinstance(model, GranularModel):
             raise TypeError("g-simple parthood needs a granular model")
         if isinstance(model, (GranularModel, ApproximationSpace)):
-            return list(model.universe.subsets())
+            return 1 << model.universe.size, lambda: list(model.universe.subsets())
         raise TypeError(f"no subset carrier on {model!r}")
     if kind in MIXED_KINDS:
         if not isinstance(model, CeraModel):
             raise TypeError(f"{kind.value} parthood needs the mixed algebra")
-        return model.elements()
+        classes = len(model.space.masks.class_lower)
+        return (1 << model.space.universe.size) + classes, model.elements
     if not isinstance(model, CradModel):
         raise TypeError("natural parthood needs the dialectical pair model")
-    return list(model.carrier)
+    return 2 << model.cera.space.universe.size, lambda: list(model.carrier)
+
+
+def carrier_elements(kind: ParthoodKind, model) -> list:
+    """The carrier the kind quantifies over, in deterministic order."""
+    return _carrier(kind, model)[1]()
 
 
 def relation_matrix(
     kind: ParthoodKind, model, cap: int = MATRIX_CAP
 ) -> tuple[list, np.ndarray]:
     """The carrier of the kind and its relation as a boolean matrix."""
-    elements = carrier_elements(kind, model)
-    if len(elements) > cap:
+    size, listing = _carrier(kind, model)
+    if size > cap:
         raise CarrierCapExceededError(
-            f"carrier of size {len(elements)} exceeds the matrix cap {cap}"
+            f"carrier of size {size} exceeds the matrix cap {cap}"
         )
+    elements = listing()
     if kind is ParthoodKind.G_SIMPLE:
         granules = np.array([g.mask for g in model.granules])[:, None]
         codes = np.packbits(granules & ~np.arange(len(elements)) == 0, axis=0)
@@ -179,7 +187,7 @@ def relation_matrix(
         if isinstance(model, GranularModel):
             _, lower, upper = _mask_tables(model.universe, model.lower_op, model.upper_op)
         else:
-            lower, upper = bound_masks(model)[:2]
+            lower, upper = model.masks[:2]
         condition = _BOUND_CONDITIONS[kind]
         return elements, condition(lower[:, None], upper[:, None], lower, upper)
     r = np.arange(len(elements))
@@ -190,7 +198,7 @@ def relation_matrix(
     # Element i < 2^n holds subset i; element 2^n + j holds class j in the
     # mixed carrier, and the class-first pair on subset j in K.
     quotient = model.quotient if kind in MIXED_KINDS else model.cera.quotient
-    class_id = quotient.masks.class_id
+    class_id = quotient.space.masks.class_id
     j = r[len(class_id):] - len(class_id)
     classes = np.concatenate([class_id, j if kind in MIXED_KINDS else class_id[j]])
     return elements, quotient.leq_matrix()[classes][:, classes]

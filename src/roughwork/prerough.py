@@ -3,22 +3,23 @@
 Two layers: the concrete quotient algebra a space induces on its rough
 classes, and exhaustive axiom checkers for arbitrary finite candidate
 structures given by operation tables.  A single quotient operation builds
-a fresh RoughClass, so realizability (definite bounds, no singleton block
-stranded in a boundary) is re-asserted on each result.  Whole tables are
-index expressions over the algebra's ``BoundMasks``, whose lookup by
-bounds makes the same check on every cell at once.
+one fresh RoughClass, whose bounds are checked by one lookup in
+``space.masks``; the carrier of all classes is listed only when asked
+for.  Whole tables are index expressions over the same ``space.masks``,
+whose lookup by bounds makes that check on every cell at once.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset, bound_masks
+from roughwork.approx import ApproximationSpace, RoughClass, Subset
 from roughwork.granular import AxiomReport, sweep_laws
 
 
@@ -27,10 +28,12 @@ class QuotientAlgebra:
 
     def __init__(self, space: ApproximationSpace):
         self.space = space
-        self.masks = bound_masks(space)
-        self.carrier = tuple(self.masks.classes(space))
-        self.zero = self.carrier[0]
-        self.one = self.carrier[self.masks.class_id[-1]]
+        self.zero = self._cls(space.universe.empty, space.universe.empty)
+        self.one = self._cls(space.universe.full, space.universe.full)
+
+    @cached_property
+    def carrier(self) -> tuple[RoughClass, ...]:
+        return tuple(self.space.rough_classes(include_empty=True))
 
     def _cls(self, lower: Subset, upper: Subset) -> RoughClass:
         return RoughClass(self.space, lower, upper)
@@ -48,9 +51,8 @@ class QuotientAlgebra:
         return self._cls(a.lower, a.lower)
 
     def possibility(self, a: RoughClass) -> RoughClass:
-        out = self.neg(self.necessity(self.neg(a)))
-        assert (out.lower, out.upper) == (a.upper, a.upper)
-        return out
+        """¬L¬a, worked out on the bounds: the definite class of Ua."""
+        return self._cls(a.upper, a.upper)
 
     def implies(self, a: RoughClass, b: RoughClass) -> RoughClass:
         """(¬La ⊔ Lb) ⊓ (L¬a ⊔ ¬L¬b), worked out on the bounds: every operand is
@@ -63,13 +65,14 @@ class QuotientAlgebra:
 
     def leq_matrix(self) -> np.ndarray:
         """leq over the carrier, as a boolean matrix in carrier order."""
-        lo, up = self.masks.class_lower, self.masks.class_upper
+        lo, up = self.space.masks.class_lower, self.space.masks.class_upper
         return (lo[:, None] & ~lo == 0) & (up[:, None] & ~up == 0)
 
     def to_candidate(self) -> FiniteAlgebraCandidate:
-        index = self.masks.class_index
-        lo, up = self.masks.class_lower, self.masks.class_upper
-        full = len(self.masks.lower) - 1
+        bm = self.space.masks
+        index = bm.class_index
+        lo, up = bm.class_lower, bm.class_upper
+        full = len(bm.lower) - 1
         return FiniteAlgebraCandidate(
             carrier=self.carrier,
             meet=index(lo[:, None] & lo, up[:, None] & up).tolist(),
@@ -77,7 +80,7 @@ class QuotientAlgebra:
             neg=index(full ^ up, full ^ lo).tolist(),
             necessity=index(lo, lo).tolist(),
             zero=0,
-            one=int(self.masks.class_id[full]),
+            one=int(bm.class_id[full]),
         )
 
     def is_antichain(self, family: Sequence[RoughClass]) -> bool:

@@ -18,8 +18,10 @@ the bound kinds on ``Subset`` operations, and the maximal antichains of
 the quotient order.
 
 And so are the bounded poset that stored its order, meet and join as
-lists of lists, filled by one scan per cell, and the quotient
-implication composed from five other quotient operations.
+lists of lists, filled by one scan per cell, the quotient implication
+composed from five other quotient operations, the quotient possibility
+composed as ¬L¬a, and the block scans that decided whether a pair of
+bounds is realizable before ``RoughClass`` read ``space.masks``.
 
 And the pair carrier K as ``CradModel`` built it on construction, whole
 and as a frozenset, with membership a set lookup.
@@ -604,6 +606,30 @@ def implies(q: QuotientAlgebra, a: RoughClass, b: RoughClass) -> RoughClass:
     return q.meet(left, right)
 
 
+def possibility(q: QuotientAlgebra, a: RoughClass) -> RoughClass:
+    """``QuotientAlgebra.possibility`` composed as ¬L¬a."""
+    return q.neg(q.necessity(q.neg(a)))
+
+
+def realizable(space: ApproximationSpace, lower: Subset, upper: Subset) -> bool:
+    """Whether (lower, upper) bound a rough class, by the block scans that
+    ``RoughClass`` made before it read ``space.masks``: the bounds are
+    ordered and definite, and every block the boundary meets lies inside
+    it and has at least two atoms."""
+    if not lower <= upper:
+        return False
+    if space.lower(lower) != lower or space.upper(upper) != upper:
+        return False
+    boundary = upper - lower
+    blocks = [b for b in space.blocks if b.mask & boundary.mask]
+    covered = 0
+    for b in blocks:
+        if not b <= boundary or b.size < 2:
+            return False
+        covered |= b.mask
+    return covered == boundary.mask
+
+
 def rough_classes(space: ApproximationSpace, include_empty: bool = False) -> list[RoughClass]:
     """Classes of nonempty subsets, by scanning every mask, ordered by smallest member."""
     seen: dict[tuple[int, int], None] = {}
@@ -723,7 +749,7 @@ def crad_members(model: CradModel) -> tuple[tuple[DialecticalPair, ...], frozens
     cera = model.cera
     subsets = [MixedElement.type1(x) for x in cera.space.universe.subsets()]
     classes = [MixedElement.type2(c) for c in cera.quotient.carrier]
-    of = [classes[c] for c in cera.quotient.masks.class_id.tolist()]
+    of = [classes[c] for c in cera.space.masks.class_id.tolist()]
     carrier = tuple(
         [DialecticalPair(x, c) for x, c in zip(subsets, of)]
         + [DialecticalPair(c, x) for x, c in zip(subsets, of)]

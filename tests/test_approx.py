@@ -6,6 +6,10 @@ of the block-scan implementation under test.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -132,6 +136,32 @@ def test_rough_class_rejects_singleton_boundary(example_space):
     u = example_space.universe
     with pytest.raises(ValueError):
         RoughClass(example_space, u.empty, u.parse("q"))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_rough_class_rejects_bounds_over_a_foreign_universe(flags):
+    """The kernel sees only masks, so the universe check must survive -O."""
+    code = (
+        "from roughwork import ApproximationSpace, RoughClass, Universe, UniverseMismatchError\n"
+        "space = ApproximationSpace.from_partition('ab', [['a', 'b']])\n"
+        "u, other = space.universe, Universe(['x', 'y'])\n"
+        "for make in (\n"
+        "    lambda: RoughClass(space, other.empty, u.full),\n"
+        "    lambda: RoughClass(space, u.empty, other.full),\n"
+        "    lambda: RoughClass(space, other.empty, other.full),\n"
+        "    lambda: RoughClass(space, u.empty, u.full).contains(other.full),\n"
+        "):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except UniverseMismatchError as exc:\n"
+        "        print('rejected:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout.splitlines()
+    assert len(out) == 4 and all(line.startswith("rejected: ") for line in out)
 
 
 def test_definiteness(example_space):

@@ -215,7 +215,8 @@ def test_random_spaces_closure(space):
 
 
 def test_queries_never_enumerate_the_subsets(ten_atom_model, monkeypatch):
-    """Loading a model and answering pair queries reads the bound masks only."""
+    """Loading a model and answering pair queries reads the bound masks only,
+    and builds neither K nor the quotient carrier."""
 
     def refuse(self):
         raise AssertionError("a single query enumerated every subset")
@@ -229,3 +230,4 @@ def test_queries_never_enumerate_the_subsets(ten_atom_model, monkeypatch):
     assert model.times(p, q) == p
     assert model.natural_parthood(p, q)
     assert "carrier" not in model.__dict__
+    assert "carrier" not in model.cera.quotient.__dict__

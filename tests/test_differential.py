@@ -12,8 +12,11 @@ matrices, maximal antichains) must equal the object fill it replaced;
 the g-simple matrix also on granules that overlap, leave atoms uncovered
 or stand alone.
 The matrix-derived bounded poset must equal the per-cell scan poset
-(order, meet and join tables, bounds, flags and error), and the quotient
-implication the composition of five quotient operations.  Pair
+(order, meet and join tables, bounds, flags and error), the quotient
+implication the composition of five quotient operations, and the quotient
+possibility ¬L¬a.  ``RoughClass`` must accept exactly the bounds the
+block scans accepted, on every pair of masks, and its members must be
+exactly the subsets with its bounds.  Pair
 membership read off the bound masks must answer as the frozenset of K
 did, on K and on pairs outside it, with the same carrier and the same
 results and errors from every pair operation.  The default operator
@@ -32,7 +35,7 @@ import numpy as np
 import pytest
 
 import scan_oracles as oracle
-from roughwork import ApproximationSpace, Subset, Universe, granular, parthood
+from roughwork import ApproximationSpace, RoughClass, Subset, Universe, granular, parthood
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.cli import _quotient_poset
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
@@ -496,8 +499,35 @@ def test_implies_matches_the_composed_form_on_every_class_pair():
     for space in SPACES:
         q = quotient_algebra(space)
         for a in q.carrier:
+            assert q.possibility(a) == oracle.possibility(q, a)
             for b in q.carrier:
                 assert q.implies(a, b) == oracle.implies(q, a, b)
+
+
+def test_kernel_realizability_and_membership_match_the_block_scans():
+    """RoughClass accepts exactly the bounds the block scans accepted, on
+    every (lower, upper) pair of every space, and each class it accepts
+    holds exactly the subsets with those bounds."""
+    pairs = accepted = 0
+    for space in SPACES:
+        subsets = list(space.universe.subsets())
+        bounds = [(space.lower(x), space.upper(x)) for x in subsets]
+        for lower in subsets:
+            for upper in subsets:
+                pairs += 1
+                try:
+                    c = RoughClass(space, lower, upper)
+                except ValueError as exc:
+                    assert type(exc) is ValueError
+                    assert not oracle.realizable(space, lower, upper)
+                    continue
+                assert oracle.realizable(space, lower, upper)
+                accepted += 1
+                for x, b in zip(subsets, bounds):
+                    got = c.contains(x)
+                    assert type(got) is bool and got == (b == (lower, upper))
+    assert pairs == 57444
+    assert accepted == sum(len(space.rough_classes(True)) for space in SPACES)
 
 
 # A reflexive, transitive size order that is not antisymmetric, and an

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from roughwork import parthood
+from roughwork import ApproximationSpace, Universe, approx, parthood
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel
 from roughwork.granular import AxiomCheck, from_space
+from roughwork.model_io import load_model
 from roughwork.parthood import (
     CarrierCapExceededError,
     ParthoodKind,
@@ -141,6 +142,53 @@ def test_matrix_shape_and_empty_row(example_space):
 def test_matrix_cap(example_space):
     with pytest.raises(CarrierCapExceededError):
         relation_matrix(ParthoodKind.CAUTIOUS, example_space, cap=10)
+
+
+def test_matrix_cap_is_checked_before_the_carrier_is_built(monkeypatch):
+    atoms = "abcdefghijklmnop"
+    space = ApproximationSpace.from_partition(atoms, [atoms[i : i + 2] for i in range(0, 16, 2)])
+    cera = CeraModel(space)
+    crad = CradModel(cera)
+
+    def refuse(self):
+        raise AssertionError("the cap check enumerated every subset")
+
+    monkeypatch.setattr(Universe, "subsets", refuse)
+    with pytest.raises(TypeError):
+        relation_matrix(ParthoodKind.NATURAL_CRAD, space, cap=0)
+    for kind, model, size in (
+        (ParthoodKind.CAUTIOUS, space, 1 << 16),
+        (ParthoodKind.ADDITIVE, cera, (1 << 16) + 3**8),
+        (ParthoodKind.NATURAL_CRAD, crad, 2 << 16),
+    ):
+        with pytest.raises(CarrierCapExceededError, match=f"^carrier of size {size} exceeds"):
+            relation_matrix(kind, model)
+    assert "carrier" not in crad.__dict__
+    assert "carrier" not in cera.quotient.__dict__
+
+
+def test_one_kernel_per_space(ten_atom_model, monkeypatch):
+    """Loading, the mixed and pair models, the class listing and the
+    matrices of every carrier all read the one ``space.masks``."""
+    calls = []
+    kernel = approx.bound_masks
+
+    def counted(space):
+        calls.append(space)
+        return kernel(space)
+
+    monkeypatch.setattr(approx, "bound_masks", counted)
+    space = load_model(ten_atom_model).space
+    cera = CeraModel(space)
+    crad = CradModel(cera)
+    space.rough_classes()
+    for kind, model in (
+        (ParthoodKind.CAUTIOUS, space),
+        (ParthoodKind.ROUGHLY_CONSISTENT, cera),
+        (ParthoodKind.NATURAL_CRAD, crad),
+    ):
+        relation_matrix(kind, model, cap=4096)
+    assert calls == [space]
 
 
 def test_analyze_very_cautious(example_space):
