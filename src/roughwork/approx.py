@@ -156,7 +156,7 @@ class Subset:
         return Subset(self.universe, self.mask & ~other.mask)
 
     def complement(self) -> Subset:
-        return Subset(self.universe, self.mask ^ self.universe.full.mask)
+        return Subset(self.universe, self.mask ^ ((1 << self.universe.size) - 1))
 
     def is_subset_of(self, other: Subset) -> bool:
         self._check(other)
@@ -178,9 +178,13 @@ class Subset:
         return bin(self.mask).count("1")
 
     def atom_names(self) -> tuple[str, ...]:
-        return tuple(
-            name for i, name in enumerate(self.universe.atoms) if self.mask >> i & 1
-        )
+        """The names of the atoms in the subset, by walking its set bits."""
+        atoms, names, rest = self.universe.atoms, [], self.mask
+        while rest:
+            low = rest & -rest
+            names.append(atoms[low.bit_length() - 1])
+            rest ^= low
+        return tuple(names)
 
     # Operator sugar mirroring set algebra.
     __or__ = union
@@ -211,7 +215,7 @@ class Subset:
     def __str__(self) -> str:
         if self.mask == 0:
             return EMPTY_NAME
-        if self.mask == self.universe.full.mask:
+        if self.mask == (1 << self.universe.size) - 1:
             return FULL_NAME
         return "".join(self.atom_names())
 
@@ -248,7 +252,7 @@ class ApproxTriple(tuple):
 class ApproximationSpace:
     """A universe partitioned into blocks by an equivalence relation."""
 
-    __slots__ = ("universe", "blocks", "_block_of_atom", "_masks")
+    __slots__ = ("universe", "blocks", "_masks")
 
     def __init__(self, universe: Universe, blocks: Sequence[Subset]):
         seen = 0
@@ -266,11 +270,6 @@ class ApproximationSpace:
         ordered = tuple(sorted(blocks, key=lambda b: b.mask & -b.mask))
         self.universe = universe
         self.blocks = ordered
-        lookup = {}
-        for block in ordered:
-            for name in block:
-                lookup[name] = block
-        self._block_of_atom = lookup
         self._masks = None
 
     @property
@@ -316,10 +315,8 @@ class ApproximationSpace:
         return cls.from_partition(atoms, [[a] for a in atoms])
 
     def block_of(self, atom: str) -> Subset:
-        try:
-            return self._block_of_atom[atom]
-        except KeyError:
-            raise UnknownAtomError(f"unknown atom {atom!r}") from None
+        bit = 1 << self.universe.index(atom)
+        return next(block for block in self.blocks if block.mask & bit)
 
     def _check(self, x: Subset) -> None:
         if x.universe != self.universe:

@@ -2,16 +2,18 @@
 
 The carrier joins every plain subset of the universe (type 1) with every
 rough class of the space, the class of the empty set included (type 2).
-Operations dispatch on the tags; a mixed application collapses the class
-argument through its members and lands back in a class.  The element
-methods answer single queries on objects; ``CeraModel.tables`` gives the
-operations over the whole carrier as index arrays, from ``space.masks``,
-for the identity suite and the parthood matrices.
+The binary operations share one tag dispatch: a mixed application
+collapses the class argument through its members and lands back in a
+class.  The element methods answer single queries on objects;
+``CeraModel.tables`` gives the operations over the whole carrier as index
+arrays, from ``space.masks``, for the identity suite and the parthood
+matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import and_, or_
 
 import numpy as np
 
@@ -130,9 +132,6 @@ class CeraModel:
             unary(full ^ subsets, full ^ up, full ^ lo),
         )
 
-    # Mixed cases below use two collapses: the union of the members of a
-    # class is its upper bound, their intersection is its lower bound.
-
     def frak_l(self, x: MixedElement) -> MixedElement:
         if x.is_type1:
             return MixedElement.type1(self.space.lower(x.payload))
@@ -143,41 +142,41 @@ class CeraModel:
             return MixedElement.type1(self.space.upper(x.payload))
         return MixedElement.type2(self.quotient.possibility(x.payload))
 
+    def _binary(
+        self, x, y, on_subsets, left, right, on_classes, lift=MixedElement.type1
+    ) -> MixedElement:
+        """The one rule of every binary operation.
+
+        Two subsets combine by ``on_subsets`` and ``lift`` tags the result;
+        two classes combine by ``on_classes``.  In a mixed case the class
+        argument enters as the collapse of its members that ``left`` or
+        ``right`` names: their union is its ``upper`` bound, their
+        intersection its ``lower`` bound.  The result lands in a class.
+        """
+        if x.is_type1 and y.is_type1:
+            return lift(on_subsets(x.payload, y.payload))
+        if x.is_type2 and y.is_type2:
+            return MixedElement.type2(on_classes(x.payload, y.payload))
+        a = getattr(x.payload, left) if x.is_type2 else x.payload
+        b = getattr(y.payload, right) if y.is_type2 else y.payload
+        return self.class_of(on_subsets(a, b))
+
     def oplus(self, x: MixedElement, y: MixedElement) -> MixedElement:
         """Aggregation; mixed cases aggregate across every member."""
-        if x.is_type1 and y.is_type1:
-            return MixedElement.type1(x.payload | y.payload)
-        if x.is_type1:
-            return self.class_of(x.payload | y.payload.upper)
-        if y.is_type1:
-            return self.class_of(x.payload.upper | y.payload)
-        return MixedElement.type2(self.quotient.join(x.payload, y.payload))
+        return self._binary(x, y, or_, "upper", "upper", self.quotient.join)
 
     def odot(self, x: MixedElement, y: MixedElement) -> MixedElement:
         """Commonality; mixed cases keep what is common to every member."""
-        if x.is_type1 and y.is_type1:
-            return MixedElement.type1(x.payload & y.payload)
-        if x.is_type1:
-            return self.class_of(x.payload & y.payload.lower)
-        if y.is_type1:
-            return self.class_of(x.payload.lower & y.payload)
-        return MixedElement.type2(self.quotient.meet(x.payload, y.payload))
+        return self._binary(x, y, and_, "lower", "lower", self.quotient.meet)
 
     def circ(self, x: MixedElement, y: MixedElement) -> MixedElement:
         """Relaxed commonality; mixed cases meet the union of members."""
-        if x.is_type1 and y.is_type1:
-            return MixedElement.type1(x.payload & y.payload)
-        if x.is_type1:
-            return self.class_of(x.payload & y.payload.upper)
-        if y.is_type1:
-            return self.class_of(x.payload.upper & y.payload)
-        return MixedElement.type2(self.quotient.meet(x.payload, y.payload))
+        return self._binary(x, y, and_, "upper", "upper", self.quotient.meet)
 
     def commonality(self, x: MixedElement, y: MixedElement) -> MixedElement:
         """The commonality slot of this model (relaxed when soft)."""
-        if self.soft:
-            return self.circ(x, y)
-        return self.odot(x, y)
+        collapse = "upper" if self.soft else "lower"
+        return self._binary(x, y, and_, collapse, collapse, self.quotient.meet)
 
     def sim_neg(self, x: MixedElement) -> MixedElement:
         if x.is_type1:
@@ -193,20 +192,18 @@ class CeraModel:
         return MixedElement.type2(self.quotient.neg(x.payload))
 
     def rightsquig(self, x: MixedElement, y: MixedElement) -> MixedElement:
-        if x.is_type1 and y.is_type1:
-            return MixedElement.type1(x.payload | y.payload.complement())
-        if x.is_type1:
-            # union over members z of (x + z complement) = x + lower complement
-            return self.class_of(x.payload | y.payload.lower.complement())
-        if y.is_type1:
-            return self.class_of(x.payload.upper | y.payload.complement())
-        return MixedElement.type2(self.quotient.implies(x.payload, y.payload))
+        # union over members z of (x + z complement) = x + lower complement
+        return self._binary(x, y, _or_not, "upper", "lower", self.quotient.implies)
 
     def two_head(self, x: MixedElement, y: MixedElement) -> MixedElement:
         """As the squiggly arrow, but the all-subset case lands in a class."""
-        if x.is_type1 and y.is_type1:
-            return self.class_of(x.payload | y.payload.complement())
-        return self.rightsquig(x, y)
+        return self._binary(
+            x, y, _or_not, "upper", "lower", self.quotient.implies, self.class_of
+        )
+
+
+def _or_not(x: Subset, y: Subset) -> Subset:
+    return x | y.complement()
 
 
 def check_cera_identities(model: CeraModel) -> AxiomReport:

@@ -2,7 +2,9 @@
 
 Every subcommand renders one report, as text lines, CSV rows, or a JSON
 object. Exit codes: 0 success, 1 undefined partial operation, 2 bad
-syntax or arguments, 3 model file problems, 4 search cap exceeded.
+syntax or arguments, 3 model file problems, 4 search cap exceeded.  A
+reader that closes stdout early (``| head``) ends the report quietly,
+with exit 0.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +32,7 @@ from roughwork.granular import (
 from roughwork.model_io import ModelFormatError, default_model_path, load_model
 from roughwork.negation import (
     CLAIM_IDS,
+    FALSIFY_DEFAULT_CAP,
     BoundedPoset,
     SearchTooLargeError,
     UnaryOp,
@@ -46,6 +50,7 @@ from roughwork.opposition import (
     tsr_walk,
 )
 from roughwork.parthood import (
+    MATRIX_CAP,
     MIXED_KINDS,
     SUBSET_KINDS,
     CarrierCapExceededError,
@@ -234,7 +239,7 @@ def _cmd_parthood(args) -> Report:
             raise ValueError("usage: parthood analyze <kind>")
         kind = ParthoodKind.from_name(args.rest[0])
         model = _parthood_model(kind, loaded)
-        cap = 1024 if args.cap is None else args.cap
+        cap = MATRIX_CAP if args.cap is None else args.cap
         report = analyze(kind, model, cap=cap)
         rows = _axiom_rows(
             [
@@ -320,7 +325,7 @@ def _cmd_negation(args) -> Report:
         raise ValueError(
             f"unknown claim {claim!r}; expected one of {', '.join(CLAIM_IDS)}"
         )
-    cap = 5 if args.cap is None else args.cap
+    cap = FALSIFY_DEFAULT_CAP if args.cap is None else args.cap
     witness = falsify_theorem(claim, size_cap=cap)
     if witness is None:
         return Report(
@@ -541,7 +546,13 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(report, args.format)
+    try:
+        emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has all it wants.  Point stdout at the null device so
+        # the flush at interpreter exit cannot fail on the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

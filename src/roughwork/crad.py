@@ -88,39 +88,30 @@ class CradModel:
             if not self.contains(p):
                 raise ValueError(f"{p} is not in the carrier")
 
+    def _in_k(self, result: DialecticalPair, noun: str) -> DialecticalPair:
+        """The result, if it lies in K; a partial operation is undefined otherwise."""
+        if not self.contains(result):
+            raise UndefinedResultError(f"componentwise {noun} lies outside the carrier")
+        return result
+
     def _combine(self, p, q, op, symbol: str, noun: str) -> DialecticalPair:
         a, b = p.first, p.second
         c, e = q.first, q.second
         if a.is_type1 == c.is_type1:
-            result = DialecticalPair(op(a, c), op(b, e))
-            if not self.contains(result):
-                raise UndefinedResultError(
-                    f"componentwise {noun} lies outside the carrier"
-                )
-            return result
+            return self._in_k(DialecticalPair(op(a, c), op(b, e)), noun)
         if a.is_type1:
-            gate = op(op(e, a), self.cera.zero)
-            target = op(a, c)
-            if gate != target:
-                raise UndefinedResultError(
-                    f"(e {symbol} a) {symbol} 0 = a {symbol} c fails"
-                )
-            result = DialecticalPair(target, op(e, a))
+            second, target, gate = op(e, a), op(a, c), "(e {0} a) {0} 0 = a {0} c"
         else:
-            gate = op(op(c, b), self.cera.zero)
-            target = op(a, e)
-            if gate != target:
-                raise UndefinedResultError(
-                    f"(c {symbol} b) {symbol} 0 = a {symbol} e fails"
-                )
-            result = DialecticalPair(target, op(c, b))
-        if not self.contains(result):
-            # the aggregation gate already forces membership; the
-            # commonality gate does not, so keep the carrier discipline
-            raise UndefinedResultError(
-                f"componentwise {noun} lies outside the carrier"
-            )
-        return result
+            second, target, gate = op(c, b), op(a, e), "(c {0} b) {0} 0 = a {0} e"
+        if op(second, self.cera.zero) != target:
+            raise UndefinedResultError(f"{gate.format(symbol)} fails")
+        # the aggregation gate already forces membership; the
+        # commonality gate does not, so keep the carrier discipline
+        return self._in_k(DialecticalPair(target, second), noun)
+
+    def _componentwise(self, p: DialecticalPair, op, noun: str) -> DialecticalPair:
+        self._require(p)
+        return self._in_k(DialecticalPair(op(p.first), op(p.second)), noun)
 
     def plus(self, p: DialecticalPair, q: DialecticalPair) -> DialecticalPair:
         self._require(p, q)
@@ -131,26 +122,10 @@ class CradModel:
         return self._combine(p, q, self.cera.commonality, "(.)", "product")
 
     def l_star(self, p: DialecticalPair) -> DialecticalPair:
-        self._require(p)
-        result = DialecticalPair(
-            self.cera.frak_l(p.first), self.cera.frak_l(p.second)
-        )
-        if not self.contains(result):
-            raise UndefinedResultError(
-                "componentwise interior lies outside the carrier"
-            )
-        return result
+        return self._componentwise(p, self.cera.frak_l, "interior")
 
     def sim_star(self, p: DialecticalPair) -> DialecticalPair:
-        self._require(p)
-        result = DialecticalPair(
-            self.cera.sim_neg(p.first), self.cera.sim_neg(p.second)
-        )
-        if not self.contains(result):
-            raise UndefinedResultError(
-                "componentwise negation lies outside the carrier"
-            )
-        return result
+        return self._componentwise(p, self.cera.sim_neg, "negation")
 
     def natural_parthood(self, p: DialecticalPair, q: DialecticalPair) -> bool:
         """Componentwise comparison of the classes of the components.

@@ -414,11 +414,14 @@ def check_admissibility(model: GranularModel) -> AdmissibilityReport:
     u, n = model.universe, model.universe.size
     lo, up = model.lower_op._table, model.upper_op._table
     cover = _cover(n, (g.mask for g in model.granules))
+    # each distinct output is tested once; the cells are then scanned for
+    # the first one that holds an output outside the field
+    outside = {out for out in {*lo, *up} if _separation(n, out) & ~cover}
     unrepresented = (
         (Subset(u, m), Subset(u, out))
         for m in range(1 << n)
         for out in (lo[m], up[m])
-        if _separation(n, out) & ~cover
+        if out in outside
     )
     tests = _GranuleTests(model.parthood, model.lower_op, model.upper_op)
     unstable = ((g, a) for g in model.granules if (a := tests.ls_witness(g)) is not None)

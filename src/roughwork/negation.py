@@ -20,6 +20,7 @@ import numpy as np
 from roughwork.granular import AxiomCheck, AxiomReport, sweep_laws
 
 FALSIFY_SIZE_CAP = 6
+FALSIFY_DEFAULT_CAP = 5
 CLAIM_IDS = (
     "no-index-0-n",
     "n123-bottom-top",
@@ -378,8 +379,13 @@ def _condition_masks(poset: BoundedPoset) -> tuple[np.ndarray, ...]:
     return maps, n1, n2, n3, n9
 
 
+def _total_op(poset: BoundedPoset, row: np.ndarray) -> UnaryOp:
+    """The unary map sending element i to element row[i]."""
+    return UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
+
+
 def falsify_theorem(
-    claim_id: str, size_cap: int = 5
+    claim_id: str, size_cap: int = FALSIFY_DEFAULT_CAP
 ) -> FalsificationWitness | None:
     """Search small distributive lattices for the claim's witness.
 
@@ -400,40 +406,26 @@ def falsify_theorem(
                 # index (0, n) forces a permutation, so only scan those
                 candidates = n1 & n2 & (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
                 for row in maps[candidates]:
-                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
+                    op = _total_op(poset, row)
                     profile = check_negation(poset, op)
                     m, k = profile.index
                     if m == 0 and k > 2:
                         return FalsificationWitness(
                             claim_id, poset, op, f"index (0, {k})"
                         )
-            elif claim_id == "n123-bottom-top":
+                continue
+            if claim_id == "n123-bottom-top":
                 idx = {e: i for i, e in enumerate(poset.elements)}
                 bot, top = idx[poset.bottom], idx[poset.top]
                 bad = (maps[:, bot] != top) | (maps[:, top] != bot)
-                hits = n1 & n2 & n3 & bad
-                if hits.any():
-                    row = maps[np.flatnonzero(hits)[0]]
-                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
-                    return FalsificationWitness(
-                        claim_id, poset, op, "regular yet moves the bounds wrongly"
-                    )
+                hits, note = n1 & n2 & n3 & bad, "regular yet moves the bounds wrongly"
             elif claim_id == "n123-not-n9-witness":
-                hits = n1 & n2 & n3 & ~n9
-                if hits.any():
-                    row = maps[np.flatnonzero(hits)[0]]
-                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
-                    return FalsificationWitness(
-                        claim_id, poset, op, "satisfies N1-N3 but not N9"
-                    )
+                hits, note = n1 & n2 & n3 & ~n9, "satisfies N1-N3 but not N9"
             else:
-                hits = n9 & ~(n1 & n2 & n3)
-                if hits.any():
-                    row = maps[np.flatnonzero(hits)[0]]
-                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
-                    return FalsificationWitness(
-                        claim_id, poset, op, "satisfies N9 but not all of N1-N3"
-                    )
+                hits, note = n9 & ~(n1 & n2 & n3), "satisfies N9 but not all of N1-N3"
+            if hits.any():
+                op = _total_op(poset, maps[np.flatnonzero(hits)[0]])
+                return FalsificationWitness(claim_id, poset, op, note)
     return None
 
 

@@ -187,25 +187,18 @@ class ReferenceTable:
     label: str
 
 
-def _resolution(left, right, entries, label) -> ReferenceTable:
-    patterns = (("T", "T"), ("T", "F"), ("F", "T"), ("F", "F"))
-    rows = tuple((a, b, e) for (a, b), e in zip(patterns, entries))
-    return ReferenceTable(
-        name=f"{left}/{right} resolution",
-        kind="resolution",
-        left=left,
-        right=right,
-        rows=rows,
-        label=label,
-    )
+# The value patterns each kind of table has a row for, in row order.
+_PATTERNS = {
+    "resolution": (("T", "T"), ("T", "F"), ("F", "T"), ("F", "F")),
+    "simultaneity": (("T", "T"), ("F", "F")),
+}
 
 
-def _simultaneity(left, right, entries, label) -> ReferenceTable:
-    patterns = (("T", "T"), ("F", "F"))
-    rows = tuple((a, b, e) for (a, b), e in zip(patterns, entries))
+def _table(kind, left, right, entries, label) -> ReferenceTable:
+    rows = tuple((a, b, e) for (a, b), e in zip(_PATTERNS[kind], entries))
     return ReferenceTable(
-        name=f"{left}/{right} simultaneity",
-        kind="simultaneity",
+        name=f"{left}/{right} {kind}",
+        kind=kind,
         left=left,
         right=right,
         rows=rows,
@@ -214,18 +207,18 @@ def _simultaneity(left, right, entries, label) -> ReferenceTable:
 
 
 _REFERENCE_TABLES = (
-    _resolution("AP", "APN", ("IN", "T", "T", "IN"), "Contradiction?"),
-    _resolution("AP", "AP0", ("IN", "T", "T", "IN"), "Contradiction?"),
-    _resolution("CP", "CPN", ("NP", "T", "T", "NP"), "Contradiction"),
-    _resolution("CP", "CP0", ("NP", "T", "T", "T"), "Contrariety"),
-    _resolution("CPN", "CP0", ("NP", "T", "T", "NP"), "Contradiction"),
-    _resolution("CI", "CP", ("T", "NP", "T", "T"), "Sub-alternation"),
-    _simultaneity("AP", "APN", ("NP", "NP"), "Contradiction"),
-    _simultaneity("AP", "AP0", ("T", "NP"), "Sub-Contrariety"),
-    _simultaneity("CP", "CPN", ("NP", "NP"), "Contradiction"),
-    _simultaneity("CP", "CP0", ("NP", "NP"), "Contradiction"),
-    _simultaneity("CPN", "CP0", ("NP", "NP"), "Contradiction"),
-    _simultaneity("CI", "CP", ("T", "T"), "Sub-alternation"),
+    _table("resolution", "AP", "APN", ("IN", "T", "T", "IN"), "Contradiction?"),
+    _table("resolution", "AP", "AP0", ("IN", "T", "T", "IN"), "Contradiction?"),
+    _table("resolution", "CP", "CPN", ("NP", "T", "T", "NP"), "Contradiction"),
+    _table("resolution", "CP", "CP0", ("NP", "T", "T", "T"), "Contrariety"),
+    _table("resolution", "CPN", "CP0", ("NP", "T", "T", "NP"), "Contradiction"),
+    _table("resolution", "CI", "CP", ("T", "NP", "T", "T"), "Sub-alternation"),
+    _table("simultaneity", "AP", "APN", ("NP", "NP"), "Contradiction"),
+    _table("simultaneity", "AP", "AP0", ("T", "NP"), "Sub-Contrariety"),
+    _table("simultaneity", "CP", "CPN", ("NP", "NP"), "Contradiction"),
+    _table("simultaneity", "CP", "CP0", ("NP", "NP"), "Contradiction"),
+    _table("simultaneity", "CPN", "CP0", ("NP", "NP"), "Contradiction"),
+    _table("simultaneity", "CI", "CP", ("T", "T"), "Sub-alternation"),
 )
 
 
@@ -386,21 +379,12 @@ def tsr_step(
         raise ValueError(f"evidence must be support or oppose, got {evidence!r}")
     if branch_policy not in BRANCH_POLICIES:
         raise ValueError(f"unknown branch policy {branch_policy!r}")
-    if evidence == "oppose":
-        successors = [b for a, b in TSR_EDGES if a is grade]
-        if not successors:
-            return grade
-        if len(successors) == 1:
-            return successors[0]
-        pick = TruthGrade.F_MINUS if branch_policy == "weak-falsity" else TruthGrade.T_MINUS
-        return pick
-    predecessors = [a for a, b in TSR_EDGES if b is grade]
-    if not predecessors:
+    edges = TSR_EDGES if evidence == "oppose" else [(b, a) for a, b in TSR_EDGES]
+    steps = [b for a, b in edges if a is grade]
+    if not steps:
         return grade
-    if len(predecessors) == 1:
-        return predecessors[0]
-    pick = TruthGrade.F_LOW_MINUS if branch_policy == "weak-falsity" else TruthGrade.T_LOW_MINUS
-    return pick
+    # at a branch the falsity-side edge is listed first, as in BRANCH_POLICIES
+    return steps[BRANCH_POLICIES.index(branch_policy)] if len(steps) > 1 else steps[0]
 
 
 def tsr_walk(

@@ -109,29 +109,21 @@ def _class_of(model: CeraModel, el: MixedElement) -> RoughClass:
 
 def holds(kind: ParthoodKind, model, a, b) -> bool:
     """Evaluate the defining condition of one parthood kind."""
+    if kind in SUBSET_KINDS and not (isinstance(a, Subset) and isinstance(b, Subset)):
+        raise TypeError(f"{kind.value} parthood compares plain subsets")
+    _carrier(kind, model)  # raises TypeError unless the model suits the kind
+    if kind is ParthoodKind.G_SIMPLE:
+        return all(
+            g.is_subset_of(b)
+            for g in model.granules
+            if g.is_subset_of(a)
+        )
     if kind in SUBSET_KINDS:
-        if not (isinstance(a, Subset) and isinstance(b, Subset)):
-            raise TypeError(f"{kind.value} parthood compares plain subsets")
-        if kind is ParthoodKind.G_SIMPLE:
-            if not isinstance(model, GranularModel):
-                raise TypeError("g-simple parthood needs a granular model")
-            return all(
-                g.is_subset_of(b)
-                for g in model.granules
-                if g.is_subset_of(a)
-            )
-        if not isinstance(model, (GranularModel, ApproximationSpace)):
-            raise TypeError(
-                "subset parthoods need an approximation space or granular model,"
-                f" got {model!r}"
-            )
         lower, upper = model.lower, model.upper
         return _BOUND_CONDITIONS[kind](
             lower(a).mask, upper(a).mask, lower(b).mask, upper(b).mask
         )
     if kind in MIXED_KINDS:
-        if not isinstance(model, CeraModel):
-            raise TypeError(f"{kind.value} parthood needs the mixed algebra")
         if not (isinstance(a, MixedElement) and isinstance(b, MixedElement)):
             raise TypeError(f"{kind.value} parthood compares mixed elements")
         if kind is ParthoodKind.ROUGHLY_CONSISTENT:
@@ -139,8 +131,6 @@ def holds(kind: ParthoodKind, model, a, b) -> bool:
         if kind is ParthoodKind.ADDITIVE:
             return model.oplus(a, b) == b
         return model.commonality(a, b) == a
-    if not isinstance(model, CradModel):
-        raise TypeError("natural parthood needs the dialectical pair model")
     if not (isinstance(a, DialecticalPair) and isinstance(b, DialecticalPair)):
         raise TypeError("natural parthood compares dialectical pairs")
     return model.natural_parthood(a, b)
@@ -153,7 +143,10 @@ def _carrier(kind: ParthoodKind, model) -> tuple[int, Callable[[], list]]:
             raise TypeError("g-simple parthood needs a granular model")
         if isinstance(model, (GranularModel, ApproximationSpace)):
             return 1 << model.universe.size, lambda: list(model.universe.subsets())
-        raise TypeError(f"no subset carrier on {model!r}")
+        raise TypeError(
+            "subset parthoods need an approximation space or granular model,"
+            f" got {model!r}"
+        )
     if kind in MIXED_KINDS:
         if not isinstance(model, CeraModel):
             raise TypeError(f"{kind.value} parthood needs the mixed algebra")

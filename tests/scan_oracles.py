@@ -24,7 +24,12 @@ composed as ¬L¬a, and the block scans that decided whether a pair of
 bounds is realizable before ``RoughClass`` read ``space.masks``.
 
 And the pair carrier K as ``CradModel`` built it on construction, whole
-and as a frozenset, with membership a set lookup.
+and as a frozenset, with membership a set lookup; and the pair operations
+as ``CradModel`` wrote them before its K gates became one helper, each
+gate spelled out where it applies.
+
+And the falsifier as it built its witness map once per claim, before the
+claims shared one construction.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from roughwork.approx import (
     UniverseMismatchError,
 )
 from roughwork.cera import CeraModel, MixedElement
-from roughwork.crad import CradModel, DialecticalPair
+from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
 from roughwork.granular import (
     INCLUSION,
     SEARCH_CANDIDATE_CAP,
@@ -55,7 +60,19 @@ from roughwork.granular import (
     ParthoodPredicate,
     SearchCapExceededError,
 )
-from roughwork.negation import BoundedPoset, NegationProfile, UnaryOp, _iterate_index
+from roughwork.negation import (
+    CLAIM_IDS,
+    FALSIFY_SIZE_CAP,
+    BoundedPoset,
+    FalsificationWitness,
+    NegationProfile,
+    SearchTooLargeError,
+    UnaryOp,
+    _condition_masks,
+    _iterate_index,
+    enumerate_distributive_lattices,
+)
+from roughwork.negation import check_negation as _table_check_negation
 from roughwork.parthood import (
     MATRIX_CAP,
     SUBSET_KINDS,
@@ -770,3 +787,120 @@ class MemberSetCrad(CradModel):
 
     def contains(self, p: DialecticalPair) -> bool:
         return p in self._members
+
+
+class GateCrad(CradModel):
+    """``CradModel`` with each pair operation's K gate written out in place."""
+
+    def _combine(self, p, q, op, symbol: str, noun: str) -> DialecticalPair:
+        a, b = p.first, p.second
+        c, e = q.first, q.second
+        if a.is_type1 == c.is_type1:
+            result = DialecticalPair(op(a, c), op(b, e))
+            if not self.contains(result):
+                raise UndefinedResultError(
+                    f"componentwise {noun} lies outside the carrier"
+                )
+            return result
+        if a.is_type1:
+            gate = op(op(e, a), self.cera.zero)
+            target = op(a, c)
+            if gate != target:
+                raise UndefinedResultError(
+                    f"(e {symbol} a) {symbol} 0 = a {symbol} c fails"
+                )
+            result = DialecticalPair(target, op(e, a))
+        else:
+            gate = op(op(c, b), self.cera.zero)
+            target = op(a, e)
+            if gate != target:
+                raise UndefinedResultError(
+                    f"(c {symbol} b) {symbol} 0 = a {symbol} e fails"
+                )
+            result = DialecticalPair(target, op(c, b))
+        if not self.contains(result):
+            raise UndefinedResultError(
+                f"componentwise {noun} lies outside the carrier"
+            )
+        return result
+
+    def plus(self, p: DialecticalPair, q: DialecticalPair) -> DialecticalPair:
+        self._require(p, q)
+        return self._combine(p, q, self.cera.oplus, "(+)", "sum")
+
+    def times(self, p: DialecticalPair, q: DialecticalPair) -> DialecticalPair:
+        self._require(p, q)
+        return self._combine(p, q, self.cera.commonality, "(.)", "product")
+
+    def l_star(self, p: DialecticalPair) -> DialecticalPair:
+        self._require(p)
+        result = DialecticalPair(
+            self.cera.frak_l(p.first), self.cera.frak_l(p.second)
+        )
+        if not self.contains(result):
+            raise UndefinedResultError(
+                "componentwise interior lies outside the carrier"
+            )
+        return result
+
+    def sim_star(self, p: DialecticalPair) -> DialecticalPair:
+        self._require(p)
+        result = DialecticalPair(
+            self.cera.sim_neg(p.first), self.cera.sim_neg(p.second)
+        )
+        if not self.contains(result):
+            raise UndefinedResultError(
+                "componentwise negation lies outside the carrier"
+            )
+        return result
+
+
+def falsify_theorem(claim_id: str, size_cap: int = 5) -> FalsificationWitness | None:
+    """``negation.falsify_theorem`` with one witness construction per claim."""
+    if claim_id not in CLAIM_IDS:
+        raise ValueError(f"unknown claim {claim_id!r}; expected one of {CLAIM_IDS}")
+    if size_cap > FALSIFY_SIZE_CAP:
+        raise SearchTooLargeError(
+            f"size cap {size_cap} exceeds the bound {FALSIFY_SIZE_CAP}"
+        )
+    for n in range(1, size_cap + 1):
+        for poset in enumerate_distributive_lattices(n):
+            maps, n1, n2, n3, n9 = _condition_masks(poset)
+            if claim_id == "no-index-0-n":
+                candidates = n1 & n2 & (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
+                for row in maps[candidates]:
+                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
+                    profile = _table_check_negation(poset, op)
+                    m, k = profile.index
+                    if m == 0 and k > 2:
+                        return FalsificationWitness(
+                            claim_id, poset, op, f"index (0, {k})"
+                        )
+            elif claim_id == "n123-bottom-top":
+                idx = {e: i for i, e in enumerate(poset.elements)}
+                bot, top = idx[poset.bottom], idx[poset.top]
+                bad = (maps[:, bot] != top) | (maps[:, top] != bot)
+                hits = n1 & n2 & n3 & bad
+                if hits.any():
+                    row = maps[np.flatnonzero(hits)[0]]
+                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
+                    return FalsificationWitness(
+                        claim_id, poset, op, "regular yet moves the bounds wrongly"
+                    )
+            elif claim_id == "n123-not-n9-witness":
+                hits = n1 & n2 & n3 & ~n9
+                if hits.any():
+                    row = maps[np.flatnonzero(hits)[0]]
+                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
+                    return FalsificationWitness(
+                        claim_id, poset, op, "satisfies N1-N3 but not N9"
+                    )
+            else:
+                hits = n9 & ~(n1 & n2 & n3)
+                if hits.any():
+                    row = maps[np.flatnonzero(hits)[0]]
+                    op = UnaryOp(dict(zip(poset.elements, (poset.elements[v] for v in row))))
+                    return FalsificationWitness(
+                        claim_id, poset, op, "satisfies N9 but not all of N1-N3"
+                    )
+    return None

@@ -297,3 +297,22 @@ def test_member_enumeration_counts(example_space):
 def test_from_pairs_builds_least_equivalence():
     space = ApproximationSpace.from_pairs("abcd", [("a", "b"), ("b", "a")])
     assert {str(b) for b in space.blocks} == {"ab", "c", "d"}
+
+
+def test_block_of_every_atom_and_unknown_atoms(example_space):
+    for block in example_space.blocks:
+        for name in block:
+            assert example_space.block_of(name) is block
+    with pytest.raises(UnknownAtomError, match="unknown atom 'z'"):
+        example_space.block_of("z")
+
+
+def test_subset_names_complement_and_text_on_every_mask():
+    u = Universe(["a", "bb", "c", "dd", "e"])
+    full = (1 << u.size) - 1
+    for mask in range(1 << u.size):
+        x = u.from_mask(mask)
+        names = tuple(name for i, name in enumerate(u.atoms) if mask >> i & 1)
+        assert x.atom_names() == names
+        assert x.complement().mask == full ^ mask
+        assert str(x) == {0: "0", full: "S"}.get(mask, "".join(names))

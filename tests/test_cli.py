@@ -1,6 +1,9 @@
 """End-to-end command dispatch, formats, exit codes, and model loading."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -383,3 +386,22 @@ def test_explicit_tables_accepted():
     u = loaded.space.universe
     assert loaded.granular.lower(u.parse("a")) == u.parse("0")
     assert loaded.granular.upper(u.parse("a")) == u.parse("S")
+
+
+def test_a_reader_closing_stdout_early_ends_the_report_quietly(tmp_path):
+    atoms = "abcdefghijklmnop"
+    path = tmp_path / "m16.json"
+    blocks = [list(atoms[i : i + 2]) for i in range(0, 16, 2)]
+    path.write_text(json.dumps({"universe": list(atoms), "partition": blocks}))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    # 6560 rows overflow any pipe buffer, so the writer meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "roughwork.cli", "space", "classes", "--model", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b"" and all(line.endswith(b"\n") for line in head)

@@ -19,9 +19,14 @@ block scans accepted, on every pair of masks, and its members must be
 exactly the subsets with its bounds.  Pair
 membership read off the bound masks must answer as the frozenset of K
 did, on K and on pairs outside it, with the same carrier and the same
-results and errors from every pair operation.  The default operator
-tables, from ``from_space`` and from a model file without tables, must
-equal the object approximations on every partition of up to six atoms.
+results and errors from every pair operation; and each pair operation,
+with its K gate shared, must give the result or the error message the
+gates written out in place gave, on every ordered pair of K over every
+partition of up to four atoms.  The falsifier must give each claim's
+witness as one construction per claim did, at every cap up to five.
+The default operator tables, from ``from_space`` and from a model file
+without tables, must equal the object approximations on every partition
+of up to six atoms.
 """
 
 from __future__ import annotations
@@ -52,10 +57,12 @@ from roughwork.granular import (
     search_admissible_granulations,
 )
 from roughwork.negation import (
+    CLAIM_IDS,
     BoundedPoset,
     UnaryOp,
     check_negation,
     enumerate_lattices,
+    falsify_theorem,
 )
 from roughwork.model_io import parse_model
 from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
@@ -653,3 +660,39 @@ def test_search_cap_raises_before_any_predicate_call(example_space):
             lower, lower, 2, counting(INCLUSION, calls), candidate_cap=100
         )
     assert calls == []
+
+
+def test_pair_operations_match_the_gates_written_out_on_every_pair_of_k():
+    kinds = Counter()
+    for space in SPACES:
+        if space.universe.size > 4:
+            continue
+        # the relaxed commonality changes only the product
+        for soft, names in ((False, ("plus", "times")), (True, ("times",))):
+            cera = CeraModel(space, soft=soft)
+            new, old = CradModel(cera), oracle.GateCrad(cera)
+            for p in new.carrier:
+                for name in ("l_star", "sim_star"):
+                    assert outcome(getattr(new, name), p) == outcome(getattr(old, name), p)
+                for q in new.carrier:
+                    for name in names:
+                        got = outcome(getattr(new, name), p, q)
+                        assert got == outcome(getattr(old, name), p, q)
+                        if not isinstance(got, tuple):
+                            kinds["defined"] += 1
+                        else:
+                            kinds["outside K" if "componentwise" in got[1] else "gate"] += 1
+    assert min(kinds["defined"], kinds["outside K"], kinds["gate"]) > 1000, kinds
+
+
+def _witness_key(w):
+    if w is None:
+        return None
+    return w.claim, w.poset.elements, w.poset._rel.tolist(), w.op.mapping, w.note
+
+
+@pytest.mark.parametrize("claim", CLAIM_IDS)
+def test_falsifier_matches_one_witness_construction_per_claim(claim):
+    for cap in range(1, 6):
+        got = _witness_key(falsify_theorem(claim, size_cap=cap))
+        assert got == _witness_key(oracle.falsify_theorem(claim, size_cap=cap))

@@ -357,3 +357,22 @@ def test_gos_and_operator_checks_build_no_power_set(monkeypatch):
     assert check_operator_axioms(model.lower_op, "lower").all_pass
     check = check_operator_axioms(broken, "lower")["monotonicity"]
     assert check.witness == (u.parse("ab"), u.full)
+
+
+def test_admissibility_separates_each_distinct_table_output_once(monkeypatch):
+    atoms = "abcdefghijkl"
+    model = from_space(
+        ApproximationSpace.from_partition(atoms, [atoms[i : i + 2] for i in range(0, 12, 2)])
+    )
+    calls: list[int] = []
+    real = granular._separation
+
+    def spy(n: int, m: int) -> int:
+        calls.append(m)
+        return real(n, m)
+
+    monkeypatch.setattr(granular, "_separation", spy)
+    assert check_admissibility(model).all_pass
+    outputs = {*model.lower_op._table, *model.upper_op._table}
+    # 64 distinct outputs among 2 · 4096 table cells, and one call per granule
+    assert len(calls) <= len(outputs) + len(model.granules)

@@ -1,5 +1,7 @@
 """Negation condition checks, falsification search, dialectical laws."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,3 +261,8 @@ def test_dialectical_disjointness_under_union():
     assert not report["aggregation"].passed
     a, b, c = report["aggregation"].witness
     assert not (a & b) and (a | c) & (b | c)
+
+
+def test_falsify_default_cap_is_the_named_default():
+    default = inspect.signature(falsify_theorem).parameters["size_cap"].default
+    assert default == negation.FALSIFY_DEFAULT_CAP <= negation.FALSIFY_SIZE_CAP
