@@ -31,6 +31,10 @@ class UnknownAtomError(ValueError):
     """An atom name does not belong to the universe."""
 
 
+class CapExceededError(RuntimeError):
+    """A search or carrier is larger than the cap it runs under."""
+
+
 class Universe:
     """Ordered list of distinct atom names.  Atom i owns bit i."""
 
@@ -292,23 +296,13 @@ class ApproximationSpace:
     ) -> ApproximationSpace:
         """Space of the least equivalence containing the given pairs."""
         universe = Universe(atoms)
-        parent = {name: name for name in universe.atoms}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        blocks = [1 << i for i in range(universe.size)]
         for a, b in pairs:
-            universe.index(a), universe.index(b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        groups: dict[str, list[str]] = {}
-        for name in universe.atoms:
-            groups.setdefault(find(name), []).append(name)
-        return cls(universe, [universe.subset(g) for g in groups.values()])
+            bits = 1 << universe.index(a) | 1 << universe.index(b)
+            # the blocks are disjoint, so their sum is their union
+            merged = sum(block for block in blocks if block & bits)
+            blocks = [block for block in blocks if not block & bits] + [merged]
+        return cls(universe, [Subset(universe, block) for block in blocks])
 
     @classmethod
     def discrete(cls, atoms: Sequence[str]) -> ApproximationSpace:

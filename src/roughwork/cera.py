@@ -6,8 +6,8 @@ The binary operations share one tag dispatch: a mixed application
 collapses the class argument through its members and lands back in a
 class.  The element methods answer single queries on objects;
 ``CeraModel.tables`` gives the operations over the whole carrier as index
-arrays, from ``space.masks``, for the identity suite and the parthood
-matrices.
+arrays, from ``space.masks`` and the quotient's tables, for the identity
+suite and the parthood matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from operator import and_, or_
 
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset
+from roughwork.approx import ApproximationSpace, CapExceededError, RoughClass, Subset
 from roughwork.granular import AxiomCheck, AxiomReport, first_violation
 from roughwork.prerough import QuotientAlgebra
 
@@ -108,28 +108,24 @@ class CeraModel:
         dtype = np.min_scalar_type(size + len(lo) - 1)
         subsets = np.arange(size, dtype=lo.dtype)
         of_class = (size + bm.class_id).astype(dtype)  # element of each mask's class
+        meet, join, neg, nec, pos = (
+            (size + table).astype(dtype) for table in self.quotient.tables()
+        )
 
-        def class_el(lower, upper):
-            return (size + bm.class_index(lower, upper)).astype(dtype)
-
-        def unary(on_subsets, lower, upper):
-            return np.concatenate([on_subsets, class_el(lower, upper)], dtype=dtype)
-
-        def binary(op, collapse):
+        def binary(op, collapse, on_classes):
             # a class enters a mixed case as the collapse of its members
             mask = np.concatenate([subsets, collapse])
             out = of_class[op(mask[:, None], mask)]
             out[:size, :size] = op(subsets[:, None], subsets)
-            out[size:, size:] = class_el(op(lo[:, None], lo), op(up[:, None], up))
+            out[size:, size:] = on_classes
             return out
 
-        full = size - 1
         return (
-            binary(np.bitwise_or, up),
-            binary(np.bitwise_and, up if self.soft else lo),
-            unary(bm.lower, lo, lo),
-            unary(bm.upper, up, up),
-            unary(full ^ subsets, full ^ up, full ^ lo),
+            binary(np.bitwise_or, up, join),
+            binary(np.bitwise_and, up if self.soft else lo, meet),
+            np.concatenate([bm.lower, nec], dtype=dtype),
+            np.concatenate([bm.upper, pos], dtype=dtype),
+            np.concatenate([(size - 1) ^ subsets, neg], dtype=dtype),
         )
 
     def frak_l(self, x: MixedElement) -> MixedElement:
@@ -215,24 +211,22 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
     at once: ternary laws are swept one leading element at a time.
     Guarded laws quantify only over the tags named in their premises.
     """
-    els = model.elements()
-    n = len(els)
+    # elements() lists the subsets 0..2^n-1 (type 1), then the classes (type 2).
+    size = 1 << model.space.universe.size
+    n = size + len(model.space.masks.class_lower)
     if n > IDENTITY_CARRIER_CAP:
-        raise ValueError(f"carrier of size {n} exceeds identity-check cap")
+        raise CapExceededError(f"carrier of size {n} exceeds identity-check cap")
+    els = model.elements()
 
-    type1 = np.array([el.is_type1 for el in els])
-    t1 = np.flatnonzero(type1)
-    t2 = np.flatnonzero(~type1)
     arange = np.arange(n)
+    type1 = arange < size
+    t1, t2 = arange[:size], arange[size:]
 
     plus, times, low, dia, neg = model.tables()
-    bot_i, top_i = 0, len(t1) - 1
-    zero_i, one_i = len(t1), len(t1) + int(model.space.masks.class_id[-1])
+    bot_i, top_i = 0, size - 1
+    zero_i, one_i = size, size + int(model.space.masks.class_id[-1])
 
-    els_arr = np.empty(n, dtype=object)
-    els_arr[:] = els
-    all1 = els_arr[t1]
-    all2 = els_arr[t2]
+    all1, all2 = els[:size], els[size:]
     results: dict[str, AxiomCheck] = {}
 
     def record(name: str, clauses) -> None:
@@ -244,8 +238,8 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
                 return
         results[name] = AxiomCheck(True)
 
-    one_el = (els_arr,)
-    two_el = (els_arr, els_arr)
+    one_el = (els,)
+    two_el = (els, els)
 
     # Tag detectors.
     squig_diag = np.array([model.rightsquig(a, a) == model.top for a in els])
@@ -297,8 +291,8 @@ def check_cera_identities(model: CeraModel) -> AxiomReport:
     record(
         "qov-2",
         [
-            ("~bottom = top", np.array([neg[bot_i] != top_i]), (els_arr[[bot_i]],)),
-            ("~0 = 1", np.array([neg[zero_i] != one_i]), (els_arr[[zero_i]],)),
+            ("~bottom = top", np.array([neg[bot_i] != top_i]), ([els[bot_i]],)),
+            ("~0 = 1", np.array([neg[zero_i] != one_i]), ([els[zero_i]],)),
         ],
     )
 

@@ -2,9 +2,9 @@
 
 Every subcommand renders one report, as text lines, CSV rows, or a JSON
 object. Exit codes: 0 success, 1 undefined partial operation, 2 bad
-syntax or arguments, 3 model file problems, 4 search cap exceeded.  A
-reader that closes stdout early (``| head``) ends the report quietly,
-with exit 0.
+syntax or arguments, 3 model file problems, 4 a search or carrier cap
+exceeded (``CapExceededError``).  A reader that closes stdout early
+(``| head``) ends the report quietly, with exit 0.
 """
 
 from __future__ import annotations
@@ -18,13 +18,17 @@ import warnings
 from dataclasses import dataclass, field
 
 from roughwork import expr as expr_mod
-from roughwork.approx import UnknownAtomError
-from roughwork.cera import CeraModel, MixedElement, UndefinedOperationError
+from roughwork.approx import CapExceededError
+from roughwork.cera import (
+    CeraModel,
+    MixedElement,
+    UndefinedOperationError,
+    check_cera_identities,
+)
 from roughwork.counting import close, ipc
 from roughwork.crad import CradModel, DialecticalPair
 from roughwork.granular import (
     SEARCH_CANDIDATE_CAP,
-    SearchCapExceededError,
     check_admissibility,
     check_gos_axioms,
     search_admissible_granulations,
@@ -34,7 +38,6 @@ from roughwork.negation import (
     CLAIM_IDS,
     FALSIFY_DEFAULT_CAP,
     BoundedPoset,
-    SearchTooLargeError,
     UnaryOp,
     check_negation,
     falsify_theorem,
@@ -53,14 +56,12 @@ from roughwork.parthood import (
     MATRIX_CAP,
     MIXED_KINDS,
     SUBSET_KINDS,
-    CarrierCapExceededError,
     ParthoodKind,
     analyze,
     holds,
 )
 from roughwork.prerough import check_essential_pre_rough, check_pre_rough, quotient_algebra
 
-_IPC_ELEMENTS = tuple("fbcakinhelgm")
 _IPC_PAIRS = (("a", "b"), ("b", "c"), ("e", "f"), ("i", "k"), ("l", "m"), ("m", "n"), ("g", "h"))
 _IPC_SEQUENCE = tuple("fbcakinhelgm")
 
@@ -176,11 +177,7 @@ def _cmd_space(args) -> Report:
         }
         return Report(["item", "value"], rows, payload=payload)
     if args.action == "triples":
-        rows = [
-            (str(x), str(space.lower(x)), str(space.upper(x)))
-            for x in space.universe.subsets()
-            if not x.is_empty
-        ]
+        rows = [tuple(map(str, triple)) for triple in space.triples()]
         return Report(["set", "lower", "upper"], rows)
     rows = [
         (str(c.sample_member()), str(c.lower), str(c.upper), c.member_count())
@@ -210,26 +207,20 @@ def _cmd_eval(args) -> Report:
 def _cmd_check(args) -> Report:
     loaded = _load(args)
     if args.suite == "gos":
-        report = check_gos_axioms(loaded.granular)
-        rows = _axiom_rows(report.items())
+        items = check_gos_axioms(loaded.granular).items()
     elif args.suite == "admissible":
         report = check_admissibility(loaded.granular)
-        rows = _axiom_rows(
-            [("WRA", report.wra), ("LS", report.ls), ("FU", report.fu)]
-        )
+        items = [("WRA", report.wra), ("LS", report.ls), ("FU", report.fu)]
     elif args.suite == "cera":
-        from roughwork.cera import check_cera_identities
-
-        report = check_cera_identities(CeraModel(loaded.space))
-        rows = _axiom_rows(report.items())
+        items = check_cera_identities(CeraModel(loaded.space)).items()
     else:
+        _check_quotient_cap(loaded.space, args)
         cand = quotient_algebra(loaded.space).to_candidate()
         if args.suite == "prerough":
-            report = check_pre_rough(cand)
+            items = check_pre_rough(cand).items()
         else:
-            report = check_essential_pre_rough(cand)
-        rows = _axiom_rows(report.items())
-    return Report(["check", "status", "witness"], rows)
+            items = check_essential_pre_rough(cand).items()
+    return Report(["check", "status", "witness"], _axiom_rows(items))
 
 
 def _cmd_parthood(args) -> Report:
@@ -299,6 +290,14 @@ def _cmd_crad(args) -> Report:
     )
 
 
+def _check_quotient_cap(space, args) -> None:
+    """Refuse a quotient of more rough classes than ``--cap``: its tables are carrier²."""
+    classes = len(space.masks.class_lower)
+    cap = MATRIX_CAP if args.cap is None else args.cap
+    if classes > cap:
+        raise CapExceededError(f"quotient of {classes} rough classes exceeds the cap {cap}")
+
+
 def _quotient_poset(space) -> tuple[BoundedPoset, UnaryOp]:
     quotient = quotient_algebra(space)
     carrier = quotient.carrier
@@ -313,6 +312,7 @@ def _quotient_poset(space) -> tuple[BoundedPoset, UnaryOp]:
 def _cmd_negation(args) -> Report:
     if args.action == "check":
         loaded = _load(args)
+        _check_quotient_cap(loaded.space, args)
         poset, op = _quotient_poset(loaded.space)
         profile = check_negation(poset, op)
         rows = _axiom_rows(profile.checks.items())
@@ -528,16 +528,13 @@ def main(argv=None) -> int:
     except expr_mod.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except UnknownAtomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ModelFormatError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
-    except (SearchCapExceededError, SearchTooLargeError, CarrierCapExceededError) as exc:
+    except CapExceededError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 4
     except UndefinedOperationError as exc:

@@ -24,16 +24,13 @@ import numpy as np
 
 from roughwork.approx import (
     ApproximationSpace,
+    CapExceededError as SearchCapExceededError,
     Subset,
     Universe,
     UniverseMismatchError,
 )
 
 SEARCH_CANDIDATE_CAP = 10**7
-
-
-class SearchCapExceededError(RuntimeError):
-    """The granulation search space exceeds the configured candidate cap."""
 
 
 @dataclass(frozen=True)

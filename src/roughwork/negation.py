@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from roughwork.approx import CapExceededError as SearchTooLargeError
 from roughwork.granular import AxiomCheck, AxiomReport, sweep_laws
 
 FALSIFY_SIZE_CAP = 6
@@ -28,10 +29,6 @@ CLAIM_IDS = (
     "n9-implies-n123",
 )
 CONDITION_NAMES = ("N1", "N2", "N3", "N4", "N5", "N6", "N9")
-
-
-class SearchTooLargeError(RuntimeError):
-    """The falsification search exceeds the configured size bound."""
 
 
 class PreconditionError(ValueError):
@@ -289,61 +286,37 @@ def interior_compose(
     return g, AxiomCheck(witness is None, witness)
 
 
-def _canonical_relation(n: int, rel_rows: list[int]) -> tuple:
-    best = None
-    for perm in permutations(range(n)):
-        image = sorted(
-            (perm[i], perm[j])
-            for i in range(n)
-            for j in range(n)
-            if i != j and rel_rows[i] >> j & 1
-        )
-        key = tuple(image)
-        if best is None or key < best:
-            best = key
-    return best
+def _canonical_relation(poset: BoundedPoset) -> tuple:
+    """The least sorted image of the strict order under any relabeling."""
+    n = len(poset.elements)
+    strict = np.argwhere(poset._rel & ~np.eye(n, dtype=bool)).tolist()
+    return min(
+        tuple(sorted((perm[i], perm[j]) for i, j in strict))
+        for perm in permutations(range(n))
+    )
 
 
 def enumerate_lattices(n: int) -> list[BoundedPoset]:
     """All lattices with n elements, one per isomorphism class.
 
-    Candidates are upper-triangular transitive relations (every finite
-    poset admits a linear extension), filtered for unique bounds and
-    total meet/join, then deduplicated by relabeling.
+    Candidates are upper-triangular relations (every finite poset admits
+    a linear extension) with 0 below every element, in the order of their
+    bits over the row-major pairs i < j, whose low bits are the pairs
+    (0, j).  ``BoundedPoset`` rejects the intransitive ones, and the
+    lattices among the rest are deduplicated by relabeling.
     """
-    if n == 1:
-        return [BoundedPoset([0], [])]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    out = []
-    seen: set[tuple] = set()
+    above_zero = [(0, j) for j in range(1, n)]
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
+    first: dict[tuple, BoundedPoset] = {}  # the first of each isomorphism class
     for bits in range(1 << len(pairs)):
-        rows = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if bits >> k & 1:
-                rows[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            reach = rows[i]
-            for j in range(n):
-                if rows[i] >> j & 1 and rows[j] & ~reach:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok or rows[0] != (1 << n) - 1:
+        chosen = [p for k, p in enumerate(pairs) if bits >> k & 1]
+        try:
+            poset = BoundedPoset(range(n), above_zero + chosen)
+        except ValueError:  # the relation is not transitive
             continue
-        poset = BoundedPoset(
-            list(range(n)),
-            [(i, j) for i, j in pairs if rows[i] >> j & 1],
-        )
-        if not poset.is_lattice:
-            continue
-        canon = _canonical_relation(n, rows)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        out.append(poset)
-    return out
+        if poset.is_lattice:
+            first.setdefault(_canonical_relation(poset), poset)
+    return list(first.values())
 
 
 def enumerate_distributive_lattices(n: int) -> list[BoundedPoset]:

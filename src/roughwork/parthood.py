@@ -21,15 +21,12 @@ from typing import Callable
 import numpy as np
 
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
+from roughwork.approx import CapExceededError as CarrierCapExceededError
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel, DialecticalPair
 from roughwork.granular import AxiomCheck, GranularModel, _mask_tables, first_violation
 
 MATRIX_CAP = 1024
-
-
-class CarrierCapExceededError(RuntimeError):
-    """The parthood carrier is too large to materialize as a matrix."""
 
 
 class ParthoodKind(Enum):

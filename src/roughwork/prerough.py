@@ -68,19 +68,30 @@ class QuotientAlgebra:
         lo, up = self.space.masks.class_lower, self.space.masks.class_upper
         return (lo[:, None] & ~lo == 0) & (up[:, None] & ~up == 0)
 
-    def to_candidate(self) -> FiniteAlgebraCandidate:
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """meet, join, neg, necessity and possibility as class-index arrays."""
         bm = self.space.masks
         index = bm.class_index
         lo, up = bm.class_lower, bm.class_upper
         full = len(bm.lower) - 1
+        return (
+            index(lo[:, None] & lo, up[:, None] & up),
+            index(lo[:, None] | lo, up[:, None] | up),
+            index(full ^ up, full ^ lo),
+            index(lo, lo),
+            index(up, up),
+        )
+
+    def to_candidate(self) -> FiniteAlgebraCandidate:
+        meet, join, neg, necessity, _ = self.tables()
         return FiniteAlgebraCandidate(
             carrier=self.carrier,
-            meet=index(lo[:, None] & lo, up[:, None] & up).tolist(),
-            join=index(lo[:, None] | lo, up[:, None] | up).tolist(),
-            neg=index(full ^ up, full ^ lo).tolist(),
-            necessity=index(lo, lo).tolist(),
+            meet=meet.tolist(),
+            join=join.tolist(),
+            neg=neg.tolist(),
+            necessity=necessity.tolist(),
             zero=0,
-            one=int(bm.class_id[full]),
+            one=int(self.space.masks.class_id[-1]),
         )
 
     def is_antichain(self, family: Sequence[RoughClass]) -> bool:

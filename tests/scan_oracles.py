@@ -30,11 +30,16 @@ gate spelled out where it applies.
 
 And the falsifier as it built its witness map once per claim, before the
 claims shared one construction.
+
+And the lattice enumeration that scanned every upper-triangular relation
+and checked transitivity on bit rows before ``BoundedPoset`` checked it
+again, with its relabeling key read off those rows; and ``from_pairs`` as
+a union-find over atom names, before it merged block masks.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -904,3 +909,79 @@ def falsify_theorem(claim_id: str, size_cap: int = 5) -> FalsificationWitness | 
                         claim_id, poset, op, "satisfies N9 but not all of N1-N3"
                     )
     return None
+
+
+def canonical_relation(n: int, rel_rows: list[int]) -> tuple:
+    """The least sorted image of the strict order, read off bit rows."""
+    best = None
+    for perm in permutations(range(n)):
+        image = sorted(
+            (perm[i], perm[j])
+            for i in range(n)
+            for j in range(n)
+            if i != j and rel_rows[i] >> j & 1
+        )
+        key = tuple(image)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def enumerate_lattices(n: int) -> list[BoundedPoset]:
+    """``negation.enumerate_lattices`` over every upper-triangular relation,
+    with its own transitivity scan on bit rows."""
+    if n == 1:
+        return [BoundedPoset([0], [])]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    seen: set[tuple] = set()
+    for bits in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                rows[i] |= 1 << j
+        ok = True
+        for i in range(n):
+            reach = rows[i]
+            for j in range(n):
+                if rows[i] >> j & 1 and rows[j] & ~reach:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok or rows[0] != (1 << n) - 1:
+            continue
+        poset = BoundedPoset(
+            list(range(n)),
+            [(i, j) for i, j in pairs if rows[i] >> j & 1],
+        )
+        if not poset.is_lattice:
+            continue
+        canon = canonical_relation(n, rows)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        out.append(poset)
+    return out
+
+
+def from_pairs(atoms: Sequence[str], pairs: Iterable[tuple[str, str]]) -> ApproximationSpace:
+    """``ApproximationSpace.from_pairs`` by a union-find over atom names."""
+    universe = Universe(atoms)
+    parent = {name: name for name in universe.atoms}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        universe.index(a), universe.index(b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[str, list[str]] = {}
+    for name in universe.atoms:
+        groups.setdefault(find(name), []).append(name)
+    return ApproximationSpace(universe, [universe.subset(g) for g in groups.values()])

@@ -177,9 +177,15 @@ CAPPED = [
     (("negation", "falsify", "no-index-0-n"), "5", None),
     (("granulation", "search"), "2016", "2015"),
 ]
+# the bundled quotient has 18 classes, the empty one included
+QUOTIENT_CAPPED = [(("negation", "check"), "18", "17"), (("check", "prerough"), "18", "17")]
 
 
-@pytest.mark.parametrize("argv, fits, short", CAPPED, ids=[c[0][0] for c in CAPPED])
+@pytest.mark.parametrize(
+    "argv, fits, short",
+    CAPPED + QUOTIENT_CAPPED,
+    ids=[c[0][0] for c in CAPPED] + [" ".join(c[0]) for c in QUOTIENT_CAPPED],
+)
 def test_cap_is_a_positive_integer_read_as_given(capsys, argv, fits, short):
     for bad in ("0", "-1", "x"):
         code, out, err = run(capsys, *argv, "--cap", bad)
@@ -388,15 +394,21 @@ def test_explicit_tables_accepted():
     assert loaded.granular.upper(u.parse("a")) == u.parse("S")
 
 
-def test_a_reader_closing_stdout_early_ends_the_report_quietly(tmp_path):
+@pytest.fixture
+def model16(tmp_path):
+    """A table-less model at the 16-atom cap: 8 blocks of two, 6561 classes."""
     atoms = "abcdefghijklmnop"
     path = tmp_path / "m16.json"
     blocks = [list(atoms[i : i + 2]) for i in range(0, 16, 2)]
     path.write_text(json.dumps({"universe": list(atoms), "partition": blocks}))
+    return path
+
+
+def test_a_reader_closing_stdout_early_ends_the_report_quietly(model16):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     # 6560 rows overflow any pipe buffer, so the writer meets the closed pipe
     proc = subprocess.Popen(
-        [sys.executable, "-m", "roughwork.cli", "space", "classes", "--model", str(path)],
+        [sys.executable, "-m", "roughwork.cli", "space", "classes", "--model", str(model16)],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
     head = [proc.stdout.readline() for _ in range(3)]
@@ -405,3 +417,17 @@ def test_a_reader_closing_stdout_early_ends_the_report_quietly(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b"" and all(line.endswith(b"\n") for line in head)
+
+
+QUOTIENT_CAP = "cap exceeded: quotient of 6561 rough classes exceeds the cap 1024\n"
+CAPPED_16 = [
+    (("check", "prerough"), QUOTIENT_CAP),
+    (("check", "essential"), QUOTIENT_CAP),
+    (("negation", "check"), QUOTIENT_CAP),
+    (("check", "cera"), "cap exceeded: carrier of size 72097 exceeds identity-check cap\n"),
+]
+
+
+@pytest.mark.parametrize("argv, err", CAPPED_16, ids=[" ".join(c[0]) for c in CAPPED_16])
+def test_quotient_tables_stop_at_their_cap_before_any_carrier(capsys, model16, argv, err):
+    assert run(capsys, *argv, "--model", str(model16)) == (4, "", err)

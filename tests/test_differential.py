@@ -696,3 +696,35 @@ def test_falsifier_matches_one_witness_construction_per_claim(claim):
     for cap in range(1, 6):
         got = _witness_key(falsify_theorem(claim, size_cap=cap))
         assert got == _witness_key(oracle.falsify_theorem(claim, size_cap=cap))
+
+
+def test_lattices_their_labels_and_order_match_the_bit_row_scan():
+    for n in range(1, 7):
+        new, old = enumerate_lattices(n), oracle.enumerate_lattices(n)
+        assert [(p.elements, p._rel.tolist()) for p in new] == [
+            (p.elements, p._rel.tolist()) for p in old
+        ]
+    assert [len(enumerate_lattices(n)) for n in range(1, 7)] == [1, 1, 1, 2, 5, 15]
+
+
+def _blocks_or_error(build, atoms, pairs):
+    try:
+        return build(atoms, pairs).blocks
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_pairs_matches_the_union_find_on_random_pair_lists():
+    rng = random.Random(4409)
+    outcomes = Counter()
+    for _ in range(2000):
+        atoms = "abcdefg"[: rng.randint(1, 7)]
+        # an unknown atom now and then, and self-pairs at every size
+        names = atoms + "z" if rng.random() < 0.2 else atoms
+        pairs = [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 9))]
+        got = _blocks_or_error(ApproximationSpace.from_pairs, atoms, pairs)
+        assert got == _blocks_or_error(oracle.from_pairs, atoms, pairs)
+        outcomes["error" if isinstance(got, str) else len(got)] += 1
+        outcomes["self-pair"] += any(a == b for a, b in pairs)
+    assert outcomes["error"] > 50 and outcomes["self-pair"] > 500
+    assert all(outcomes[k] > 0 for k in range(1, 8)), outcomes
