@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from roughwork import expr as expr_mod
 from roughwork.approx import CapExceededError
 from roughwork.cera import (
+    IDENTITY_CARRIER_CAP,
     CeraModel,
     MixedElement,
     UndefinedOperationError,
@@ -206,13 +207,17 @@ def _cmd_eval(args) -> Report:
 
 def _cmd_check(args) -> Report:
     loaded = _load(args)
+    size = 1 << loaded.space.universe.size
+    if args.suite in ("gos", "admissible") and args.cap is not None and size > args.cap:
+        raise CapExceededError(f"power set of {size} subsets exceeds the cap {args.cap}")
     if args.suite == "gos":
         items = check_gos_axioms(loaded.granular).items()
     elif args.suite == "admissible":
         report = check_admissibility(loaded.granular)
         items = [("WRA", report.wra), ("LS", report.ls), ("FU", report.fu)]
     elif args.suite == "cera":
-        items = check_cera_identities(CeraModel(loaded.space)).items()
+        cap = IDENTITY_CARRIER_CAP if args.cap is None else args.cap
+        items = check_cera_identities(CeraModel(loaded.space), cap=cap).items()
     else:
         _check_quotient_cap(loaded.space, args)
         cand = quotient_algebra(loaded.space).to_candidate()

@@ -150,6 +150,46 @@ def first_violation(
     return tuple(axis[int(i)] for axis, i in zip(axes, cell))
 
 
+def _rows_agree(rows: np.ndarray, op: np.ndarray, combine: Callable) -> bool:
+    """Whether packed rows[op[x, y]] = combine(rows[x], rows[y]) for all x, y."""
+    step = max(1, len(rows) // rows.shape[1])  # x in chunks of carrier² bytes
+    return not any(
+        (rows[op[x : x + step]] != combine(rows[x : x + step, None], rows)).any()
+        for x in range(0, len(rows), step)
+    )
+
+
+def associative(op: np.ndarray) -> bool:
+    """Certify a square index table associative; False leaves it to the sweep.
+
+    A commutative, idempotent table closed on its indices is associative
+    iff down(op[x, y]) = down(x) ∩ down(y) for all x, y, where down(z) =
+    {w : op[w, z] = w}: the down-sets then order the indices, op their meet.
+    """
+    r = np.arange(len(op))
+    if op.min() < 0 or op.max() >= len(r) or (op != op.T).any() or (op[r, r] != r).any():
+        return False
+    return _rows_agree(np.packbits(op == r, axis=1), op, np.bitwise_and)
+
+
+def distributive(meet: np.ndarray, join: np.ndarray) -> bool:
+    """Whether two square index tables form a distributive lattice.
+
+    Past both semilattice certificates and absorption, that holds iff
+    J(x ∨ y) = J(x) ∪ J(y) for all x, y, J(x) being the join-irreducibles
+    below x and the least element (Birkhoff 1937, "Rings of sets"; Davey
+    and Priestley, Introduction to Lattices and Order, ch. 5).
+    """
+    r = np.arange(len(meet))
+    col = r[:, None]
+    if not (associative(meet) and associative(join)) or (
+        (meet[col, join] != col).any() or (join[col, meet] != col).any()
+    ):
+        return False
+    irreducible = ~np.isin(r, join[(join != col) & (join != r)])
+    return _rows_agree(np.packbits((meet == r) & irreducible, axis=1), join, np.bitwise_or)
+
+
 def sweep_laws(carrier: Sequence, laws: dict) -> dict[str, AxiomCheck]:
     """Check laws over powers of one carrier, keeping their order.
 

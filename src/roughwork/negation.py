@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from roughwork.approx import CapExceededError as SearchTooLargeError
-from roughwork.granular import AxiomCheck, AxiomReport, sweep_laws
+from roughwork.granular import AxiomCheck, AxiomReport, distributive, sweep_laws
 
 FALSIFY_SIZE_CAP = 6
 FALSIFY_DEFAULT_CAP = 5
@@ -110,14 +110,7 @@ class BoundedPoset:
     @property
     def is_distributive(self) -> bool | None:
         """True/False for lattices, None otherwise."""
-        if not self.is_lattice:
-            return None
-        mt, jn = self._meet, self._join
-        # x ∧ (y ∨ z) against (x ∧ y) ∨ (x ∧ z), one x at a time
-        return all(
-            (mt[x, jn] == jn[mt[x, :, None], mt[x, None, :]]).all()
-            for x in range(len(mt))
-        )
+        return distributive(self._meet, self._join) if self.is_lattice else None
 
     def __repr__(self) -> str:
         return f"<BoundedPoset {list(self.elements)}>"

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
-from roughwork.granular import AxiomReport, sweep_laws
+from roughwork.granular import AxiomReport, associative, distributive, sweep_laws
 
 
 class QuotientAlgebra:
@@ -213,17 +213,20 @@ def _lattice_base(cand: FiniteAlgebraCandidate, mt, jn, ng, r) -> dict:
     col = r[:, None]
     # The ternary laws index one row by a whole table on every leading
     # element; an intp copy spares numpy a cast of that table each time.
+    # A certified law sweeps no row; distributivity certifies all three.
     mti, jni = mt.astype(np.intp), jn.astype(np.intp)
+    dist = distributive(mti, jni)
+    m_ok, j_ok = dist or associative(mti), dist or associative(jni)
     return {
         "meet-idempotent": mt[r, r] != r,
         "meet-commutative": mt != mt.T,
-        "meet-associative": lambda a: mt[mt[a]] != mt[a][mti],
+        "meet-associative": (() if m_ok else r, lambda a: mt[mt[a]] != mt[a][mti]),
         "join-idempotent": jn[r, r] != r,
         "join-commutative": jn != jn.T,
-        "join-associative": lambda a: jn[jn[a]] != jn[a][jni],
+        "join-associative": (() if j_ok else r, lambda a: jn[jn[a]] != jn[a][jni]),
         "absorption": (mt[col, jn] != col) | (jn[col, mt] != col),
-        "distributivity": lambda a: (mt[a][jni] != jn[mt[a]][:, mt[a]])
-        | (jn[a][mti] != mt[jn[a]][:, jn[a]]),
+        "distributivity": (() if dist else r, lambda a: (mt[a][jni] != jn[mt[a]][:, mt[a]])
+        | (jn[a][mti] != mt[jn[a]][:, jn[a]])),
         "bounds": (jn[cand.zero] != r)
         | (mt[cand.zero] != cand.zero)
         | (mt[cand.one] != r)

@@ -31,6 +31,11 @@ gate spelled out where it applies.
 And the falsifier as it built its witness map once per claim, before the
 claims shared one construction.
 
+And ``BoundedPoset.is_distributive`` as it compared x ∧ (y ∨ z) with
+(x ∧ y) ∨ (x ∧ z) one x at a time, before it read the join-irreducible
+certificate; and the six same-type ternary identities of the mixed
+algebra, one cell at a time, before certificates decided their PASS.
+
 And the lattice enumeration that scanned every upper-triangular relation
 and checked transitivity on bit rows before ``BoundedPoset`` checked it
 again, with its relabeling key read off those rows; and ``from_pairs`` as
@@ -698,6 +703,43 @@ def cera_tables(model: CeraModel) -> tuple[np.ndarray, ...]:
     dia = np.array([index[model.black_lozenge(a)] for a in els], dtype=dtype)
     neg = np.array([index[model.sim_neg(a)] for a in els], dtype=dtype)
     return plus, times, low, dia, neg
+
+
+def cera_ternary_laws(model: CeraModel) -> dict[str, AxiomCheck]:
+    """The ``ter-*`` identities of ``check_cera_identities``, one cell at a time."""
+    plus, times = (t.tolist() for t in model.tables()[:2])
+    els = model.elements()
+    size = 1 << model.space.universe.size
+    laws = (
+        ("1", "(+) associative", lambda x, y, z: plus[plus[x][y]][z] == plus[x][plus[y][z]]),
+        ("2", "(+) over (.)", lambda x, y, z: plus[x][times[y][z]] == times[plus[x][y]][plus[x][z]]),
+        ("3", "(.) associative", lambda x, y, z: times[times[x][y]][z] == times[x][times[y][z]]),
+    )
+    out = {}
+    for tag, block in (("1", range(size)), ("2", range(size, len(els)))):
+        for law, clause, ok in laws:
+            witness = next(
+                (
+                    (clause, els[x], els[y], els[z])
+                    for x in block
+                    for y in block
+                    for z in block
+                    if not ok(x, y, z)
+                ),
+                None,
+            )
+            out[f"ter-{tag}{law}"] = AxiomCheck(witness is None, witness)
+    return out
+
+
+def is_distributive(poset: BoundedPoset) -> bool | None:
+    """``BoundedPoset.is_distributive`` by the distributive law, one x at a time."""
+    if not poset.is_lattice:
+        return None
+    mt, jn = poset._meet, poset._join
+    return all(
+        (mt[x, jn] == jn[mt[x, :, None], mt[x, None, :]]).all() for x in range(len(mt))
+    )
 
 
 def _bound_holds(kind: ParthoodKind, a: tuple[Subset, Subset], b: tuple[Subset, Subset]) -> bool:

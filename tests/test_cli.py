@@ -179,12 +179,19 @@ CAPPED = [
 ]
 # the bundled quotient has 18 classes, the empty one included
 QUOTIENT_CAPPED = [(("negation", "check"), "18", "17"), (("check", "prerough"), "18", "17")]
+# its 6 atoms have 64 subsets; the mixed carrier adds the 18 classes
+CARRIER_CAPPED = [
+    (("check", "gos"), "64", "63"),
+    (("check", "admissible"), "64", "63"),
+    (("check", "cera"), "82", "81"),
+]
 
 
 @pytest.mark.parametrize(
     "argv, fits, short",
-    CAPPED + QUOTIENT_CAPPED,
-    ids=[c[0][0] for c in CAPPED] + [" ".join(c[0]) for c in QUOTIENT_CAPPED],
+    CAPPED + QUOTIENT_CAPPED + CARRIER_CAPPED,
+    ids=[c[0][0] for c in CAPPED]
+    + [" ".join(c[0]) for c in QUOTIENT_CAPPED + CARRIER_CAPPED],
 )
 def test_cap_is_a_positive_integer_read_as_given(capsys, argv, fits, short):
     for bad in ("0", "-1", "x"):
@@ -197,6 +204,15 @@ def test_cap_is_a_positive_integer_read_as_given(capsys, argv, fits, short):
     if short is not None:
         code, _, err = run(capsys, *argv, "--cap", short)
         assert code == 4 and "cap exceeded" in err
+
+
+def test_check_gos_and_cera_stop_at_a_given_cap(capsys):
+    assert run(capsys, "check", "gos", "--cap", "1") == (
+        4, "", "cap exceeded: power set of 64 subsets exceeds the cap 1\n"
+    )
+    assert run(capsys, "check", "cera", "--cap", "10") == (
+        4, "", "cap exceeded: carrier of size 82 exceeds identity-check cap\n"
+    )
 
 
 def test_falsify_cap_is_the_size_reported(capsys):

@@ -27,6 +27,14 @@ witness as one construction per claim did, at every cap up to five.
 The default operator tables, from ``from_space`` and from a model file
 without tables, must equal the object approximations on every partition
 of up to six atoms.
+The ternary-law certificates must leave every report as the nested-loop
+oracle gives it: on symmetric meet and join mutants of the quotients, on
+every lattice of up to six elements and on symmetric block mutants of the
+mixed tables, where the sweep must catch what a certificate rejects; and
+on a passing 54-class quotient and its mixed models no ternary row may be
+built.  The join-irreducible distributivity test must agree with the
+distributive law on every lattice of up to seven elements and on random
+posets.
 """
 
 from __future__ import annotations
@@ -40,7 +48,16 @@ import numpy as np
 import pytest
 
 import scan_oracles as oracle
-from roughwork import ApproximationSpace, RoughClass, Subset, Universe, granular, parthood
+from roughwork import (
+    ApproximationSpace,
+    RoughClass,
+    Subset,
+    Universe,
+    cera,
+    granular,
+    negation,
+    parthood,
+)
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.cli import _quotient_poset
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
@@ -61,12 +78,14 @@ from roughwork.negation import (
     BoundedPoset,
     UnaryOp,
     check_negation,
+    enumerate_distributive_lattices,
     enumerate_lattices,
     falsify_theorem,
 )
 from roughwork.model_io import parse_model
 from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
 from roughwork.prerough import (
+    FiniteAlgebraCandidate,
     check_essential_pre_rough,
     check_pre_rough,
     quotient_algebra,
@@ -125,6 +144,139 @@ def test_prerough_on_partitions_and_mutants(candidates):
         same(check_essential_pre_rough(cand), oracle.check_essential_pre_rough(cand))
         failing += not new.all_pass
     assert failing >= 20
+
+
+def symmetric_mutant(table: list[list[int]], rng: random.Random, values) -> list[list[int]]:
+    """Two mirror cells off the diagonal set to one new value from ``values``.
+
+    Commutativity and idempotence hold as before, so only the associativity
+    and distributivity certificates can reject the table.
+    """
+    a, b = rng.sample(range(len(table)), 2)
+    out = [list(row) for row in table]
+    out[a][b] = out[b][a] = rng.choice([v for v in values if v != table[a][b]])
+    return out
+
+
+def lattice_candidate(poset: BoundedPoset) -> FiniteAlgebraCandidate:
+    n = len(poset.elements)
+    return FiniteAlgebraCandidate(
+        carrier=poset.elements,
+        meet=poset._meet.tolist(),
+        join=poset._join.tolist(),
+        neg=list(range(n)),
+        necessity=list(range(n)),
+        zero=poset._bottom,
+        one=poset._top,
+    )
+
+
+LATTICE_LAWS = ("idempotent", "commutative", "associative")
+# Tables that are not associative but pass the down-set test: the first is
+# not commutative, the second not idempotent.
+DOWN_SET_ONLY = ([[0, 1, 1], [0, 1, 0], [0, 1, 2]], [[0, 0, 0], [0, 2, 0], [0, 0, 1]])
+
+
+def test_ternary_certificates_on_symmetric_mutants_and_small_lattices():
+    rng = random.Random(6203)
+    cands = []
+    for space in SPACES:
+        cand = quotient_algebra(space).to_candidate()
+        if cand.size > 1:
+            for name in ("meet", "join", "meet", "join"):
+                table = symmetric_mutant(getattr(cand, name), rng, range(cand.size))
+                cands.append(dataclasses.replace(cand, **{name: table}))
+    # Every lattice of up to six elements; N5 and M3 are the two at five
+    # that pass every lattice law but distributivity.
+    lattices = [p for n in range(1, 7) for p in enumerate_lattices(n)]
+    chain = lattice_candidate(BoundedPoset.chain("xyz"))
+    cands += [
+        dataclasses.replace(chain, **{name: table})
+        for table in DOWN_SET_ONLY
+        for name in ("meet", "join")
+    ]
+    cands += [lattice_candidate(p) for p in lattices]
+    caught = Counter()
+    for cand in cands:
+        new = check_pre_rough(cand)
+        same(new, oracle.check_pre_rough(cand))
+        same(check_essential_pre_rough(cand), oracle.check_essential_pre_rough(cand))
+        mt, jn = np.array(cand.meet), np.array(cand.join)
+        for law, certified in (
+            ("meet-associative", granular.associative(mt)),
+            ("join-associative", granular.associative(jn)),
+            ("distributivity", granular.distributive(mt, jn)),
+        ):
+            # A certificate decides PASS only; every FAIL is the sweep's.
+            assert not (certified and not new[law].passed)
+            caught[law] += not new[law].passed
+    for p, cand in zip(lattices, cands[-len(lattices) :]):
+        report = check_pre_rough(cand)
+        ops = [f"{op}-{law}" for op in ("meet", "join") for law in LATTICE_LAWS]
+        assert all(report[name].passed for name in ops + ["absorption"])
+        assert report["distributivity"].passed == p.is_distributive
+    assert caught["meet-associative"] >= 120 and caught["join-associative"] >= 120
+    assert caught["distributivity"] >= 250
+
+
+def test_cera_ternary_certificates_on_symmetric_block_mutants(monkeypatch):
+    rng = random.Random(3517)
+    caught = 0
+    for space in SPACES[:23]:  # up to four atoms
+        for soft in (False, True):
+            model = CeraModel(space, soft=soft)
+            size, n = 1 << space.universe.size, len(model.elements())
+            for k in (0, 1, 0, 1):  # (+) or the commonality
+                # Mirror cells inside one block, set to a value in it or anywhere.
+                block = rng.choice([range(size), range(size, n)])
+                if len(block) < 2:
+                    continue
+                mutant = list(model.tables())
+                inner = mutant[k][block.start : block.stop, block.start : block.stop]
+                mutant[k] = mutant[k].copy()
+                mutant[k][block.start : block.stop, block.start : block.stop] = (
+                    symmetric_mutant(inner.tolist(), rng, rng.choice([block, range(n)]))
+                )
+                with monkeypatch.context() as m:
+                    m.setattr(CeraModel, "tables", lambda self: tuple(mutant))
+                    report = check_cera_identities(model)
+                    expected = oracle.cera_ternary_laws(model)
+                assert [(name, report[name]) for name in expected] == list(expected.items())
+                # A FAIL comes from the sweep, which runs only past a rejected certificate.
+                caught += not all(check.passed for check in expected.values())
+    assert caught >= 150
+
+
+def counted_row_sweeps(monkeypatch) -> list:
+    """Record every row that a row-function law builds, in both sweeping modules."""
+    calls = []
+    real = granular.first_violation
+
+    def counting(bad, axes):
+        rows, fn = bad if isinstance(bad, tuple) else (range(len(axes[0])), bad)
+        if not callable(fn):
+            return real(bad, axes)
+        return real((rows, lambda i: calls.append(i) or fn(i)), axes)
+
+    monkeypatch.setattr(granular, "first_violation", counting)
+    monkeypatch.setattr(cera, "first_violation", counting)
+    return calls
+
+
+def test_certified_ternary_laws_build_no_row(monkeypatch):
+    space = ApproximationSpace.from_partition("abcdefg", ["ab", "cd", "ef", "g"])
+    cand = quotient_algebra(space).to_candidate()
+    assert cand.size == 54
+    calls = counted_row_sweeps(monkeypatch)
+    assert check_pre_rough(cand).all_pass and check_essential_pre_rough(cand).all_pass
+    for soft in (False, True):
+        assert check_cera_identities(CeraModel(space, soft=soft)).all_pass
+    assert calls == []
+    # The counter sees a sweep where a certificate fails.
+    rng = random.Random(1)
+    mutant = dataclasses.replace(cand, meet=symmetric_mutant(cand.meet, rng, range(54)))
+    assert not check_pre_rough(mutant)["meet-associative"].passed
+    assert calls
 
 
 def perturbed(table: OperatorTable, rng: random.Random, count: int) -> OperatorTable:
@@ -696,6 +848,21 @@ def test_falsifier_matches_one_witness_construction_per_claim(claim):
     for cap in range(1, 6):
         got = _witness_key(falsify_theorem(claim, size_cap=cap))
         assert got == _witness_key(oracle.falsify_theorem(claim, size_cap=cap))
+
+
+def test_distributivity_rule_matches_the_law_on_lattices_and_random_posets(monkeypatch):
+    lattices = {n: enumerate_lattices(n) for n in range(1, 8)}
+    for poset in (p for ps in lattices.values() for p in ps):
+        assert poset.is_distributive == oracle.is_distributive(poset)
+    monkeypatch.setattr(negation, "enumerate_lattices", lattices.__getitem__)
+    assert [len(enumerate_distributive_lattices(n)) for n in (5, 6, 7)] == [3, 5, 8]
+    rng = random.Random(9127)
+    posets = [_quotient_poset(space)[0] for space in SPACES]
+    posets += [random_poset(rng, rng.randint(1, 9)) for _ in range(300)]
+    flags = Counter(p.is_distributive for p in posets)
+    assert flags[None] and flags[True] and flags[False]
+    for poset in posets:
+        assert poset.is_distributive == oracle.is_distributive(poset)
 
 
 def test_lattices_their_labels_and_order_match_the_bit_row_scan():
