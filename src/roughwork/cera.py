@@ -336,6 +336,9 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
 
         return ((), row) if certified else row
 
+    # A subset block of mask unions and intersections is Boolean, so distributive.
+    m, block = t1.astype(plus.dtype), np.s_[:size, :size]
+    boolean = (plus[block] == m[:, None] | m).all() and (times[block] == m[:, None] & m).all()
     for tag, idxs, axis in (("1", t1, all1), ("2", t2, all2)):
         three = (axis, axis, axis)
         two = (axis, axis)
@@ -343,7 +346,7 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
         own_p, own_t = (
             t[idxs[:, None], idxs].astype(np.intp) - idxs[0] for t in (plus, times)
         )
-        dist = distributive(own_t, own_p)
+        dist = (tag == "1" and boolean) or distributive(own_t, own_p)
         p_ok, t_ok = dist or associative(own_p), dist or associative(own_t)
         record(f"ter-{tag}1", [("(+) associative", assoc(plus, idxs, p_ok), three)])
         record(f"ter-{tag}2", [("(+) over (.)", distrib(idxs, dist), three)])

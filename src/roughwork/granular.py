@@ -150,6 +150,23 @@ def first_violation(
     return tuple(axis[int(i)] for axis, i in zip(axes, cell))
 
 
+def packed_rows(m: np.ndarray) -> np.ndarray:
+    """Boolean rows as 64-bit words; column j is bit j % 64 of word j // 64."""
+    padded = np.zeros((len(m), (m.shape[1] + 63) // 64 * 64), dtype=bool)
+    padded[:, : m.shape[1]] = m
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def relation_square(m: np.ndarray) -> np.ndarray:
+    """m∘m as a boolean matrix; each row ORs the packed rows it relates to."""
+    m = np.ascontiguousarray(m)
+    words = packed_rows(m).T.copy()
+    cols = np.broadcast_to(words, (len(m), *words.shape))
+    reach = np.bitwise_or.reduce(cols, axis=2, where=m[:, None, :], initial=0)
+    bits = reach.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(bits, axis=1, count=len(m), bitorder="little").view(bool)
+
+
 def _rows_agree(rows: np.ndarray, op: np.ndarray, combine: Callable) -> bool:
     """Whether packed rows[op[x, y]] = combine(rows[x], rows[y]) for all x, y."""
     step = max(1, len(rows) // rows.shape[1])  # x in chunks of carrier² bytes

@@ -18,7 +18,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from roughwork.approx import CapExceededError as SearchTooLargeError
-from roughwork.granular import AxiomCheck, AxiomReport, distributive, sweep_laws
+from roughwork.granular import (
+    AxiomCheck, AxiomReport, distributive, packed_rows, relation_square, sweep_laws
+)
 
 FALSIFY_SIZE_CAP = 6
 FALSIFY_DEFAULT_CAP = 5
@@ -55,12 +57,13 @@ class BoundedPoset:
         rel = np.eye(n, dtype=bool)
         for a, b in leq_pairs:
             rel[self._index[a], self._index[b]] = True
-        # The first bad cell in row-major order names the error, and
-        # antisymmetry is tested before transitivity on each cell.
+        # The first bad cell in row-major order names the error, antisymmetry
+        # first; (i, j) is unclosed if i <= j <= k for some k not above i.
         cycle = rel & rel.T & ~np.eye(n, dtype=bool)
-        bad = cycle | (rel & (~rel @ rel.T))
+        i = (cycle.any(axis=1) | (relation_square(rel) > rel).any(axis=1)).argmax()
+        bad = cycle[i] | rel[i] & (rel & ~rel[i]).any(axis=1)
         if bad.any():
-            kind = "antisymmetric" if cycle.flat[bad.argmax()] else "transitive"
+            kind = "antisymmetric" if cycle[i, bad.argmax()] else "transitive"
             raise ValueError(f"order is not {kind}")
         self._rel = rel
         bottoms = rel.all(axis=1)
@@ -117,14 +120,21 @@ class BoundedPoset:
 
 
 def _meet_table(rel: np.ndarray) -> np.ndarray:
-    """Meet indices under the order matrix ``rel``, -1 where none; one row at a time."""
+    """Meet indices under ``rel``, -1 where none: the element whose down-set
+    is ↓i ∩ ↓j (Davey and Priestley, ch. 2).  Down-sets are packed largest
+    first, so the only candidate is the first set bit of ↓i & ↓j."""
     n = len(rel)
-    down = rel.sum(axis=0)
+    order = np.argsort(-rel.sum(axis=0), kind="stable")
+    words = packed_rows(rel[order][:, order].T)
     table = np.empty((n, n), dtype=np.min_scalar_type(-n))
-    for i in range(n):
-        common = rel[:, i, None] & rel
-        hit = common & (down[:, None] == common.sum(axis=0))
-        table[i] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+    step = max(1, (1 << 20) // words.nbytes)  # rows per 1 MiB chunk
+    for i in range(0, n, step):
+        common = words[i : i + step, None] & words
+        first = (common != 0).argmax(axis=2)
+        word = np.take_along_axis(common, first[..., None], axis=2)[..., 0]
+        pos = 64 * first + np.log2(np.maximum(word & (0 - word), 1)).astype(np.intp)
+        hit = (words[pos] == common).all(axis=2)
+        table[order[i : i + step, None], order] = np.where(hit, order[pos], -1)
     return table
 
 

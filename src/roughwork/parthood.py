@@ -24,7 +24,9 @@ from roughwork.approx import ApproximationSpace, RoughClass, Subset
 from roughwork.approx import CapExceededError as CarrierCapExceededError
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel, DialecticalPair
-from roughwork.granular import AxiomCheck, GranularModel, _mask_tables, first_violation
+from roughwork.granular import (
+    AxiomCheck, GranularModel, _mask_tables, first_violation, relation_square
+)
 
 MATRIX_CAP = 1024
 
@@ -200,17 +202,10 @@ def analyze(kind: ParthoodKind, model, cap: int = MATRIX_CAP) -> RelationReport:
 
     reflexive = AxiomCheck.of(first_violation(~np.diagonal(m), (elements,)))
 
-    m, n = np.ascontiguousarray(m), len(m)
-    words = np.packbits(np.pad(m, ((0, 0), (0, -n % 64))), axis=1).view(np.uint64)
-    cols = np.broadcast_to(words.T.copy(), (n, *words.T.shape))
-    reach = np.bitwise_or.reduce(cols, axis=2, where=m[:, None, :], initial=0)
-    trans_bad = np.argwhere(np.unpackbits(reach.view(np.uint8), axis=1, count=n) > m)
-    if trans_bad.size == 0:
-        transitive = AxiomCheck(True)
-    else:
-        i, k = (int(v) for v in trans_bad[0])
-        j = int(np.flatnonzero(m[i] & m[:, k])[0])
-        transitive = AxiomCheck(False, (elements[i], elements[j], elements[k]))
+    unclosed = relation_square(m) > m
+    i, k = np.unravel_index(unclosed.argmax(), unclosed.shape)
+    j = (m[i] & m[:, k]).argmax()
+    transitive = AxiomCheck.of((elements[i], elements[j], elements[k]) if unclosed.any() else None)
 
     sym = m & m.T
     np.fill_diagonal(sym, False)

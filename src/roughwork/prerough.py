@@ -151,25 +151,21 @@ class FiniteAlgebraCandidate:
     def __post_init__(self):
         self._validate()
 
-    def _validate(self) -> None:
-        """Raise ValueError unless every table is square and in range.
-
-        The checkers call this again, since the tables are mutable lists.
-        """
+    def _validate(self) -> tuple[np.ndarray | None, ...]:
+        """meet, join, neg and necessity as index arrays (None for a None table);
+        raises ValueError unless each is square and in range.  The checkers
+        call this again, since the tables are mutable lists."""
         n = len(self.carrier)
         if n == 0:
             raise ValueError("carrier must be nonempty")
-        for name, table in (("meet", self.meet), ("join", self.join)):
-            if table is None:
-                continue
-            if len(table) != n or any(len(row) != n for row in table):
-                raise ValueError(f"{name} table must be {n}x{n}")
-            _check_indices(name, chain.from_iterable(table), n)
-        for name in ("neg", "necessity"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} table must have {n} entries")
-            _check_indices(name, getattr(self, name), n)
+        shapes = (("meet", (n, n)), ("join", (n, n)), ("neg", (n,)), ("necessity", (n,)))
+        arrays = tuple(
+            None if len(shape) == 2 and getattr(self, name) is None
+            else _index_array(name, getattr(self, name), shape)
+            for name, shape in shapes
+        )
         _check_indices("zero/one", (self.zero, self.one), n)
+        return arrays
 
     @property
     def size(self) -> int:
@@ -184,7 +180,28 @@ class FiniteAlgebraCandidate:
         return self.meet[a][b] == a
 
 
-def _check_indices(name: str, values: Iterable, n: int) -> None:
+def _index_array(name: str, table, shape: tuple[int, ...]) -> np.ndarray:
+    """``table`` as an index array of ``shape``, in the narrowest dtype.
+
+    An integer array of that shape has its min and max checked; any other
+    table is checked entry by entry, which words every error.
+    """
+    n, dtype = shape[0], np.min_scalar_type(shape[0] - 1)
+    try:
+        arr = np.asarray(table)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.shape == shape and arr.dtype.kind in "iu":
+        _check_indices(name, (arr.min(), arr.max()), n)
+        return arr.astype(dtype, copy=False)
+    rows = table if len(shape) == 2 else [table]
+    if len(table) != n or any(len(row) != n for row in rows):
+        size = f"be {n}x{n}" if len(shape) == 2 else f"have {n} entries"
+        raise ValueError(f"{name} table must {size}")
+    return np.array(_check_indices(name, chain.from_iterable(rows), n), dtype).reshape(shape)
+
+
+def _check_indices(name: str, values: Iterable, n: int) -> list[int]:
     try:
         values = list(map(operator.index, values))
     except TypeError:
@@ -193,20 +210,15 @@ def _check_indices(name: str, values: Iterable, n: int) -> None:
     if low < 0 or high >= n:
         bad = low if low < 0 else high
         raise ValueError(f"{name} entry {bad} is not an index below {n}")
+    return values
 
 
 def _tables(cand: FiniteAlgebraCandidate) -> tuple[np.ndarray, ...]:
     """meet, join, neg, necessity and the carrier indices as index arrays."""
-    cand._validate()
-    dtype = np.min_scalar_type(cand.size - 1)
-    mt = np.array(cand.meet, dtype=dtype)
-    ng = np.array(cand.neg, dtype=dtype)
-    L = np.array(cand.necessity, dtype=dtype)
-    if cand.join is None:
+    mt, jn, ng, L = cand._validate()
+    if jn is None:
         jn = ng[mt[ng][:, ng]]
-    else:
-        jn = np.array(cand.join, dtype=dtype)
-    return mt, jn, ng, L, np.arange(cand.size, dtype=dtype)
+    return mt, jn, ng, L, np.arange(cand.size, dtype=mt.dtype)
 
 
 def _lattice_base(cand: FiniteAlgebraCandidate, mt, jn, ng, r) -> dict:

@@ -40,11 +40,17 @@ And the lattice enumeration that scanned every upper-triangular relation
 and checked transitivity on bit rows before ``BoundedPoset`` checked it
 again, with its relabeling key read off those rows; and ``from_pairs`` as
 a union-find over atom names, before it merged block masks.
+
+And ``BoundedPoset``'s meet table filled one row at a time, before it
+read each meet off packed down-sets, with the order check it made through
+the boolean product ``~rel @ rel.T``; and the candidate validation that
+checked list tables one entry at a time, before tables became arrays.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import operator
+from itertools import chain, combinations, permutations
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -1027,3 +1033,59 @@ def from_pairs(atoms: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Approx
     for name in universe.atoms:
         groups.setdefault(find(name), []).append(name)
     return ApproximationSpace(universe, [universe.subset(g) for g in groups.values()])
+
+
+def meet_table(rel: np.ndarray) -> np.ndarray:
+    """Meet indices under ``rel``, -1 where none, one row at a time: the
+    common lower bound whose down-set is as large as the common lower bounds."""
+    n = len(rel)
+    down = rel.sum(axis=0)
+    table = np.empty((n, n), dtype=np.min_scalar_type(-n))
+    for i in range(n):
+        common = rel[:, i, None] & rel
+        hit = common & (down[:, None] == common.sum(axis=0))
+        table[i] = np.where(hit.any(axis=0), hit.argmax(axis=0), -1)
+    return table
+
+
+def order_error(rel: np.ndarray) -> str | None:
+    """The error ``BoundedPoset`` raises for a reflexive relation, or None.
+
+    The first bad cell in row-major order names it, antisymmetry first; a
+    cell (i, j) is unclosed if i <= j <= k for some k not above i.
+    """
+    n = len(rel)
+    cycle = rel & rel.T & ~np.eye(n, dtype=bool)
+    bad = cycle | (rel & (~rel @ rel.T))
+    if not bad.any():
+        return None
+    return "order is not " + ("antisymmetric" if cycle.flat[bad.argmax()] else "transitive")
+
+
+def _check_indices(name: str, values: Iterable, n: int) -> None:
+    try:
+        values = list(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{name} has a non-integer entry") from None
+    low, high = min(values), max(values)
+    if low < 0 or high >= n:
+        bad = low if low < 0 else high
+        raise ValueError(f"{name} entry {bad} is not an index below {n}")
+
+
+def validate_candidate(cand: FiniteAlgebraCandidate) -> None:
+    """``FiniteAlgebraCandidate._validate`` on list tables, entry by entry."""
+    n = len(cand.carrier)
+    if n == 0:
+        raise ValueError("carrier must be nonempty")
+    for name, table in (("meet", cand.meet), ("join", cand.join)):
+        if table is None:
+            continue
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"{name} table must be {n}x{n}")
+        _check_indices(name, chain.from_iterable(table), n)
+    for name in ("neg", "necessity"):
+        if len(getattr(cand, name)) != n:
+            raise ValueError(f"{name} table must have {n} entries")
+        _check_indices(name, getattr(cand, name), n)
+    _check_indices("zero/one", (cand.zero, cand.one), n)

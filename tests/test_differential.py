@@ -35,11 +35,20 @@ on a passing 54-class quotient and its mixed models no ternary row may be
 built.  The join-irreducible distributivity test must agree with the
 distributive law on every lattice of up to seven elements and on random
 posets.
+The meet and join tables read off packed down-sets must equal the row
+pass on every lattice of up to seven elements, on the quotient orders of
+every partition of up to six atoms and on random orders of up to 130
+elements, and ``BoundedPoset`` must name the error the boolean product
+named on relations that large.  Candidate validation on arrays must raise
+the errors, with their texts, that the entry-by-entry check raised, and a
+Boolean subset block of the mixed tables must need no distributive
+certificate while a mutant one gets it and the oracle's reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 import random
 from collections import Counter
 from itertools import combinations
@@ -146,6 +155,127 @@ def test_prerough_on_partitions_and_mutants(candidates):
     assert failing >= 20
 
 
+class Index:
+    """An integer-like object that only has ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+def raised(fn, *args):
+    """The call's value, or the type and message of any error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+TABLE_CORPUS = [
+    ("meet", [[0, 0], [0]]),
+    ("meet", [[0, 0]]),
+    ("meet", [[0, 0], [0, 1], [1, 1]]),
+    ("meet", [[0, 0, 0], [0, 1]]),
+    ("meet", [1, 0]),
+    ("meet", None),
+    ("meet", "ab"),
+    ("meet", [[0, 0], "01"]),
+    ("meet", [["0", "0"], ["0", "1"]]),
+    ("meet", [[0, 0], [0, 1.0]]),
+    ("meet", [[0, None], [0, 1]]),
+    ("meet", [[False, False], [False, True]]),
+    ("meet", [[0, 0], [0, np.int64(1)]]),
+    ("meet", [[0, 0], [0, Index(1)]]),
+    ("meet", [[0, 0], [0, Index(2)]]),
+    ("meet", [[0, 0], [0, 2**70]]),
+    ("meet", [[0, 0], [0, 2**63]]),
+    ("meet", [[0, -2**70], [0, 1]]),
+    ("meet", [[0, 0], [-1, 1]]),
+    ("meet", [[0, 0], [0, 2]]),
+    ("meet", [[-1, 0], [0, 2]]),
+    ("meet", np.array([[0, 0], [0, 1]], dtype=np.uint8)),
+    ("meet", np.array([[0, 0], [0, 9]], dtype=np.int8)),
+    ("meet", np.array([[0, 0], [0, 1]], dtype=float)),
+    ("meet", np.array([[0, 0], [0, 1]], dtype=bool)),
+    ("meet", np.zeros((2, 2, 1), dtype=int)),
+    ("meet", np.zeros((3, 3), dtype=int)),
+    ("join", None),
+    ("join", [[0, 1], [1, -1]]),
+    ("join", [[0, 1], [1, 1.0]]),
+    ("join", [[0, 1], [1]]),
+    ("join", [[0, 1], [1, 1], [1, 1]]),
+    ("neg", [1]),
+    ("neg", [1, 0, 0]),
+    ("neg", [[1], [0]]),
+    ("neg", [[1, 0], [0, 1]]),
+    ("neg", [1, None]),
+    ("neg", [1.0, 0]),
+    ("neg", "10"),
+    ("neg", None),
+    ("neg", 1),
+    ("neg", [True, False]),
+    ("neg", (np.uint64(1), 0)),
+    ("neg", [Index(1), Index(0)]),
+    ("neg", [1, 2]),
+    ("neg", [-1, 0]),
+    ("neg", [2**70, 0]),
+    ("neg", np.array([1, 0])),
+    ("necessity", [0]),
+    ("necessity", [0, 1, 1]),
+    ("necessity", [0, "1"]),
+    ("necessity", [0, 5]),
+    ("zero", 2),
+    ("zero", -1),
+    ("zero", 1.5),
+    ("zero", None),
+    ("one", 2),
+    ("one", np.int64(1)),
+    ("one", True),
+    ("carrier", ()),
+    ("carrier", ("0", "1", "2")),
+]
+
+
+def test_candidate_validation_matches_the_entry_by_entry_check():
+    good = FiniteAlgebraCandidate(
+        carrier=("0", "1"),
+        meet=[[0, 0], [0, 1]],
+        join=[[0, 1], [1, 1]],
+        neg=[1, 0],
+        necessity=[0, 1],
+        zero=0,
+        one=1,
+    )
+    results = Counter()
+    for field, value in TABLE_CORPUS:
+        # The old check on a candidate whose field is set after construction.
+        cand = dataclasses.replace(good)
+        setattr(cand, field, value)
+        expected = raised(oracle.validate_candidate, cand)
+        got = raised(cand._validate)
+        made = raised(lambda: dataclasses.replace(good, **{field: value}))
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert got == expected and made == expected, (field, value)
+            results[expected[0].__name__] += 1
+            continue
+        # Accepted: the arrays hold the tables' indices in the narrowest dtype.
+        assert expected is None and isinstance(made, FiniteAlgebraCandidate), (field, value)
+        n = len(cand.carrier)
+        for name, arr in zip(("meet", "join", "neg", "necessity"), got):
+            table = getattr(cand, name)
+            if table is None:
+                assert arr is None
+                continue
+            assert arr.dtype == np.min_scalar_type(n - 1)
+            ints = np.vectorize(operator.index, otypes=[np.intp])(np.array(table, dtype=object))
+            assert arr.tolist() == ints.tolist()
+        results["accepted"] += 1
+    assert results["ValueError"] >= 40 and results["TypeError"] >= 3
+    assert results["accepted"] >= 10
+
+
 def symmetric_mutant(table: list[list[int]], rng: random.Random, values) -> list[list[int]]:
     """Two mirror cells off the diagonal set to one new value from ``values``.
 
@@ -245,6 +375,37 @@ def test_cera_ternary_certificates_on_symmetric_block_mutants(monkeypatch):
                 # A FAIL comes from the sweep, which runs only past a rejected certificate.
                 caught += not all(check.passed for check in expected.values())
     assert caught >= 150
+
+
+def test_boolean_subset_block_needs_no_distributive_certificate(monkeypatch):
+    calls = []  # block sizes, subsets before classes
+    real = granular.distributive
+    monkeypatch.setattr(cera, "distributive", lambda mt, jn: calls.append(len(mt)) or real(mt, jn))
+    rng = random.Random(2749)
+    caught = 0
+    for space in SPACES[:23]:  # up to four atoms
+        size = 1 << space.universe.size
+        for soft in (False, True):  # the commonality slot is odot, then circ
+            model = CeraModel(space, soft=soft)
+            n = len(model.elements())
+            calls.clear()
+            assert check_cera_identities(model).all_pass
+            assert calls == [n - size]  # the class block only
+            for k in (0, 1):  # (+) or the commonality
+                # Mirror cells of the subset block, set to a subset or anything.
+                mutant = [t.copy() for t in model.tables()]
+                block = mutant[k][:size, :size]
+                values = rng.choice([range(size), range(n)])
+                block[:] = symmetric_mutant(block.tolist(), rng, values)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(CeraModel, "tables", lambda self: tuple(mutant))
+                    report = check_cera_identities(model)
+                    expected = oracle.cera_ternary_laws(model)
+                assert [(name, report[name]) for name in expected] == list(expected.items())
+                assert calls == [size, n - size]
+                caught += not all(check.passed for check in expected.values())
+    assert caught >= 40
 
 
 def counted_row_sweeps(monkeypatch) -> list:
@@ -654,6 +815,86 @@ def test_poset_errors_and_their_precedence_on_unclosed_and_cyclic_relations():
         BoundedPoset("aa", [])
 
 
+@pytest.fixture(scope="module")
+def lattices() -> dict[int, list[BoundedPoset]]:
+    """Every lattice of up to seven elements, by size."""
+    return {n: enumerate_lattices(n) for n in range(1, 8)}
+
+
+def random_closed_order(rng: random.Random, n: int) -> np.ndarray:
+    """A transitive order on n shuffled elements, sparse or dense, with or
+    without a least element."""
+    perm = np.array(rng.sample(range(n), n))
+    rel = np.eye(n, dtype=bool)
+    density = rng.choice([0.02, 0.08, 0.3])
+    upper = np.triu(np.array([[rng.random() < density for _ in range(n)] for _ in range(n)]), 1)
+    rel[perm[:, None], perm] |= upper
+    if rng.random() < 0.5:
+        rel[perm[0]] = True
+    for k in range(n):
+        rel |= rel[:, k, None] & rel[k]
+    return rel
+
+
+def test_meet_tables_match_the_row_pass(lattices):
+    orders = [p._rel for ps in lattices.values() for p in ps]
+    for n in range(1, 7):
+        for blocks in set_partitions("abcdef"[:n]):
+            q = quotient_algebra(ApproximationSpace.from_partition("abcdef"[:n], blocks))
+            # The quotient is a lattice, and its meet is the componentwise one.
+            assert (negation._meet_table(q.leq_matrix()) == q.tables()[0]).all()
+            orders.append(q.leq_matrix())
+    rng = random.Random(8821)
+    sizes = list(range(1, 131)) + [rng.choice([63, 64, 65, 127, 128, 129]) for _ in range(30)]
+    orders += [random_closed_order(rng, n) for n in sizes]
+    partial = 0
+    for rel in orders:
+        for r in (rel, rel.T):
+            got, expected = negation._meet_table(r), oracle.meet_table(r)
+            assert got.dtype == expected.dtype and (got == expected).all()
+            partial += (got < 0).any()
+    assert partial >= 100
+
+
+def test_poset_errors_on_large_relations_match_the_boolean_product():
+    rng = random.Random(4153)
+    errors = {}
+    for _ in range(300):
+        n = rng.randint(2, 130)
+        rel = random_closed_order(rng, n)
+        strict = np.argwhere(rel & ~np.eye(n, dtype=bool)).tolist()
+        for _ in range(rng.randint(0, 3)):
+            if strict and rng.random() < 0.5:
+                j, i = rng.choice(strict)  # reverse a pair: a cycle
+            else:
+                i, j = rng.sample(range(n), 2)  # flip a cell: maybe a gap
+            rel[i, j] = not rel[i, j]
+        if rng.random() < 0.2:  # close it again: a preorder, cyclic but closed
+            for k in range(n):
+                rel |= rel[:, k, None] & rel[k]
+        cyclic = (rel & rel.T & ~np.eye(n, dtype=bool)).any()
+        unclosed = (relation_product(rel) & ~rel).any()
+        try:
+            BoundedPoset(range(n), np.argwhere(rel).tolist())
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        expected = oracle.order_error(rel)
+        if got != "poset has no least element":
+            assert got == expected
+        errors.setdefault((bool(cyclic), bool(unclosed)), Counter())[expected] += 1
+    cycle, gap = "order is not antisymmetric", "order is not transitive"
+    assert set(errors[(True, True)]) == {cycle, gap}
+    assert set(errors[(False, True)]) == {gap} and set(errors[(True, False)]) == {cycle}
+    assert set(errors[(False, False)]) == {None}
+    assert all(sum(c.values()) >= 20 for c in errors.values())
+
+
+def relation_product(rel: np.ndarray) -> np.ndarray:
+    """rel∘rel by an integer path count."""
+    return rel.astype(np.int64) @ rel.astype(np.int64) > 0
+
+
 def test_implies_matches_the_composed_form_on_every_class_pair():
     for space in SPACES:
         q = quotient_algebra(space)
@@ -850,8 +1091,9 @@ def test_falsifier_matches_one_witness_construction_per_claim(claim):
         assert got == _witness_key(oracle.falsify_theorem(claim, size_cap=cap))
 
 
-def test_distributivity_rule_matches_the_law_on_lattices_and_random_posets(monkeypatch):
-    lattices = {n: enumerate_lattices(n) for n in range(1, 8)}
+def test_distributivity_rule_matches_the_law_on_lattices_and_random_posets(
+    monkeypatch, lattices
+):
     for poset in (p for ps in lattices.values() for p in ps):
         assert poset.is_distributive == oracle.is_distributive(poset)
     monkeypatch.setattr(negation, "enumerate_lattices", lattices.__getitem__)
