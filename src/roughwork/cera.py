@@ -19,7 +19,7 @@ import numpy as np
 
 from roughwork.approx import ApproximationSpace, CapExceededError, RoughClass, Subset
 from roughwork.granular import (
-    AxiomCheck, AxiomReport, associative, distributive, first_violation
+    AxiomCheck, AxiomReport, first_violation, lattice_laws
 )
 from roughwork.prerough import QuotientAlgebra
 
@@ -318,39 +318,18 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
         ],
     )
 
-    # Same-type ternary laws, as functions of the leading element.  A row
-    # gathers whole rows, or cells by an intp table built once.  A law
-    # certified on the block's tables, on its own indices, sweeps no row.
-    def assoc(table: np.ndarray, idxs: np.ndarray, certified: bool):
-        sub = table[idxs][:, idxs].astype(np.intp)
-        cols = table[:, idxs]
-        row = lambda i: table[idxs[i]][sub] != cols[table[idxs[i], idxs]]
-        return ((), row) if certified else row
-
-    def distrib(idxs: np.ndarray, certified: bool):
-        tsub = times[idxs][:, idxs].astype(np.intp)
-
-        def row(i: int) -> np.ndarray:
-            sums = plus[idxs[i], idxs]
-            return plus[idxs[i]][tsub] != times[sums][:, sums]
-
-        return ((), row) if certified else row
-
-    # A subset block of mask unions and intersections is Boolean, so distributive.
-    m, block = t1.astype(plus.dtype), np.s_[:size, :size]
-    boolean = (plus[block] == m[:, None] | m).all() and (times[block] == m[:, None] & m).all()
-    for tag, idxs, axis in (("1", t1, all1), ("2", t2, all2)):
-        three = (axis, axis, axis)
-        two = (axis, axis)
-        sub_t = times[idxs][:, idxs]
-        own_p, own_t = (
-            t[idxs[:, None], idxs].astype(np.intp) - idxs[0] for t in (plus, times)
-        )
-        dist = (tag == "1" and boolean) or distributive(own_t, own_p)
-        p_ok, t_ok = dist or associative(own_p), dist or associative(own_t)
-        record(f"ter-{tag}1", [("(+) associative", assoc(plus, idxs, p_ok), three)])
-        record(f"ter-{tag}2", [("(+) over (.)", distrib(idxs, dist), three)])
-        record(f"ter-{tag}3", [("(.) associative", assoc(times, idxs, t_ok), three)])
+    # Same-type laws.  A subset block of mask unions and intersections is
+    # Boolean, so distributive.
+    m, sq = t1.astype(plus.dtype), np.s_[:size, :size]
+    boolean = (plus[sq] == m[:, None] | m).all() and (times[sq] == m[:, None] & m).all()
+    blocks = (("1", np.s_[:size], all1, boolean), ("2", np.s_[size:], all2, None))
+    for tag, s, axis, dist in blocks:
+        three, two = (axis,) * 3, (axis,) * 2
+        idxs, sub_t = arange[s], times[s, s]
+        t_assoc, p_assoc, _, p_over_t = lattice_laws(times, plus, range(n)[s], dist)
+        record(f"ter-{tag}1", [("(+) associative", p_assoc, three)])
+        record(f"ter-{tag}2", [("(+) over (.)", p_over_t, three)])
+        record(f"ter-{tag}3", [("(.) associative", t_assoc, three)])
         record(
             f"bi-{tag}",
             [

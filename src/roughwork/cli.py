@@ -306,12 +306,9 @@ def _check_quotient_cap(space, args) -> None:
 def _quotient_poset(space) -> tuple[BoundedPoset, UnaryOp]:
     quotient = quotient_algebra(space)
     carrier = quotient.carrier
-    pairs = [
-        (carrier[i], carrier[j]) for i, j in zip(*quotient.leq_matrix().nonzero())
-    ]
-    poset = BoundedPoset(carrier, pairs)
-    op = UnaryOp({c: quotient.neg(c) for c in carrier})
-    return poset, op
+    pairs = [(carrier[i], carrier[j]) for i, j in zip(*quotient.leq_matrix().nonzero())]
+    neg = quotient.tables()[2]
+    return BoundedPoset(carrier, pairs), UnaryOp({c: carrier[i] for c, i in zip(carrier, neg)})
 
 
 def _cmd_negation(args) -> Report:

@@ -207,6 +207,34 @@ def distributive(meet: np.ndarray, join: np.ndarray) -> bool:
     return _rows_agree(np.packbits((meet == r) & irreducible, axis=1), join, np.bitwise_or)
 
 
+def lattice_laws(meet: np.ndarray, join: np.ndarray, block: range, dist=None) -> tuple:
+    """Meet and join associativity, meet over join and join over meet on the
+    contiguous indices ``block``, as (rows, function) pairs for
+    ``first_violation``: row i holds the cells (y, z) of block[i], read off
+    the whole tables, so a value outside the block reads its own row.  The
+    certificates run on the block's own indices, where that value is out of
+    range, unless ``dist``, a distributivity verdict the caller holds,
+    certifies all four.  A certified law builds no table: the intp block
+    table a row indexes by (sparing numpy a cast per row) is made lazily."""
+    lo, s, ops = block.start, slice(block.start, block.stop), (meet, join)
+    ok = [True] * 4
+    if not dist:
+        own = [t[s, s].astype(np.intp) - lo for t in ops]
+        dist = distributive(*own)
+        ok = [dist or associative(t) for t in own] + [dist, dist]
+    memo, cols = {}, [t[:, s] for t in ops]
+    cells = lambda k: memo[k] if k in memo else memo.setdefault(k, ops[k][s, s].astype(np.intp))
+
+    def law(k: int, over: bool) -> Callable:
+        t, c, u = ops[k], cols[k], ops[1 - k]
+        if over:  # x t (y u z) against (x t y) u (x t z)
+            return lambda i: t[lo + i][cells(1 - k)] != u[c[lo + i]][:, c[lo + i]]
+        return lambda i: t[lo + i][cells(k)] != c[c[lo + i]]  # x t (y t z) against (x t y) t z
+
+    laws = [law(k, over) for over in (False, True) for k in (0, 1)]
+    return tuple((() if good else range(len(block)), row) for row, good in zip(laws, ok))
+
+
 def sweep_laws(carrier: Sequence, laws: dict) -> dict[str, AxiomCheck]:
     """Check laws over powers of one carrier, keeping their order.
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
-from roughwork.granular import AxiomReport, associative, distributive, sweep_laws
+from roughwork.granular import AxiomReport, lattice_laws, sweep_laws
 
 
 class QuotientAlgebra:
@@ -223,22 +223,16 @@ def _tables(cand: FiniteAlgebraCandidate) -> tuple[np.ndarray, ...]:
 
 def _lattice_base(cand: FiniteAlgebraCandidate, mt, jn, ng, r) -> dict:
     col = r[:, None]
-    # The ternary laws index one row by a whole table on every leading
-    # element; an intp copy spares numpy a cast of that table each time.
-    # A certified law sweeps no row; distributivity certifies all three.
-    mti, jni = mt.astype(np.intp), jn.astype(np.intp)
-    dist = distributive(mti, jni)
-    m_ok, j_ok = dist or associative(mti), dist or associative(jni)
+    m_assoc, j_assoc, (rows, m_over_j), (_, j_over_m) = lattice_laws(mt, jn, range(len(r)))
     return {
         "meet-idempotent": mt[r, r] != r,
         "meet-commutative": mt != mt.T,
-        "meet-associative": (() if m_ok else r, lambda a: mt[mt[a]] != mt[a][mti]),
+        "meet-associative": m_assoc,
         "join-idempotent": jn[r, r] != r,
         "join-commutative": jn != jn.T,
-        "join-associative": (() if j_ok else r, lambda a: jn[jn[a]] != jn[a][jni]),
+        "join-associative": j_assoc,
         "absorption": (mt[col, jn] != col) | (jn[col, mt] != col),
-        "distributivity": (() if dist else r, lambda a: (mt[a][jni] != jn[mt[a]][:, mt[a]])
-        | (jn[a][mti] != mt[jn[a]][:, jn[a]])),
+        "distributivity": (rows, lambda a: m_over_j(a) | j_over_m(a)),
         "bounds": (jn[cand.zero] != r)
         | (mt[cand.zero] != cand.zero)
         | (mt[cand.one] != r)

@@ -45,6 +45,10 @@ And ``BoundedPoset``'s meet table filled one row at a time, before it
 read each meet off packed down-sets, with the order check it made through
 the boolean product ``~rel @ rel.T``; and the candidate validation that
 checked list tables one entry at a time, before tables became arrays.
+
+And the ternary row laws as the pre-rough base and the mixed identity
+suite each built them, with their own intp table copies and certificate
+calls, before both took them from ``granular.lattice_laws``.
 """
 
 from __future__ import annotations
@@ -75,6 +79,8 @@ from roughwork.granular import (
     OperatorTable,
     ParthoodPredicate,
     SearchCapExceededError,
+    associative,
+    distributive,
 )
 from roughwork.negation import (
     CLAIM_IDS,
@@ -736,6 +742,45 @@ def cera_ternary_laws(model: CeraModel) -> dict[str, AxiomCheck]:
             )
             out[f"ter-{tag}{law}"] = AxiomCheck(witness is None, witness)
     return out
+
+
+def lattice_rows(mt: np.ndarray, jn: np.ndarray) -> dict[str, tuple]:
+    """The ternary laws of ``prerough._lattice_base``, built on intp copies."""
+    r = np.arange(len(mt))
+    mti, jni = mt.astype(np.intp), jn.astype(np.intp)
+    dist = distributive(mti, jni)
+    m_ok, j_ok = dist or associative(mti), dist or associative(jni)
+    return {
+        "meet-associative": (() if m_ok else r, lambda a: mt[mt[a]] != mt[a][mti]),
+        "join-associative": (() if j_ok else r, lambda a: jn[jn[a]] != jn[a][jni]),
+        "distributivity": (() if dist else r, lambda a: (mt[a][jni] != jn[mt[a]][:, mt[a]])
+        | (jn[a][mti] != mt[jn[a]][:, jn[a]])),
+    }
+
+
+def cera_block_rows(plus: np.ndarray, times: np.ndarray, idxs: np.ndarray, dist) -> tuple:
+    """``ter-{tag}1``, ``ter-{tag}2`` and ``ter-{tag}3`` of one block of
+    ``check_cera_identities``, built on fancy-index copies of the block."""
+
+    def assoc(table: np.ndarray, certified: bool):
+        sub = table[idxs][:, idxs].astype(np.intp)
+        cols = table[:, idxs]
+        row = lambda i: table[idxs[i]][sub] != cols[table[idxs[i], idxs]]
+        return ((), row) if certified else row
+
+    def distrib(certified: bool):
+        tsub = times[idxs][:, idxs].astype(np.intp)
+
+        def row(i: int) -> np.ndarray:
+            sums = plus[idxs[i], idxs]
+            return plus[idxs[i]][tsub] != times[sums][:, sums]
+
+        return ((), row) if certified else row
+
+    own_p, own_t = (t[idxs[:, None], idxs].astype(np.intp) - idxs[0] for t in (plus, times))
+    dist = dist or distributive(own_t, own_p)
+    p_ok, t_ok = dist or associative(own_p), dist or associative(own_t)
+    return assoc(plus, p_ok), distrib(dist), assoc(times, t_ok)
 
 
 def is_distributive(poset: BoundedPoset) -> bool | None:

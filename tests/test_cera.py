@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,22 @@ def test_soft_flag_switches_commonality_slot(example_space):
 @given(spaces(max_atoms=4))
 def test_identity_suite_on_random_spaces(space):
     assert check_cera_identities(CeraModel(space)).all_pass
+
+
+@pytest.mark.parametrize("soft", [False, True])
+def test_certified_blocks_build_no_block_tables(soft):
+    # 10 atoms in blocks of two: 1024 subsets and 243 classes.  Every
+    # ternary law is certified, so no 1024² intp block table is built.
+    atoms = "abcdefghij"
+    space = ApproximationSpace.from_partition(atoms, [atoms[i : i + 2] for i in range(0, 10, 2)])
+    model = CeraModel(space, soft=soft)
+    tracemalloc.start()
+    try:
+        assert check_cera_identities(model).all_pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_witness_mapping_points_at_cells():

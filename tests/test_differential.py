@@ -32,9 +32,11 @@ oracle gives it: on symmetric meet and join mutants of the quotients, on
 every lattice of up to six elements and on symmetric block mutants of the
 mixed tables, where the sweep must catch what a certificate rejects; and
 on a passing 54-class quotient and its mixed models no ternary row may be
-built.  The join-irreducible distributivity test must agree with the
-distributive law on every lattice of up to seven elements and on random
-posets.
+built.  ``granular.lattice_laws`` must sweep the rows, and build at every
+leading index the row, that the pre-rough base and the mixed suite each
+built before it, on those mutants and lattices.  The join-irreducible
+distributivity test must agree with the distributive law on every
+lattice of up to seven elements and on random posets.
 The meet and join tables read off packed down-sets must equal the row
 pass on every lattice of up to seven elements, on the quotient orders of
 every partition of up to six atoms and on random orders of up to 130
@@ -66,6 +68,7 @@ from roughwork import (
     granular,
     negation,
     parthood,
+    prerough,
 )
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.cli import _quotient_poset
@@ -380,7 +383,8 @@ def test_cera_ternary_certificates_on_symmetric_block_mutants(monkeypatch):
 def test_boolean_subset_block_needs_no_distributive_certificate(monkeypatch):
     calls = []  # block sizes, subsets before classes
     real = granular.distributive
-    monkeypatch.setattr(cera, "distributive", lambda mt, jn: calls.append(len(mt)) or real(mt, jn))
+    counting = lambda mt, jn: calls.append(len(mt)) or real(mt, jn)
+    monkeypatch.setattr(granular, "distributive", counting)
     rng = random.Random(2749)
     caught = 0
     for space in SPACES[:23]:  # up to four atoms
@@ -406,6 +410,66 @@ def test_boolean_subset_block_needs_no_distributive_certificate(monkeypatch):
                 assert calls == [size, n - size]
                 caught += not all(check.passed for check in expected.values())
     assert caught >= 40
+
+
+def same_row_law(new, old, size: int) -> bool:
+    """Assert that two row laws sweep the same rows and build equal rows at
+    every leading index, certified or not; return whether they sweep any."""
+    (new_rows, new_row), (old_rows, old_row) = (
+        law if isinstance(law, tuple) else (range(size), law) for law in (new, old)
+    )
+    assert list(new_rows) == list(old_rows)
+    for i in range(size):
+        a, b = new_row(i), old_row(i)
+        assert a.shape == b.shape and (a == b).all()
+    return bool(len(new_rows))
+
+
+def test_lattice_laws_build_the_rows_they_replaced():
+    rng = random.Random(4409)
+    swept = Counter()
+    # Symmetric block mutants of the mixed tables, valued in the block or anywhere.
+    for space in SPACES[:23]:  # up to four atoms
+        for soft in (False, True):  # the commonality slot is odot, then circ
+            model = CeraModel(space, soft=soft)
+            size, n = 1 << space.universe.size, len(model.elements())
+            plus, times = model.tables()[:2]
+            variants = [(plus, times)]
+            for k in (0, 1, 0, 1):
+                block = rng.choice([range(size), range(size, n)])
+                if len(block) < 2:
+                    continue
+                mutant = [plus.copy(), times.copy()]
+                inner = mutant[k][block.start : block.stop, block.start : block.stop]
+                inner[:] = symmetric_mutant(inner.tolist(), rng, rng.choice([block, range(n)]))
+                variants.append(tuple(mutant))
+            for plus_, times_ in variants:
+                for block in (range(size), range(size, n)):
+                    for dist in (None, True):
+                        new = granular.lattice_laws(times_, plus_, block, dist)
+                        idxs = np.arange(block.start, block.stop)
+                        old = oracle.cera_block_rows(plus_, times_, idxs, dist)
+                        for new_law, old_law in zip((new[1], new[3], new[0]), old):
+                            swept["cera"] += same_row_law(new_law, old_law, len(block))
+    # Symmetric meet and join mutants of the quotients, and every lattice of
+    # up to six elements.
+    cands = []
+    for space in SPACES:
+        cand = quotient_algebra(space).to_candidate()
+        cands.append(cand)
+        if cand.size > 1:
+            for name in ("meet", "join", "meet", "join"):
+                table = symmetric_mutant(getattr(cand, name), rng, range(cand.size))
+                cands.append(dataclasses.replace(cand, **{name: table}))
+    cands += [lattice_candidate(p) for n in range(1, 7) for p in enumerate_lattices(n)]
+    for cand in cands:
+        mt, jn, ng, _, r = prerough._tables(cand)
+        new = prerough._lattice_base(cand, mt, jn, ng, r)
+        for name, old_law in oracle.lattice_rows(mt, jn).items():
+            swept[name] += same_row_law(new[name], old_law, cand.size)
+    assert swept["cera"] >= 300
+    assert min(swept[name] for name in ("meet-associative", "join-associative")) >= 120
+    assert swept["distributivity"] >= 250
 
 
 def counted_row_sweeps(monkeypatch) -> list:
@@ -723,6 +787,8 @@ def test_negation_on_quotient_orders_and_partial_posets():
     cases = []
     for space in SPACES:
         poset, op = _quotient_poset(space)
+        quotient = quotient_algebra(space)  # the map read off the negation table
+        assert op.mapping == {c: quotient.neg(c) for c in quotient.carrier}
         cases.append((poset, op))
         cases += [(poset, partial_map(rng, poset.elements)) for _ in range(3)]
     for _ in range(150):
