@@ -31,6 +31,7 @@ from roughwork.approx import (
 )
 
 SEARCH_CANDIDATE_CAP = 10**7
+CHUNK_BYTES = 1 << 20  # bytes of rows a packed-row kernel takes per numpy call
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def relation_square(m: np.ndarray) -> np.ndarray:
 
 def _rows_agree(rows: np.ndarray, op: np.ndarray, combine: Callable) -> bool:
     """Whether packed rows[op[x, y]] = combine(rows[x], rows[y]) for all x, y."""
-    step = max(1, len(rows) // rows.shape[1])  # x in chunks of carrier² bytes
+    step = max(1, CHUNK_BYTES // rows.nbytes)  # each x row makes a rows-sized temporary
     return not any(
         (rows[op[x : x + step]] != combine(rows[x : x + step, None], rows)).any()
         for x in range(0, len(rows), step)
@@ -197,11 +198,14 @@ def distributive(meet: np.ndarray, join: np.ndarray) -> bool:
     below x and the least element (Birkhoff 1937, "Rings of sets"; Davey
     and Priestley, Introduction to Lattices and Order, ch. 5).
     """
+    return _distributive_past(meet, join, associative(meet) and associative(join))
+
+
+def _distributive_past(meet: np.ndarray, join: np.ndarray, semilattices: bool) -> bool:
+    """``distributive`` given the verdict of both semilattice certificates."""
     r = np.arange(len(meet))
     col = r[:, None]
-    if not (associative(meet) and associative(join)) or (
-        (meet[col, join] != col).any() or (join[col, meet] != col).any()
-    ):
+    if not semilattices or (meet[col, join] != col).any() or (join[col, meet] != col).any():
         return False
     irreducible = ~np.isin(r, join[(join != col) & (join != r)])
     return _rows_agree(np.packbits((meet == r) & irreducible, axis=1), join, np.bitwise_or)
@@ -220,8 +224,9 @@ def lattice_laws(meet: np.ndarray, join: np.ndarray, block: range, dist=None) ->
     ok = [True] * 4
     if not dist:
         own = [t[s, s].astype(np.intp) - lo for t in ops]
-        dist = distributive(*own)
-        ok = [dist or associative(t) for t in own] + [dist, dist]
+        ok = [associative(t) for t in own]
+        dist = _distributive_past(*own, all(ok))
+        ok += [dist, dist]
     memo, cols = {}, [t[:, s] for t in ops]
     cells = lambda k: memo[k] if k in memo else memo.setdefault(k, ops[k][s, s].astype(np.intp))
 

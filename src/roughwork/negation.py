@@ -19,7 +19,7 @@ import numpy as np
 
 from roughwork.approx import CapExceededError as SearchTooLargeError
 from roughwork.granular import (
-    AxiomCheck, AxiomReport, distributive, packed_rows, relation_square, sweep_laws
+    CHUNK_BYTES, AxiomCheck, AxiomReport, distributive, packed_rows, relation_square, sweep_laws
 )
 
 FALSIFY_SIZE_CAP = 6
@@ -127,7 +127,7 @@ def _meet_table(rel: np.ndarray) -> np.ndarray:
     order = np.argsort(-rel.sum(axis=0), kind="stable")
     words = packed_rows(rel[order][:, order].T)
     table = np.empty((n, n), dtype=np.min_scalar_type(-n))
-    step = max(1, (1 << 20) // words.nbytes)  # rows per 1 MiB chunk
+    step = max(1, CHUNK_BYTES // words.nbytes)
     for i in range(0, n, step):
         common = words[i : i + step, None] & words
         first = (common != 0).argmax(axis=2)
@@ -184,22 +184,24 @@ class NegationProfile:
         return self.checks[name].passed
 
 
-def _weak_equal_maps(left: tuple, right: tuple) -> bool:
-    return all(
-        a is None or b is None or a == b for a, b in zip(left, right)
-    )
+def _iterate_index(F: np.ndarray, first: np.ndarray) -> tuple[int, int] | None:
+    """Least n admitting m < n with f^m weakly equal to f^n pointwise.
 
-
-def _iterate_index(elements: tuple, f: UnaryOp) -> tuple[int, int] | None:
-    """Least n admitting m < n with f^m weakly equal to f^n pointwise."""
-    maps = [tuple(elements)]
-    for _ in range(10000):
-        nxt = tuple(None if v is None else f(v) for v in maps[-1])
+    Iterates are index arrays from ``first``, -1 where undefined; F gets a
+    -1 sentinel, so an undefined value stays undefined in every later
+    iterate, and iterate n weakly equals an earlier one iff they agree
+    wherever iterate n is defined.
+    """
+    apply = np.append(F, -1)
+    maps = np.empty((10001, len(first)), dtype=F.dtype)
+    maps[0] = first
+    for n in range(1, 10001):
+        maps[n] = apply[maps[n - 1]]
         # every pair of older iterates already failed, so test the new one only
-        for m, earlier in enumerate(maps):
-            if _weak_equal_maps(earlier, nxt):
-                return m, len(maps)
-        maps.append(nxt)
+        hit = ((maps[:n] == maps[n]) | (maps[n] < 0)).all(axis=1)
+        m = int(hit.argmax())
+        if hit[m]:
+            return m, n
     return None
 
 
@@ -235,7 +237,7 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
             "N9": defined[:, None] & (((meet < 0) | (meet == bot)) != y_below_fx),
         },
     )
-    index = _iterate_index(els, f)
+    index = _iterate_index(F, np.where(r == poset._index.get(None, -1), -1, r))
     results["N5"] = AxiomCheck(index is not None, None if index else ("no-cycle",))
     checks = AxiomReport({name: results[name] for name in CONDITION_NAMES})
     if index is None:

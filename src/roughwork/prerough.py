@@ -61,7 +61,8 @@ class QuotientAlgebra:
         return self._cls(x, x)
 
     def leq(self, a: RoughClass, b: RoughClass) -> bool:
-        return a.lower <= b.lower and a.upper <= b.upper
+        a.lower._check(b.lower)
+        return a.lower.mask & ~b.lower.mask | a.upper.mask & ~b.upper.mask == 0
 
     def leq_matrix(self) -> np.ndarray:
         """leq over the carrier, as a boolean matrix in carrier order."""

@@ -49,6 +49,10 @@ checked list tables one entry at a time, before tables became arrays.
 And the ternary row laws as the pre-rough base and the mixed identity
 suite each built them, with their own intp table copies and certificate
 calls, before both took them from ``granular.lattice_laws``.
+
+And the N5 iterate index as tuples of elements, one ``f`` call per value
+and one weak comparison per earlier iterate, before it read the index
+array of ``f``.
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ from roughwork.negation import (
     SearchTooLargeError,
     UnaryOp,
     _condition_masks,
-    _iterate_index,
     enumerate_distributive_lattices,
 )
 from roughwork.negation import check_negation as _table_check_negation
@@ -375,7 +378,7 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
             and not poset.leq(y, f(x))
         ),
     )
-    index = _iterate_index(els, f)
+    index = iterate_index(els, f)
     results["N5"] = AxiomCheck(index is not None, None if index else ("no-cycle",))
 
     def n6_violations():
@@ -1078,6 +1081,25 @@ def from_pairs(atoms: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Approx
     for name in universe.atoms:
         groups.setdefault(find(name), []).append(name)
     return ApproximationSpace(universe, [universe.subset(g) for g in groups.values()])
+
+
+def weak_equal_maps(left: tuple, right: tuple) -> bool:
+    return all(
+        a is None or b is None or a == b for a, b in zip(left, right)
+    )
+
+
+def iterate_index(elements: tuple, f: UnaryOp) -> tuple[int, int] | None:
+    """Least n admitting m < n with f^m weakly equal to f^n pointwise."""
+    maps = [tuple(elements)]
+    for _ in range(10000):
+        nxt = tuple(None if v is None else f(v) for v in maps[-1])
+        # every pair of older iterates already failed, so test the new one only
+        for m, earlier in enumerate(maps):
+            if weak_equal_maps(earlier, nxt):
+                return m, len(maps)
+        maps.append(nxt)
+    return None
 
 
 def meet_table(rel: np.ndarray) -> np.ndarray:

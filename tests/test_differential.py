@@ -44,7 +44,13 @@ elements, and ``BoundedPoset`` must name the error the boolean product
 named on relations that large.  Candidate validation on arrays must raise
 the errors, with their texts, that the entry-by-entry check raised, and a
 Boolean subset block of the mixed tables must need no distributive
-certificate while a mutant one gets it and the oracle's reports.
+certificate while a mutant one gets it and the oracle's reports, and
+``lattice_laws`` must certify each table once.  The N5 iterate index read
+off the map's index array must equal the object iterates' index on the
+quotient orders of every partition of up to six atoms and every lattice
+of up to seven elements, under partial maps, non-involutions and
+permutations, and on posets with None as an element.  ``QuotientAlgebra.leq``
+must equal ``leq_matrix()`` on every partition of up to six atoms.
 """
 
 from __future__ import annotations
@@ -70,6 +76,7 @@ from roughwork import (
     parthood,
     prerough,
 )
+from roughwork.approx import UniverseMismatchError
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.cli import _quotient_poset
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
@@ -382,9 +389,9 @@ def test_cera_ternary_certificates_on_symmetric_block_mutants(monkeypatch):
 
 def test_boolean_subset_block_needs_no_distributive_certificate(monkeypatch):
     calls = []  # block sizes, subsets before classes
-    real = granular.distributive
-    counting = lambda mt, jn: calls.append(len(mt)) or real(mt, jn)
-    monkeypatch.setattr(granular, "distributive", counting)
+    real = granular._distributive_past
+    counting = lambda mt, jn, ok: calls.append(len(mt)) or real(mt, jn, ok)
+    monkeypatch.setattr(granular, "_distributive_past", counting)
     rng = random.Random(2749)
     caught = 0
     for space in SPACES[:23]:  # up to four atoms
@@ -470,6 +477,28 @@ def test_lattice_laws_build_the_rows_they_replaced():
     assert swept["cera"] >= 300
     assert min(swept[name] for name in ("meet-associative", "join-associative")) >= 120
     assert swept["distributivity"] >= 250
+
+
+def test_lattice_laws_certify_each_table_once(monkeypatch):
+    tables = []
+    real = granular.associative
+    monkeypatch.setattr(granular, "associative", lambda op: tables.append(op.tolist()) or real(op))
+    rng = random.Random(3307)
+    rejected = 0
+    for space in SPACES:
+        cand = quotient_algebra(space).to_candidate()
+        if cand.size < 2:
+            continue
+        for name in ("meet", "join", "meet", "join"):
+            mutant = dataclasses.replace(
+                cand, **{name: symmetric_mutant(getattr(cand, name), rng, range(cand.size))}
+            )
+            mt, jn = np.array(mutant.meet), np.array(mutant.join)
+            tables.clear()
+            laws = granular.lattice_laws(mt, jn, range(cand.size))
+            assert tables == [mt.tolist(), jn.tolist()]
+            rejected += bool(len(laws[2][0]))  # distributivity left to the sweep
+    assert rejected >= 250
 
 
 def counted_row_sweeps(monkeypatch) -> list:
@@ -922,6 +951,52 @@ def test_meet_tables_match_the_row_pass(lattices):
     assert partial >= 100
 
 
+def total_map(rng: random.Random, elements) -> UnaryOp:
+    return UnaryOp({x: rng.choice(elements) for x in elements})
+
+
+def test_iterate_index_matches_the_object_iterates(lattices):
+    # Quotient orders with their negation and seeded partial and total maps;
+    # every lattice of up to seven elements with those and a permutation.
+    rng = random.Random(6619)
+    cases = []
+    for space in SPACES_6:
+        poset, op = _quotient_poset(space)
+        cases += [(poset, op), (poset, partial_map(rng, poset.elements))]
+        cases.append((poset, total_map(rng, poset.elements)))
+    for poset in (p for ps in lattices.values() for p in ps):
+        els = poset.elements
+        cases += [(poset, partial_map(rng, els)), (poset, total_map(rng, els))]
+        cases.append((poset, UnaryOp(dict(zip(els, rng.sample(els, len(els)))))))
+    assert len(cases) == 3 * 278 + 3 * 78
+    long_tails = 0
+    for poset, op in cases:
+        index = check_negation(poset, op).index
+        assert index == oracle.iterate_index(poset.elements, op)
+        m, n = index
+        long_tails += m >= 2 and n - m >= 2
+    assert long_tails >= 300
+
+
+def test_iterate_index_counts_a_none_element_undefined():
+    # None is an element of the carrier, yet an undefined entry of an iterate.
+    rng = random.Random(4021)
+    chain = BoundedPoset.chain([None, 1, 2, 3])
+    none_on_top = BoundedPoset([0, 1, 2, None], [(0, 1), (0, 2), (0, None), (1, None), (2, None)])
+    differs = 0
+    for poset in (chain, none_on_top):
+        els = list(poset.elements)
+        r = np.arange(len(els), dtype=poset._meet.dtype)
+        for _ in range(300):
+            op = rng.choice([total_map, partial_map])(rng, els)
+            index = check_negation(poset, op).index
+            assert index == oracle.iterate_index(poset.elements, op)
+            # Reading None's own index in the first iterate would change the answer.
+            F = np.array([-1 if op(x) is None else els.index(op(x)) for x in els], dtype=r.dtype)
+            differs += negation._iterate_index(F, r) != index
+    assert differs >= 20
+
+
 def test_poset_errors_on_large_relations_match_the_boolean_product():
     rng = random.Random(4153)
     errors = {}
@@ -959,6 +1034,18 @@ def test_poset_errors_on_large_relations_match_the_boolean_product():
 def relation_product(rel: np.ndarray) -> np.ndarray:
     """rel∘rel by an integer path count."""
     return rel.astype(np.int64) @ rel.astype(np.int64) > 0
+
+
+def test_quotient_leq_matches_the_order_matrix_up_to_six_atoms():
+    for space in SPACES_6:
+        q = quotient_algebra(space)
+        leq = q.leq_matrix()
+        assert [[q.leq(a, b) for b in q.carrier] for a in q.carrier] == leq.tolist()
+    # Classes over different universes raise the error their lower bounds raise.
+    q, other = quotient_algebra(SPACES_6[1]), quotient_algebra(SPACES_6[-1])
+    for a, b in ((q.one, other.zero), (q.zero, other.one)):
+        assert raised(q.leq, a, b) == raised(operator.le, a.lower, b.lower)
+        assert raised(q.leq, a, b)[0] is UniverseMismatchError
 
 
 def test_implies_matches_the_composed_form_on_every_class_pair():
