@@ -401,7 +401,10 @@ class RoughClass:
     def __init__(self, space: ApproximationSpace, lower: Subset, upper: Subset):
         space._check(lower)
         space._check(upper)
-        space.masks.class_index(lower.mask, upper.mask)
+        bm, lo, up = space.masks, lower.mask, upper.mask
+        m = lo | bm.lowbits & up & ~lo  # class_index on one pair of ints
+        if bm.lower.item(m) != lo or bm.upper.item(m) != up:
+            raise ValueError("bounds that no rough class has")
         self.space = space
         self.lower = lower
         self.upper = upper
@@ -468,7 +471,7 @@ class BoundMasks(NamedTuple):
     def class_index(self, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
         """Index of the class with bounds (lower, upper), cellwise.
 
-        Raises ValueError unless every pair is the bounds of a class: the one
+        Raises ValueError unless every pair is the bounds of a class: the
         realizability check, which ``RoughClass`` makes on one pair of ints.
         """
         mask = lower | (self.lowbits & upper & ~lower)

@@ -7,7 +7,10 @@ collapses the class argument through its members and lands back in a
 class.  The element methods answer single queries on objects;
 ``CeraModel.tables`` gives the operations over the whole carrier as index
 arrays, from ``space.masks`` and the quotient's tables, for the identity
-suite and the parthood matrices.
+suite and the parthood matrices.  ``CeraModel.element(i)`` states the
+carrier layout once: subset i, then class i - 2^n.  The identity suite
+decides every law, its tag detectors included, on tables and bounds,
+calls no element method, and builds elements only for a witness.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from roughwork.approx import ApproximationSpace, CapExceededError, RoughClass, Subset
 from roughwork.granular import (
-    AxiomCheck, AxiomReport, first_violation, lattice_laws
+    AxiomCheck, AxiomReport, Labels, first_violation, lattice_laws
 )
 from roughwork.prerough import QuotientAlgebra
 
@@ -92,11 +95,19 @@ class CeraModel:
     def class_of(self, x: Subset) -> MixedElement:
         return MixedElement.type2(self.space.rough_class_of(x))
 
+    def element(self, i: int) -> MixedElement:
+        """Element i of the carrier: subset i, then class i - 2^n."""
+        u, bm = self.space.universe, self.space.masks
+        j = i - len(bm.lower)
+        if j < 0:
+            return MixedElement.type1(Subset(u, i))
+        lo, up = bm.class_lower.item(j), bm.class_upper.item(j)
+        return MixedElement.type2(RoughClass(self.space, Subset(u, lo), Subset(u, up)))
+
     def elements(self) -> list[MixedElement]:
         """Full carrier: subsets in mask order, then classes."""
-        out = [MixedElement.type1(s) for s in self.space.universe.subsets()]
-        out.extend(MixedElement.type2(c) for c in self.quotient.carrier)
-        return out
+        bm = self.space.masks
+        return [self.element(i) for i in range(len(bm.lower) + len(bm.class_lower))]
 
     def tables(self) -> tuple[np.ndarray, ...]:
         """oplus, commonality, L, black lozenge and sim_neg over ``elements()``.
@@ -214,12 +225,13 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
     no certificate decides their PASS.  A carrier over ``cap`` raises.
     Guarded laws quantify only over the tags named in their premises.
     """
-    # elements() lists the subsets 0..2^n-1 (type 1), then the classes (type 2).
-    size = 1 << model.space.universe.size
-    n = size + len(model.space.masks.class_lower)
+    # The carrier is the subsets 0..2^n-1 (type 1), then the classes (type 2).
+    bm = model.space.masks
+    size = len(bm.lower)
+    n = size + len(bm.class_lower)
     if n > cap:
         raise CapExceededError(f"carrier of size {n} exceeds identity-check cap")
-    els = model.elements()
+    els = Labels(range(n), model.element)
 
     arange = np.arange(n)
     type1 = arange < size
@@ -227,7 +239,7 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
 
     plus, times, low, dia, neg = model.tables()
     bot_i, top_i = 0, size - 1
-    zero_i, one_i = size, size + int(model.space.masks.class_id[-1])
+    zero_i, one_i = size, size + int(bm.class_id[-1])
 
     all1, all2 = els[:size], els[size:]
     results: dict[str, AxiomCheck] = {}
@@ -244,18 +256,13 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
     one_el = (els,)
     two_el = (els, els)
 
-    # Tag detectors.
-    squig_diag = np.array([model.rightsquig(a, a) == model.top for a in els])
-    record("type-1", [("x ~> x = T iff type-1", squig_diag != type1, one_el)])
-
-    def neg_defined(a: MixedElement) -> bool:
-        try:
-            model.partial_neg(a)
-        except UndefinedOperationError:
-            return False
-        return True
-
-    defined = np.array([neg_defined(a) for a in els])
+    # Tag detectors, on the bounds: x ~> x is m | ~m on a subset mask m and
+    # the quotient's implies(c, c) on a class; ~ is defined on classes only.
+    lo, up = bm.class_lower, bm.class_upper
+    x = (top_i ^ lo | lo) & (top_i ^ up | up)
+    squig = np.concatenate([t1 | top_i ^ t1, size + bm.class_index(x, x)])
+    record("type-1", [("x ~> x = T iff type-1", (squig == top_i) != type1, one_el)])
+    defined = ~type1
     record("type-2", [("neg defined iff type-2", defined == type1, one_el)])
 
     # Unary laws over the whole carrier.
@@ -294,8 +301,8 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
     record(
         "qov-2",
         [
-            ("~bottom = top", np.array([neg[bot_i] != top_i]), ([els[bot_i]],)),
-            ("~0 = 1", np.array([neg[zero_i] != one_i]), ([els[zero_i]],)),
+            ("~bottom = top", np.array([neg[bot_i] != top_i]), (els[bot_i : bot_i + 1],)),
+            ("~0 = 1", np.array([neg[zero_i] != one_i]), (els[zero_i : zero_i + 1],)),
         ],
     )
 

@@ -54,13 +54,17 @@ class CradModel:
     @cached_property
     def carrier(self) -> tuple[DialecticalPair, ...]:
         """K: first_pair(x) for every subset x in mask order, then second_pair(x)."""
-        subsets = [MixedElement.type1(x) for x in self.cera.space.universe.subsets()]
-        classes = [MixedElement.type2(c) for c in self.cera.quotient.carrier]
-        of = [classes[c] for c in self.cera.space.masks.class_id.tolist()]
-        return tuple(
-            [DialecticalPair(x, c) for x, c in zip(subsets, of)]
-            + [DialecticalPair(c, x) for x, c in zip(subsets, of)]
-        )
+        els, class_id = self.cera.elements(), self.cera.space.masks.class_id
+        of = [els[len(class_id) + c] for c in class_id.tolist()]
+        firsts = [DialecticalPair(x, c) for x, c in zip(els, of)]
+        return tuple(firsts + [DialecticalPair(c, x) for x, c in zip(els, of)])
+
+    def pair(self, i: int) -> DialecticalPair:
+        """Pair i of ``carrier``, from elements of the mixed carrier."""
+        cera, size = self.cera, len(self.cera.space.masks.lower)
+        x = cera.element(i % size)
+        c = cera.element(size + cera.space.masks.class_id.item(i % size))
+        return DialecticalPair(x, c) if i < size else DialecticalPair(c, x)
 
     def first_pair(self, x: Subset) -> DialecticalPair:
         """The subset-first element (x, 0 (+) x) of K."""

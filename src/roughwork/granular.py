@@ -151,6 +151,25 @@ def first_violation(
     return tuple(axis[int(i)] for axis, i in zip(axes, cell))
 
 
+class Labels(Sequence):
+    """The elements ``make(i)`` of a carrier, each built when indexed.
+
+    A law sweep names its witness by these labels, so a passing sweep
+    builds no element.  A slice is the labels of the indices it selects.
+    """
+
+    def __init__(self, indices: range, make: Callable[[int], object]):
+        self._indices, self._make = indices, make
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Labels(self._indices[i], self._make)
+        return self._make(self._indices[i])
+
+
 def packed_rows(m: np.ndarray) -> np.ndarray:
     """Boolean rows as 64-bit words; column j is bit j % 64 of word j // 64."""
     padded = np.zeros((len(m), (m.shape[1] + 63) // 64 * 64), dtype=bool)
@@ -308,19 +327,6 @@ def from_space(space: ApproximationSpace) -> GranularModel:
     )
 
 
-class _Subsets:
-    """The subsets of a universe in mask order, each built when indexed."""
-
-    def __init__(self, universe: Universe):
-        self.universe, self._masks = universe, range(1 << universe.size)
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def __getitem__(self, i: int) -> Subset:
-        return Subset(self.universe, self._masks[i])
-
-
 def _mask_tables(universe: Universe, *ops: OperatorTable) -> tuple[np.ndarray, ...]:
     """The masks themselves, then each operator's table, as index arrays."""
     dtype = np.min_scalar_type((1 << universe.size) - 1)
@@ -365,7 +371,7 @@ def check_gos_axioms(model: GranularModel, strict_upper: bool = False) -> AxiomR
     uu = up[up]
     expansion = "upper-strict-expansion" if strict_upper else "upper-weak-expansion"
     results = sweep_laws(
-        _Subsets(u),
+        Labels(range(1 << u.size), u.from_mask),
         {
             "lower-contraction": _not_within(lo, masks),
             "lower-idempotence": lo[lo] != lo,
@@ -395,7 +401,7 @@ def check_operator_axioms(table: OperatorTable, kind: str) -> AxiomReport:
     else:
         laws = {"increasing": _not_within(masks, op)}
     laws["monotonicity"] = _monotonicity(masks, op)
-    return AxiomReport(sweep_laws(_Subsets(table.universe), laws))
+    return AxiomReport(sweep_laws(Labels(range(len(op)), table.universe.from_mask), laws))
 
 
 def _separation(n: int, m: int) -> int:

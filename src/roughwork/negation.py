@@ -52,11 +52,10 @@ class BoundedPoset:
         self.elements = tuple(elements)
         if not self.elements or len(set(self.elements)) != len(self.elements):
             raise ValueError("elements must be nonempty and distinct")
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        index = self._index = {e: i for i, e in enumerate(self.elements)}
         n = len(self.elements)
         rel = np.eye(n, dtype=bool)
-        for a, b in leq_pairs:
-            rel[self._index[a], self._index[b]] = True
+        rel.reshape(-1)[[index[a] * n + index[b] for a, b in leq_pairs]] = True
         # The first bad cell in row-major order names the error, antisymmetry
         # first; (i, j) is unclosed if i <= j <= k for some k not above i.
         cycle = rel & rel.T & ~np.eye(n, dtype=bool)

@@ -9,15 +9,14 @@ bound tables of every subset at once; the algebraic and natural matrices
 index the mixed tables and the quotient order; the g-simple matrix
 compares granule codes.  Order-theoretic structure is decided by
 exhaustive scan on one thread (transitivity ORs bit-packed rows: BLAS
-worker threads outlive a product) and reported with witnesses.
+worker threads outlive a product) and reported with witnesses; the
+carrier is labels, so only a witness's elements are ever built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
-
 import numpy as np
 
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
@@ -25,7 +24,7 @@ from roughwork.approx import CapExceededError as CarrierCapExceededError
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel, DialecticalPair
 from roughwork.granular import (
-    AxiomCheck, GranularModel, _mask_tables, first_violation, relation_square
+    AxiomCheck, GranularModel, Labels, _mask_tables, first_violation, relation_square
 )
 
 MATRIX_CAP = 1024
@@ -135,13 +134,13 @@ def holds(kind: ParthoodKind, model, a, b) -> bool:
     return model.natural_parthood(a, b)
 
 
-def _carrier(kind: ParthoodKind, model) -> tuple[int, Callable[[], list]]:
-    """The size of the carrier the kind quantifies over, and how to list it."""
+def _carrier(kind: ParthoodKind, model) -> Labels:
+    """The carrier the kind quantifies over, as labels."""
     if kind in SUBSET_KINDS:
         if kind is ParthoodKind.G_SIMPLE and not isinstance(model, GranularModel):
             raise TypeError("g-simple parthood needs a granular model")
         if isinstance(model, (GranularModel, ApproximationSpace)):
-            return 1 << model.universe.size, lambda: list(model.universe.subsets())
+            return Labels(range(1 << model.universe.size), model.universe.from_mask)
         raise TypeError(
             "subset parthoods need an approximation space or granular model,"
             f" got {model!r}"
@@ -150,30 +149,34 @@ def _carrier(kind: ParthoodKind, model) -> tuple[int, Callable[[], list]]:
         if not isinstance(model, CeraModel):
             raise TypeError(f"{kind.value} parthood needs the mixed algebra")
         classes = len(model.space.masks.class_lower)
-        return (1 << model.space.universe.size) + classes, model.elements
+        return Labels(range((1 << model.space.universe.size) + classes), model.element)
     if not isinstance(model, CradModel):
         raise TypeError("natural parthood needs the dialectical pair model")
-    return 2 << model.cera.space.universe.size, lambda: list(model.carrier)
+    return Labels(range(2 << model.cera.space.universe.size), model.pair)
 
 
 def carrier_elements(kind: ParthoodKind, model) -> list:
     """The carrier the kind quantifies over, in deterministic order."""
-    return _carrier(kind, model)[1]()
+    return list(_carrier(kind, model))
 
 
 def relation_matrix(
     kind: ParthoodKind, model, cap: int = MATRIX_CAP
-) -> tuple[list, np.ndarray]:
-    """The carrier of the kind and its relation as a boolean matrix."""
-    size, listing = _carrier(kind, model)
+) -> tuple[Labels, np.ndarray]:
+    """The carrier of the kind, as labels, and its relation as a boolean matrix.
+
+    The matrix needs only the carrier size and the model's tables, and the
+    cap is checked first; label i builds element i of ``carrier_elements``.
+    """
+    elements = _carrier(kind, model)
+    size = len(elements)
     if size > cap:
         raise CarrierCapExceededError(
             f"carrier of size {size} exceeds the matrix cap {cap}"
         )
-    elements = listing()
     if kind is ParthoodKind.G_SIMPLE:
         granules = np.array([g.mask for g in model.granules])[:, None]
-        codes = np.packbits(granules & ~np.arange(len(elements)) == 0, axis=0)
+        codes = np.packbits(granules & ~np.arange(size) == 0, axis=0)
         return elements, ~(codes[:, :, None] & ~codes[:, None, :]).any(axis=0)
     if kind in SUBSET_KINDS:
         if isinstance(model, GranularModel):
@@ -182,7 +185,7 @@ def relation_matrix(
             lower, upper = model.masks[:2]
         condition = _BOUND_CONDITIONS[kind]
         return elements, condition(lower[:, None], upper[:, None], lower, upper)
-    r = np.arange(len(elements))
+    r = np.arange(size)
     if kind is ParthoodKind.ADDITIVE:
         return elements, model.tables()[0] == r
     if kind is ParthoodKind.COMMON:

@@ -34,7 +34,9 @@ claims shared one construction.
 And ``BoundedPoset.is_distributive`` as it compared x ∧ (y ∨ z) with
 (x ∧ y) ∨ (x ∧ z) one x at a time, before it read the join-irreducible
 certificate; and the six same-type ternary identities of the mixed
-algebra, one cell at a time, before certificates decided their PASS.
+algebra, one cell at a time, before certificates decided their PASS;
+and the identity suite's tag detectors, one ``rightsquig`` and one
+``partial_neg`` call per element, before they read the bound masks.
 
 And the lattice enumeration that scanned every upper-triangular relation
 and checked transitivity on bit rows before ``BoundedPoset`` checked it
@@ -71,7 +73,7 @@ from roughwork.approx import (
     Universe,
     UniverseMismatchError,
 )
-from roughwork.cera import CeraModel, MixedElement
+from roughwork.cera import CeraModel, MixedElement, UndefinedOperationError
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
 from roughwork.granular import (
     INCLUSION,
@@ -718,6 +720,33 @@ def cera_tables(model: CeraModel) -> tuple[np.ndarray, ...]:
     dia = np.array([index[model.black_lozenge(a)] for a in els], dtype=dtype)
     neg = np.array([index[model.sim_neg(a)] for a in els], dtype=dtype)
     return plus, times, low, dia, neg
+
+
+def cera_tag_detectors(model: CeraModel) -> dict[str, AxiomCheck]:
+    """The ``type-1`` and ``type-2`` checks of ``check_cera_identities``, by
+    one ``rightsquig`` and one ``partial_neg`` call per element."""
+    els = model.elements()
+    size = 1 << model.space.universe.size
+
+    def neg_defined(a: MixedElement) -> bool:
+        try:
+            model.partial_neg(a)
+        except UndefinedOperationError:
+            return False
+        return True
+
+    laws = (
+        ("type-1", "x ~> x = T iff type-1", lambda a: model.rightsquig(a, a) == model.top),
+        ("type-2", "neg defined iff type-2", lambda a: not neg_defined(a)),
+    )
+    out = {}
+    for name, clause, holds_iff_type1 in laws:
+        witness = next(
+            ((clause, a) for i, a in enumerate(els) if holds_iff_type1(a) != (i < size)),
+            None,
+        )
+        out[name] = AxiomCheck(witness is None, witness)
+    return out
 
 
 def cera_ternary_laws(model: CeraModel) -> dict[str, AxiomCheck]:

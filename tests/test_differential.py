@@ -51,6 +51,14 @@ quotient orders of every partition of up to six atoms and every lattice
 of up to seven elements, under partial maps, non-involutions and
 permutations, and on posets with None as an element.  ``QuotientAlgebra.leq``
 must equal ``leq_matrix()`` on every partition of up to six atoms.
+The identity suite's tag detectors, read off the bound masks, must give
+the reports of one ``rightsquig`` and one ``partial_neg`` call per
+element on every partition of up to six atoms, with either commonality;
+``RoughClass`` must raise, with the same type and text, exactly when
+``class_index`` does on every pair of masks up to four atoms; and with
+the subset, mixed and pair carriers made unlistable, the identity suite
+must pass on every partition of up to five atoms and ``analyze`` must
+run for every kind, building the elements of its witnesses and no other.
 """
 
 from __future__ import annotations
@@ -607,6 +615,57 @@ def test_mixed_tables_and_identity_reports_on_partitions(soft, monkeypatch):
             same(report, check_cera_identities(model))
 
 
+@pytest.mark.parametrize("soft", [False, True], ids=["odot", "circ"])
+def test_tag_detectors_match_the_element_calls_up_to_six_atoms(soft):
+    for space in SPACES_6:
+        model = CeraModel(space, soft=soft)
+        report = check_cera_identities(model)
+        assert list(report.items())[:2] == list(oracle.cera_tag_detectors(model).items())
+
+
+def test_passing_sweeps_build_no_carrier_and_witnesses_only_their_elements(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a carrier was listed")
+
+    monkeypatch.setattr(Universe, "subsets", refuse)
+    monkeypatch.setattr(CeraModel, "elements", refuse)
+    monkeypatch.setattr(CradModel, "carrier", property(refuse))
+    built = Counter()
+    for cls, name in ((Universe, "from_mask"), (CeraModel, "element"), (CradModel, "pair")):
+
+        def counted(self, i, make=getattr(cls, name), name=name):
+            built[name] += 1
+            return make(self, i)
+
+        monkeypatch.setattr(cls, name, counted)
+    witnessed = 0
+    for space in SPACES:
+        built.clear()
+        for soft in (False, True):
+            assert check_cera_identities(CeraModel(space, soft=soft)).all_pass
+        assert not built
+        cera = CeraModel(space)
+        for kind in ParthoodKind:
+            model = (
+                from_space(space) if kind is ParthoodKind.G_SIMPLE
+                else space if kind in SUBSET_KINDS
+                else cera if kind in MIXED_KINDS
+                else CradModel(cera)
+            )
+            built.clear()
+            report = analyze(kind, model)
+            checks = (report.reflexive, report.transitive, report.antisymmetric)
+            elements = sum(len(c.witness) for c in checks if not c.passed)
+            witnessed += elements
+            if kind in SUBSET_KINDS:
+                assert built == Counter(from_mask=elements)
+            elif kind in MIXED_KINDS:
+                assert built == Counter(element=elements)
+            else:
+                assert built == Counter(pair=elements, element=2 * elements)
+    assert witnessed > 0
+
+
 def test_parthood_matrices_and_reports_on_partitions(monkeypatch):
     cases = []
     for space, models in zip(SPACES, gos_models()):
@@ -631,7 +690,7 @@ def test_parthood_matrices_and_reports_on_partitions(monkeypatch):
     for kind, model in cases:
         elements, new = parthood.relation_matrix(kind, model)
         old = oracle.relation_matrix(kind, model)
-        assert elements == old[0]
+        assert list(elements) == old[0]
         assert new.dtype == bool and np.array_equal(new, old[1]), kind
         report = analyze(kind, model)
         with monkeypatch.context() as m:
@@ -672,7 +731,7 @@ def test_g_simple_matrices_and_reports_on_granules_that_are_not_partitions(
         ) != model.universe.full.mask
         elements, new = parthood.relation_matrix(ParthoodKind.G_SIMPLE, model)
         old = oracle.relation_matrix(ParthoodKind.G_SIMPLE, model)
-        assert elements == old[0]
+        assert list(elements) == old[0]
         assert new.dtype == bool and np.array_equal(new, old[1])
         report = analyze(ParthoodKind.G_SIMPLE, model)
         with monkeypatch.context() as m:
@@ -1081,6 +1140,24 @@ def test_kernel_realizability_and_membership_match_the_block_scans():
                     assert type(got) is bool and got == (b == (lower, upper))
     assert pairs == 57444
     assert accepted == sum(len(space.rough_classes(True)) for space in SPACES)
+
+
+def test_rough_class_raises_exactly_when_class_index_does_up_to_four_atoms():
+    pairs = refused = 0
+    for space in SPACES[: 1 + 2 + 5 + 15]:
+        assert space.universe.size <= 4
+        bm, subsets = space.masks, list(space.universe.subsets())
+        for lower in subsets:
+            for upper in subsets:
+                pairs += 1
+                expected = raised(bm.class_index, lower.mask, upper.mask)
+                got = raised(RoughClass, space, lower, upper)
+                if isinstance(expected, tuple):
+                    refused += 1
+                    assert got == expected == (ValueError, "bounds that no rough class has")
+                else:
+                    assert isinstance(got, RoughClass)
+    assert pairs == 2**2 + 2 * 4**2 + 5 * 8**2 + 15 * 16**2 and 0 < refused < pairs
 
 
 # A reflexive, transitive size order that is not antisymmetric, and an
