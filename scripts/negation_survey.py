@@ -7,16 +7,13 @@ indices that appear).
 """
 
 import argparse
-import itertools
 from collections import Counter
 
 from roughwork.approx import ApproximationSpace
 from roughwork.negation import (
     CLAIM_IDS,
     CONDITION_NAMES,
-    BoundedPoset,
-    UnaryOp,
-    check_negation,
+    check_quotient_negation,
     enumerate_distributive_lattices,
     enumerate_lattices,
     falsify_theorem,
@@ -69,17 +66,7 @@ def main() -> None:
         atoms = pool[:k]
         for part in set_partitions(list(atoms)):
             space = ApproximationSpace.from_partition(atoms, part)
-            quotient = quotient_algebra(space)
-            carrier = quotient.carrier
-            leq_pairs = [
-                (x, y)
-                for x, y in itertools.product(carrier, repeat=2)
-                if quotient.leq(x, y)
-            ]
-            poset = BoundedPoset(carrier, leq_pairs)
-            profile = check_negation(
-                poset, UnaryOp({c: quotient.neg(c) for c in carrier})
-            )
+            profile = check_quotient_negation(quotient_algebra(space))
             spaces += 1
             for name in CONDITION_NAMES:
                 if profile.passed(name):

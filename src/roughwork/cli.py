@@ -38,9 +38,7 @@ from roughwork.model_io import ModelFormatError, default_model_path, load_model
 from roughwork.negation import (
     CLAIM_IDS,
     FALSIFY_DEFAULT_CAP,
-    BoundedPoset,
-    UnaryOp,
-    check_negation,
+    check_quotient_negation,
     falsify_theorem,
 )
 from roughwork.opposition import (
@@ -303,24 +301,13 @@ def _check_quotient_cap(space, args) -> None:
         raise CapExceededError(f"quotient of {classes} rough classes exceeds the cap {cap}")
 
 
-def _quotient_poset(space) -> tuple[BoundedPoset, UnaryOp]:
-    quotient = quotient_algebra(space)
-    carrier = quotient.carrier
-    pairs = [(carrier[i], carrier[j]) for i, j in zip(*quotient.leq_matrix().nonzero())]
-    neg = quotient.tables()[2]
-    return BoundedPoset(carrier, pairs), UnaryOp({c: carrier[i] for c, i in zip(carrier, neg)})
-
-
 def _cmd_negation(args) -> Report:
     if args.action == "check":
         loaded = _load(args)
         _check_quotient_cap(loaded.space, args)
-        poset, op = _quotient_poset(loaded.space)
-        profile = check_negation(poset, op)
+        profile = check_quotient_negation(quotient_algebra(loaded.space))
         rows = _axiom_rows(profile.checks.items())
-        rows.append(("index", str(profile.index), ""))
-        rows.append(("period", str(profile.period), ""))
-        rows.append(("pace", str(profile.pace), ""))
+        rows += [(name, str(getattr(profile, name)), "") for name in ("index", "period", "pace")]
         return Report(["check", "status", "witness"], rows)
     claim = args.claim
     if claim not in CLAIM_IDS:
@@ -345,7 +332,19 @@ def _cmd_negation(args) -> Report:
     return Report(["field", "value"], rows)
 
 
+# The least and most arguments of each opposition action, and their usage.
+_OPPOSITION_ARITY = {
+    "classify": (2, 2, "<tt> <ff>"),
+    "hexagon": (1, 1, "<set>"),
+    "tables": (0, 0, ""),
+    "tsr": (1, None, "<grade> [<move> ...]"),
+}
+
+
 def _cmd_opposition(args) -> Report:
+    least, most, usage = _OPPOSITION_ARITY[args.action]
+    if len(args.args) < least or most is not None and len(args.args) > most:
+        raise ValueError(f"usage: opposition {args.action} {usage}".rstrip())
     if args.action == "classify":
         tt = _parse_bool(args.args[0])
         ff = _parse_bool(args.args[1])

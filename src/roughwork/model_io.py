@@ -81,9 +81,13 @@ def _parse_table(space: ApproximationSpace, raw: object, label: str) -> Operator
         _require(isinstance(value, str),
                  f"{label} entry {key!r}: value must be a set string, got {value!r}")
         try:
-            entries[universe.parse(key).mask] = universe.parse(value).mask
+            mask, image = universe.parse(key).mask, universe.parse(value).mask
         except UnknownAtomError as exc:
             raise ModelFormatError(f"{label} entry {key!r}: {exc}") from exc
+        if mask in entries:
+            first = next(k for k in raw if universe.parse(k).mask == mask)
+            raise ModelFormatError(f"{label} keys {first!r} and {key!r} name the same subset")
+        entries[mask] = image
     try:
         return OperatorTable(universe, entries)
     except ValueError as exc:
@@ -145,8 +149,8 @@ def load_model(path: str | Path) -> LoadedModel:
     """Read and validate a model file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
     return parse_model(raw, source=str(path))
 

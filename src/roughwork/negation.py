@@ -6,7 +6,7 @@ index bookkeeping, interior composition, an exhaustive falsification
 harness over small distributive lattices, and the dialectical predicate
 laws.  A poset is one boolean order matrix; its meet and join are tables
 of element indices derived from it, with -1 where undefined, and the
-checks read those tables directly.
+checks read those tables directly, or the rough quotient's own tables.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from roughwork.approx import CapExceededError as SearchTooLargeError
 from roughwork.granular import (
     CHUNK_BYTES, AxiomCheck, AxiomReport, distributive, packed_rows, relation_square, sweep_laws
 )
+from roughwork.prerough import QuotientAlgebra
 
 FALSIFY_SIZE_CAP = 6
 FALSIFY_DEFAULT_CAP = 5
@@ -147,9 +148,6 @@ class UnaryOp:
     def total(cls, elements: Iterable, fn: Callable) -> UnaryOp:
         return cls({x: fn(x) for x in elements})
 
-    def defined(self, x) -> bool:
-        return x in self.mapping
-
     def __call__(self, x):
         return self.mapping.get(x)
 
@@ -206,19 +204,37 @@ def _iterate_index(F: np.ndarray, first: np.ndarray) -> tuple[int, int] | None:
 
 def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
     """Decide N1-N6 and N9 exhaustively; undefined sides never falsify."""
-    els = poset.elements
-    carrier = set(els)
+    els, index = poset.elements, poset._index
     for x, fx in f.mapping.items():
-        if x not in carrier or fx not in carrier:
+        if x not in index or fx not in index:
             raise ValueError(f"operation leaves the carrier at {x!r}")
-    # Tables hold element indices, with -1 where a meet, join or f is
-    # undefined; every read through a -1 is masked by a definedness test,
-    # which keeps the weak-equality semantics.
-    rel, meet, join = poset._rel, poset._meet, poset._join
-    dtype = meet.dtype
-    F = np.array([-1 if f(x) is None else poset._index[f(x)] for x in els], dtype=dtype)
-    r = np.arange(len(els), dtype=dtype)
-    bot = poset._bottom
+    F = np.array([-1 if f(x) is None else index[f(x)] for x in els], poset._meet.dtype)
+    none = index.get(None, -1)  # an element None counts as undefined
+    return _negation_profile(els, poset._rel, poset._meet, poset._join, poset._bottom, F, none)
+
+
+def check_quotient_negation(quotient: QuotientAlgebra) -> NegationProfile:
+    """``check_negation`` on the quotient order and negation, read off its own tables.
+
+    The quotient is 2^I × 3^J under componentwise bound operations (Gehrke
+    and Walker 1992), and its meet and join tables are its order's glb and
+    lub: a singleton block in the boundary of the componentwise ∩ or ∪ of
+    two classes' bounds lies in an operand's boundary, so the result is a
+    class, which the order, inclusion of both bounds, puts above every
+    common lower bound (below every common upper bound).  Class 0, that of
+    the empty set, is the least element.
+    """
+    dtype = np.min_scalar_type(-len(quotient.carrier))
+    meet, join, neg = (t.astype(dtype) for t in quotient.tables()[:3])
+    return _negation_profile(quotient.carrier, quotient.leq_matrix(), meet, join, 0, neg, -1)
+
+
+def _negation_profile(labels, rel, meet, join, bot, F, none) -> NegationProfile:
+    """The profile from index tables, -1 where a meet, join or ``F`` is
+    undefined, and element ``none`` (-1 if no such) counted undefined too.
+    Every read through a -1 is masked by a definedness test, which keeps
+    the weak-equality semantics."""
+    r = np.arange(len(labels), dtype=meet.dtype)
     defined = F >= 0
     both = defined[:, None] & defined[None, :]
     FF = np.where(defined, F[F], -1)
@@ -226,7 +242,7 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
     meet_ff = np.where(both, meet[F[:, None], F[None, :]], -1)
     y_below_fx = rel[r[None, :], F[:, None]]
     results = sweep_laws(
-        els,
+        labels,
         {
             "N1": defined & (meet[r, F] >= 0) & (meet[r, F] != bot),
             "N2": rel & both & ~rel[F[None, :], F[:, None]],
@@ -236,7 +252,7 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
             "N9": defined[:, None] & (((meet < 0) | (meet == bot)) != y_below_fx),
         },
     )
-    index = _iterate_index(F, np.where(r == poset._index.get(None, -1), -1, r))
+    index = _iterate_index(F, np.where(r == none, -1, r))
     results["N5"] = AxiomCheck(index is not None, None if index else ("no-cycle",))
     checks = AxiomReport({name: results[name] for name in CONDITION_NAMES})
     if index is None:
@@ -277,17 +293,11 @@ def interior_compose(
             if f(x) is not None and i(f(x)) is not None
         }
     )
+    iterates = ((x, g.iterate(x, 2), g.iterate(x, 4)) for x in poset.elements)
     witness = next(
-        (
-            (x,)
-            for x in poset.elements
-            if g.iterate(x, 4) is not None
-            and g.iterate(x, 2) is not None
-            and g.iterate(x, 4) != g.iterate(x, 2)
-        ),
-        None,
+        ((x,) for x, g2, g4 in iterates if g4 is not None and g2 is not None and g4 != g2), None
     )
-    return g, AxiomCheck(witness is None, witness)
+    return g, AxiomCheck.of(witness)
 
 
 def _canonical_relation(poset: BoundedPoset) -> tuple:
@@ -383,17 +393,14 @@ def falsify_theorem(
                 # index (0, n) forces a permutation, so only scan those
                 candidates = n1 & n2 & (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
                 for row in maps[candidates]:
-                    op = _total_op(poset, row)
-                    profile = check_negation(poset, op)
-                    m, k = profile.index
+                    m, k = _iterate_index(row, np.arange(n, dtype=row.dtype))
                     if m == 0 and k > 2:
                         return FalsificationWitness(
-                            claim_id, poset, op, f"index (0, {k})"
+                            claim_id, poset, _total_op(poset, row), f"index (0, {k})"
                         )
                 continue
             if claim_id == "n123-bottom-top":
-                idx = {e: i for i, e in enumerate(poset.elements)}
-                bot, top = idx[poset.bottom], idx[poset.top]
+                bot, top = poset._bottom, poset._top
                 bad = (maps[:, bot] != top) | (maps[:, top] != bot)
                 hits, note = n1 & n2 & n3 & bad, "regular yet moves the bounds wrongly"
             elif claim_id == "n123-not-n9-witness":
@@ -413,21 +420,12 @@ def check_dialectical_predicate(
 ) -> AxiomReport:
     """Commutativity, anti-reflexivity, and aggregation stability."""
     els = list(elements)
-    results: dict[str, AxiomCheck] = {}
-    witness = next(
-        (
-            (a, b)
-            for a in els
-            for b in els
-            if bool(relation(a, b)) != bool(relation(b, a))
+    violations = {
+        "commutativity": (
+            (a, b) for a in els for b in els if bool(relation(a, b)) != bool(relation(b, a))
         ),
-        None,
-    )
-    results["commutativity"] = AxiomCheck(witness is None, witness)
-    witness = next(((a,) for a in els if relation(a, a)), None)
-    results["anti-reflexivity"] = AxiomCheck(witness is None, witness)
-    witness = next(
-        (
+        "anti-reflexivity": ((a,) for a in els if relation(a, a)),
+        "aggregation": (
             (a, b, c)
             for a in els
             for b in els
@@ -435,7 +433,5 @@ def check_dialectical_predicate(
             for c in els
             if not relation(aggregate(a, c), aggregate(b, c))
         ),
-        None,
-    )
-    results["aggregation"] = AxiomCheck(witness is None, witness)
-    return AxiomReport(results)
+    }
+    return AxiomReport({name: AxiomCheck.of(next(v, None)) for name, v in violations.items()})

@@ -55,6 +55,10 @@ calls, before both took them from ``granular.lattice_laws``.
 And the N5 iterate index as tuples of elements, one ``f`` call per value
 and one weak comparison per earlier iterate, before it read the index
 array of ``f``.
+
+And the quotient order as ``negation check`` built it, a ``BoundedPoset``
+from the pairs of ``leq_matrix()`` with the negation as a ``UnaryOp``,
+before it read the quotient's own meet, join and negation tables.
 """
 
 from __future__ import annotations
@@ -702,6 +706,15 @@ def quotient_candidate(q: QuotientAlgebra) -> FiniteAlgebraCandidate:
         zero=index[q.space.rough_class_of(q.space.universe.empty)],
         one=index[q.space.rough_class_of(q.space.universe.full)],
     )
+
+
+def quotient_poset(space: ApproximationSpace) -> tuple[BoundedPoset, UnaryOp]:
+    """The quotient order rebuilt as a ``BoundedPoset``, and its negation."""
+    quotient = QuotientAlgebra(space)
+    carrier = quotient.carrier
+    pairs = [(carrier[i], carrier[j]) for i, j in zip(*quotient.leq_matrix().nonzero())]
+    neg = quotient.tables()[2]
+    return BoundedPoset(carrier, pairs), UnaryOp({c: carrier[i] for c, i in zip(carrier, neg)})
 
 
 def cera_tables(model: CeraModel) -> tuple[np.ndarray, ...]:

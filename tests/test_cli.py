@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import scan_oracles as oracle
-from roughwork import cli
+from roughwork import cli, negation
 from roughwork.approx import RoughClass
 from roughwork.cli import main
 from roughwork.model_io import ModelFormatError, load_model, parse_model
@@ -124,6 +124,23 @@ def test_negation_subcommands(capsys):
     assert code == 4
 
 
+def refuse_poset(self, *args):
+    raise AssertionError("the quotient order was rebuilt as a BoundedPoset")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_negation_check_reads_the_quotient_tables_without_a_poset(
+    capsys, monkeypatch, ten_atom_model, fmt
+):
+    for model in ([], ["--model", str(ten_atom_model)]):
+        argv = ["negation", "check", "--format", fmt, *model]
+        got = run(capsys, *argv)
+        assert got[0] == 0 and got[1]
+        with monkeypatch.context() as m:
+            m.setattr(negation.BoundedPoset, "__init__", refuse_poset)
+            assert run(capsys, *argv) == got
+
+
 def test_opposition_subcommands(capsys):
     code, out, _ = run(capsys, "opposition", "classify", "true", "false")
     assert code == 0
@@ -146,6 +163,27 @@ def test_opposition_subcommands(capsys):
 
     code, _, _ = run(capsys, "opposition", "tsr", "nope", "oppose")
     assert code == 2
+
+    code, out, _ = run(capsys, "opposition", "tsr", "T")
+    assert (code, out) == (0, "T\n")
+
+
+OPPOSITION_MISUSE = [
+    (("classify",), "classify <tt> <ff>"),
+    (("classify", "T"), "classify <tt> <ff>"),
+    (("classify", "T", "F", "extra"), "classify <tt> <ff>"),
+    (("hexagon",), "hexagon <set>"),
+    (("hexagon", "ab", "cd"), "hexagon <set>"),
+    (("tables", "junk"), "tables"),
+    (("tsr",), "tsr <grade> [<move> ...]"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, usage", OPPOSITION_MISUSE, ids=[" ".join(c[0]) for c in OPPOSITION_MISUSE]
+)
+def test_opposition_actions_take_their_number_of_arguments(capsys, args, usage):
+    assert run(capsys, "opposition", *args) == (2, "", f"error: usage: opposition {usage}\n")
 
 
 def test_count_ipc_defaults_to_worked_sequence(capsys):
@@ -307,6 +345,16 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         assert "model error" in err and fragment in err
 
 
+def test_a_model_file_that_is_not_utf8_is_a_model_error(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"universe": ["\u00e9"], "partition": [["\u00e9"]]}'.encode("latin-1"))
+    with pytest.raises(ModelFormatError, match="not valid JSON"):
+        load_model(path)
+    code, out, err = run(capsys, "space", "show", "--model", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"model error: {path}: not valid JSON:")
+
+
 def test_model_file_round_trip(capsys, tmp_path):
     body = {
         "universe": ["a", "b", "c"],
@@ -390,6 +438,15 @@ def test_model_schema_errors(tmp_path):
     reject({"universe": ["a"], "partition": [["a"]], "propertySystem": ps}, "list of 2 atom")
     tables = {"lowerTable": {"0": "0", "a": 1}, "upperTable": {"0": "0", "a": "a"}}
     reject({"universe": ["a"], "partition": [["a"]], **tables}, "value must be a set string")
+    # Two keys naming one subset: the last would silently win.
+    tables = {
+        "lowerTable": {"0": "0", "a": "0", "b": "0", "S": "S", "ab": "0"},
+        "upperTable": {"0": "0", "a": "S", "b": "S", "S": "S"},
+    }
+    reject(
+        {"universe": ["a", "b"], "partition": [["a", "b"]], **tables},
+        "lowerTable keys 'S' and 'ab' name the same subset",
+    )
 
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

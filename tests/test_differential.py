@@ -86,7 +86,6 @@ from roughwork import (
 )
 from roughwork.approx import UniverseMismatchError
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
-from roughwork.cli import _quotient_poset
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
 from roughwork.granular import (
     INCLUSION,
@@ -105,6 +104,7 @@ from roughwork.negation import (
     BoundedPoset,
     UnaryOp,
     check_negation,
+    check_quotient_negation,
     enumerate_distributive_lattices,
     enumerate_lattices,
     falsify_theorem,
@@ -874,7 +874,7 @@ def test_negation_on_quotient_orders_and_partial_posets():
     rng = random.Random(5581)
     cases = []
     for space in SPACES:
-        poset, op = _quotient_poset(space)
+        poset, op = oracle.quotient_poset(space)
         quotient = quotient_algebra(space)  # the map read off the negation table
         assert op.mapping == {c: quotient.neg(c) for c in quotient.carrier}
         cases.append((poset, op))
@@ -1020,7 +1020,7 @@ def test_iterate_index_matches_the_object_iterates(lattices):
     rng = random.Random(6619)
     cases = []
     for space in SPACES_6:
-        poset, op = _quotient_poset(space)
+        poset, op = oracle.quotient_poset(space)
         cases += [(poset, op), (poset, partial_map(rng, poset.elements))]
         cases.append((poset, total_map(rng, poset.elements)))
     for poset in (p for ps in lattices.values() for p in ps):
@@ -1035,6 +1035,20 @@ def test_iterate_index_matches_the_object_iterates(lattices):
         m, n = index
         long_tails += m >= 2 and n - m >= 2
     assert long_tails >= 300
+
+
+def test_quotient_tables_are_the_order_its_poset_rebuilds_up_to_six_atoms():
+    # The quotient's own tables against the BoundedPoset rebuilt from its
+    # order pairs, and the profile read off them against check_negation there.
+    for space in SPACES_6:
+        q = quotient_algebra(space)
+        poset, op = oracle.quotient_poset(space)
+        meet, join = q.tables()[:2]
+        assert (q.leq_matrix() == poset._rel).all()
+        assert (meet == poset._meet).all() and (join == poset._join).all()
+        new, old = check_quotient_negation(q), check_negation(poset, op)
+        same(new.checks, old.checks)
+        assert (new.index, new.period, new.pace) == (old.index, old.period, old.pace)
 
 
 def test_iterate_index_counts_a_none_element_undefined():
@@ -1316,7 +1330,7 @@ def _witness_key(w):
 
 @pytest.mark.parametrize("claim", CLAIM_IDS)
 def test_falsifier_matches_one_witness_construction_per_claim(claim):
-    for cap in range(1, 6):
+    for cap in range(1, 7):
         got = _witness_key(falsify_theorem(claim, size_cap=cap))
         assert got == _witness_key(oracle.falsify_theorem(claim, size_cap=cap))
 
@@ -1329,7 +1343,7 @@ def test_distributivity_rule_matches_the_law_on_lattices_and_random_posets(
     monkeypatch.setattr(negation, "enumerate_lattices", lattices.__getitem__)
     assert [len(enumerate_distributive_lattices(n)) for n in (5, 6, 7)] == [3, 5, 8]
     rng = random.Random(9127)
-    posets = [_quotient_poset(space)[0] for space in SPACES]
+    posets = [oracle.quotient_poset(space)[0] for space in SPACES]
     posets += [random_poset(rng, rng.randint(1, 9)) for _ in range(300)]
     flags = Counter(p.is_distributive for p in posets)
     assert flags[None] and flags[True] and flags[False]
