@@ -117,29 +117,32 @@ class CeraModel:
         """
         bm = self.space.masks
         size = len(bm.lower)
-        lo, up = bm.class_lower, bm.class_upper
-        dtype = np.min_scalar_type(size + len(lo) - 1)
-        subsets = np.arange(size, dtype=lo.dtype)
-        of_class = (size + bm.class_id).astype(dtype)  # element of each mask's class
-        meet, join, neg, nec, pos = (
-            (size + table).astype(dtype) for table in self.quotient.tables()
-        )
-
-        def binary(op, collapse, on_classes):
-            # a class enters a mixed case as the collapse of its members
-            mask = np.concatenate([subsets, collapse])
-            out = of_class[op(mask[:, None], mask)]
-            out[:size, :size] = op(subsets[:, None], subsets)
-            out[size:, size:] = on_classes
-            return out
-
+        dtype = np.min_scalar_type(size + len(bm.class_lower) - 1)
+        neg, nec, pos = ((size + t).astype(dtype) for t in self.quotient._unary_tables())
+        complement = (size - 1) ^ np.arange(size, dtype=bm.class_lower.dtype)
         return (
-            binary(np.bitwise_or, up, join),
-            binary(np.bitwise_and, up if self.soft else lo, meet),
+            self._binary_table(np.bitwise_or),
+            self._binary_table(np.bitwise_and),
             np.concatenate([bm.lower, nec], dtype=dtype),
             np.concatenate([bm.upper, pos], dtype=dtype),
-            np.concatenate([(size - 1) ^ subsets, neg], dtype=dtype),
+            np.concatenate([complement, neg], dtype=dtype),
         )
+
+    def _binary_table(self, op) -> np.ndarray:
+        """oplus (``np.bitwise_or``) or commonality (``np.bitwise_and``), as in ``tables()``."""
+        bm = self.space.masks
+        size = len(bm.lower)
+        dtype = np.min_scalar_type(size + len(bm.class_lower) - 1)
+        lo, up = bm.class_lower, bm.class_upper
+        subsets = np.arange(size, dtype=lo.dtype)
+        # a class enters a mixed case as the collapse of its members: their
+        # union, or for commonality their intersection unless soft
+        collapse = lo if op is np.bitwise_and and not self.soft else up
+        mask = np.concatenate([subsets, collapse])
+        out = (size + bm.class_id).astype(dtype)[op(mask[:, None], mask)]
+        out[:size, :size] = op(subsets[:, None], subsets)
+        out[size:, size:] = (size + self.quotient._lattice_table(op)).astype(dtype)
+        return out
 
     def frak_l(self, x: MixedElement) -> MixedElement:
         if x.is_type1:

@@ -4,13 +4,15 @@ Every subcommand renders one report, as text lines, CSV rows, or a JSON
 object. Exit codes: 0 success, 1 undefined partial operation, 2 bad
 syntax or arguments, 3 model file problems, 4 a search or carrier cap
 exceeded (``CapExceededError``).  A reader that closes stdout early
-(``| head``) ends the report quietly, with exit 0.
+(``| head``) ends the report quietly, with exit 0.  ``main`` may be
+called any number of times in one process; the parser is built once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -106,7 +108,7 @@ def emit(report: Report, fmt: str, out=None) -> None:
 
 
 def _load(args):
-    path = args.model if args.model else default_model_path()
+    path = default_model_path() if args.model is None else args.model
     return load_model(path)
 
 
@@ -442,7 +444,9 @@ def _cmd_granulation(args) -> Report:
 # --- parser ---
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: a parse reads it and never changes it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", help="model file (default: bundled example)")
     common.add_argument(

@@ -9,7 +9,8 @@ case spaces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 from roughwork.approx import ApproximationSpace, Subset, UnknownAtomError
@@ -36,11 +37,24 @@ _KNOWN_KEYS = {
 
 @dataclass
 class LoadedModel:
+    """A checked model file; its ``granular`` model is built on first read.
+
+    ``tables`` holds the file's lower and upper tables, or None when it
+    gives none: ``granular`` then reads the space's own off ``space.masks``.
+    """
+
     space: ApproximationSpace
-    granular: GranularModel
+    granules: tuple[Subset, ...]
+    tables: tuple[OperatorTable, OperatorTable] | None = None
     property_system: PropertySystem | None = None
     case_spaces: dict[str, CaseSpace] = field(default_factory=dict)
     source: str = ""
+
+    @cached_property
+    def granular(self) -> GranularModel:
+        if self.tables is None:
+            return replace(from_space(self.space), granules=self.granules)
+        return GranularModel(self.space.universe, self.granules, *self.tables)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -186,24 +200,17 @@ def parse_model(raw: object, source: str = "<memory>") -> LoadedModel:
     _require(has_lower == has_upper,
              "lowerTable and upperTable must be given together")
 
+    tables = None
     if has_lower:
-        lower_op = _parse_table(space, raw["lowerTable"], "lowerTable")
-        upper_op = _parse_table(space, raw["upperTable"], "upperTable")
-    else:
-        kernel = from_space(space)
-        lower_op, upper_op = kernel.lower_op, kernel.upper_op
+        tables = (
+            _parse_table(space, raw["lowerTable"], "lowerTable"),
+            _parse_table(space, raw["upperTable"], "upperTable"),
+        )
 
     if "granules" in raw:
         granules = _parse_granules(space, raw["granules"])
     else:
         granules = tuple(space.blocks)
-
-    granular = GranularModel(
-        universe=space.universe,
-        granules=granules,
-        lower_op=lower_op,
-        upper_op=upper_op,
-    )
 
     property_system = None
     if "propertySystem" in raw:
@@ -217,7 +224,8 @@ def parse_model(raw: object, source: str = "<memory>") -> LoadedModel:
 
     return LoadedModel(
         space=space,
-        granular=granular,
+        granules=granules,
+        tables=tables,
         property_system=property_system,
         case_spaces=case_spaces,
         source=source,

@@ -187,9 +187,9 @@ def relation_matrix(
         return elements, condition(lower[:, None], upper[:, None], lower, upper)
     r = np.arange(size)
     if kind is ParthoodKind.ADDITIVE:
-        return elements, model.tables()[0] == r
+        return elements, model._binary_table(np.bitwise_or) == r
     if kind is ParthoodKind.COMMON:
-        return elements, model.tables()[1] == r[:, None]
+        return elements, model._binary_table(np.bitwise_and) == r[:, None]
     # Element i < 2^n holds subset i; element 2^n + j holds class j in the
     # mixed carrier, and the class-first pair on subset j in K.
     quotient = model.quotient if kind in MIXED_KINDS else model.cera.quotient

@@ -71,17 +71,24 @@ class QuotientAlgebra:
 
     def tables(self) -> tuple[np.ndarray, ...]:
         """meet, join, neg, necessity and possibility as class-index arrays."""
+        return (
+            self._lattice_table(np.bitwise_and),
+            self._lattice_table(np.bitwise_or),
+            *self._unary_tables(),
+        )
+
+    def _lattice_table(self, op) -> np.ndarray:
+        """The meet (``np.bitwise_and``) or join (``np.bitwise_or``) table."""
         bm = self.space.masks
-        index = bm.class_index
+        lo, up = bm.class_lower, bm.class_upper
+        return bm.class_index(op(lo[:, None], lo), op(up[:, None], up))
+
+    def _unary_tables(self) -> tuple[np.ndarray, ...]:
+        """neg, necessity and possibility, the last three of ``tables()``."""
+        bm = self.space.masks
         lo, up = bm.class_lower, bm.class_upper
         full = len(bm.lower) - 1
-        return (
-            index(lo[:, None] & lo, up[:, None] & up),
-            index(lo[:, None] | lo, up[:, None] | up),
-            index(full ^ up, full ^ lo),
-            index(lo, lo),
-            index(up, up),
-        )
+        return bm.class_index(full ^ up, full ^ lo), bm.class_index(lo, lo), bm.class_index(up, up)
 
     def to_candidate(self) -> FiniteAlgebraCandidate:
         meet, join, neg, necessity, _ = self.tables()

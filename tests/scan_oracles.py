@@ -59,6 +59,9 @@ array of ``f``.
 And the quotient order as ``negation check`` built it, a ``BoundedPoset``
 from the pairs of ``leq_matrix()`` with the negation as a ``UnaryOp``,
 before it read the quotient's own meet, join and negation tables.
+
+And ``cli.main`` as it built a new parser on every call, before it built
+its parser once per process.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from roughwork import cli
 from roughwork.approx import (
     ApproximationSpace,
     RoughClass,
@@ -1198,3 +1202,13 @@ def validate_candidate(cand: FiniteAlgebraCandidate) -> None:
             raise ValueError(f"{name} table must have {n} entries")
         _check_indices(name, getattr(cand, name), n)
     _check_indices("zero/one", (cand.zero, cand.one), n)
+
+
+def main_with_a_fresh_parser(argv: list[str]) -> int:
+    """``cli.main`` with a parser built for this call alone."""
+    cached = cli.build_parser
+    cli.build_parser = cached.__wrapped__
+    try:
+        return cli.main(argv)
+    finally:
+        cli.build_parser = cached

@@ -8,10 +8,11 @@ import sys
 import pytest
 
 import scan_oracles as oracle
-from roughwork import cli, negation
+from roughwork import approx, cli, granular, model_io, negation
 from roughwork.approx import RoughClass
 from roughwork.cli import main
-from roughwork.model_io import ModelFormatError, load_model, parse_model
+from roughwork.granular import from_space
+from roughwork.model_io import ModelFormatError, default_model_path, load_model, parse_model
 
 LITERAL_TAGS = "1_1 2_1 1_2 1_3 2_3 1_4 2_4 3_4 4_4 5_4 6_4 7_4"
 
@@ -345,6 +346,56 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         assert "model error" in err and fragment in err
 
 
+def test_an_empty_model_path_is_a_model_error_not_the_bundled_model(capsys):
+    code, out, err = run(capsys, "space", "show", "--model", "")
+    assert (code, out) == (3, "")
+    assert err.startswith("model error: ")
+
+
+# Every subcommand, then the argument errors, help included.
+REUSE_ARGVS = [
+    ["space", "show"],
+    ["space", "classes", "--format", "csv"],
+    ["eval", "abcq (.) [q]"],
+    ["eval", "neg bc"],
+    ["check", "gos", "--format", "json"],
+    ["check", "essential"],
+    ["parthood", "very-cautious", "ab", "abc"],
+    ["parthood", "analyze", "lateral"],
+    ["crad", "plus", "(a,[a])", "(b,[b])"],
+    ["negation", "check", "--format", "csv"],
+    ["negation", "falsify", "n123-not-n9-witness", "--cap", "4"],
+    ["opposition", "tsr", "T*", "oppose", "--format", "json"],
+    ["opposition", "hexagon", "aef"],
+    ["count", "ipc", "--seq", "x,y,z", "--pairs", "x-y"],
+    ["granulation", "search"],
+    [],
+    ["bogus"],
+    ["space", "show", "--cap", "0"],
+    ["space", "show", "--format", "xml"],
+    ["parthood"],
+    ["-h"],
+    ["negation", "check", "-h"],
+]
+
+
+def test_a_reused_parser_gives_what_a_fresh_parser_gives(capsys):
+    assert cli.build_parser() is cli.build_parser()
+
+    def results(main, argvs):
+        out = {}
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            out[tuple(argv)] = (code, captured.out, captured.err)
+        return out
+
+    fresh = results(oracle.main_with_a_fresh_parser, REUSE_ARGVS)
+    assert {code for code, _, _ in fresh.values()} == {0, 1, 2}
+    assert results(main, REUSE_ARGVS) == fresh
+    assert results(main, REUSE_ARGVS[::-1]) == fresh
+
+
 def test_a_model_file_that_is_not_utf8_is_a_model_error(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"universe": ["\u00e9"], "partition": [["\u00e9"]]}'.encode("latin-1"))
@@ -475,6 +526,35 @@ def model16(tmp_path):
     blocks = [list(atoms[i : i + 2]) for i in range(0, 16, 2)]
     path.write_text(json.dumps({"universe": list(atoms), "partition": blocks}))
     return path
+
+
+def test_default_tables_are_built_on_the_first_read_of_granular(
+    capsys, monkeypatch, model16, tmp_path
+):
+    def refuse(*args):
+        raise AssertionError("default tables built at load")
+
+    bad_table = {"lowerTable": {"0": "0", "a": 1}, "upperTable": {"0": "0"}}
+    bad_granule = {"granules": [["z"]]}
+    with monkeypatch.context() as m:
+        m.setattr(granular, "from_space", refuse)
+        m.setattr(model_io, "from_space", refuse)
+        m.setattr(approx, "bound_masks", refuse)
+        loaded = [load_model(default_model_path()), load_model(model16)]
+        for path in (default_model_path(), model16):
+            code, out, err = run(capsys, "space", "show", "--model", str(path))
+            assert (code, err) == (0, "") and out.startswith("universe  ")
+        for body, message in (
+            (bad_table, "lowerTable entry 'a': value must be a set string, got 1"),
+            (bad_granule, "granule ['z']: unknown atom 'z'"),
+        ):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"universe": ["a", "b"], "partition": [["a", "b"]], **body}))
+            code, out, err = run(capsys, "space", "show", "--model", str(path))
+            assert (code, out, err) == (3, "", f"model error: {message}\n")
+    for model in loaded:
+        assert model.granular == from_space(model.space)
+        assert model.granular is model.granular
 
 
 def test_a_reader_closing_stdout_early_ends_the_report_quietly(model16):
