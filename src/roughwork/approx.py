@@ -500,5 +500,7 @@ def bound_masks(space: ApproximationSpace) -> BoundMasks:
     lowbits = sum(block.mask & -block.mask for block in space.blocks)
     smallest = lower | (lowbits & upper & ~lower)
     starts = smallest == masks
-    class_id = (np.cumsum(starts) - 1)[smallest]
+    # Counted in the mask dtype: on 8 or 16 singleton blocks the count wraps to 0 at
+    # the last mask, but every id (the count minus one, modulo 2^n) stays exact.
+    class_id = (np.cumsum(starts, dtype=masks.dtype) - 1)[smallest]
     return BoundMasks(lower, upper, class_id, lower[starts], upper[starts], lowbits)

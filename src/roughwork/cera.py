@@ -97,12 +97,10 @@ class CeraModel:
 
     def element(self, i: int) -> MixedElement:
         """Element i of the carrier: subset i, then class i - 2^n."""
-        u, bm = self.space.universe, self.space.masks
-        j = i - len(bm.lower)
+        j = i - len(self.space.masks.lower)
         if j < 0:
-            return MixedElement.type1(Subset(u, i))
-        lo, up = bm.class_lower.item(j), bm.class_upper.item(j)
-        return MixedElement.type2(RoughClass(self.space, Subset(u, lo), Subset(u, up)))
+            return MixedElement.type1(Subset(self.space.universe, i))
+        return MixedElement.type2(self.quotient.element(j))
 
     def elements(self) -> list[MixedElement]:
         """Full carrier: subsets in mask order, then classes."""
@@ -112,13 +110,14 @@ class CeraModel:
     def tables(self) -> tuple[np.ndarray, ...]:
         """oplus, commonality, L, black lozenge and sim_neg over ``elements()``.
 
-        Entries are carrier indices: subset ``m`` is element ``m`` and
-        class ``c`` is element ``2^n + c``.
+        Entries are carrier indices: subset ``m`` is element ``m`` and class
+        ``c`` is element ``2^n + c``, added in the carrier dtype: 2^n may
+        not fit the dtype of the class ids.
         """
         bm = self.space.masks
         size = len(bm.lower)
         dtype = np.min_scalar_type(size + len(bm.class_lower) - 1)
-        neg, nec, pos = ((size + t).astype(dtype) for t in self.quotient._unary_tables())
+        neg, nec, pos = (t.astype(dtype) + size for t in self.quotient._unary_tables())
         complement = (size - 1) ^ np.arange(size, dtype=bm.class_lower.dtype)
         return (
             self._binary_table(np.bitwise_or),
@@ -139,9 +138,9 @@ class CeraModel:
         # union, or for commonality their intersection unless soft
         collapse = lo if op is np.bitwise_and and not self.soft else up
         mask = np.concatenate([subsets, collapse])
-        out = (size + bm.class_id).astype(dtype)[op(mask[:, None], mask)]
+        out = (bm.class_id.astype(dtype) + size)[op(mask[:, None], mask)]
         out[:size, :size] = op(subsets[:, None], subsets)
-        out[size:, size:] = (size + self.quotient._lattice_table(op)).astype(dtype)
+        out[size:, size:] = self.quotient._lattice_table(op).astype(dtype) + size
         return out
 
     def frak_l(self, x: MixedElement) -> MixedElement:
@@ -263,7 +262,7 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
     # the quotient's implies(c, c) on a class; ~ is defined on classes only.
     lo, up = bm.class_lower, bm.class_upper
     x = (top_i ^ lo | lo) & (top_i ^ up | up)
-    squig = np.concatenate([t1 | top_i ^ t1, size + bm.class_index(x, x)])
+    squig = np.concatenate([t1 | top_i ^ t1, bm.class_index(x, x).astype(np.intp) + size])
     record("type-1", [("x ~> x = T iff type-1", (squig == top_i) != type1, one_el)])
     defined = ~type1
     record("type-2", [("neg defined iff type-2", defined == type1, one_el)])

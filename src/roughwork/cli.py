@@ -220,11 +220,8 @@ def _cmd_check(args) -> Report:
         items = check_cera_identities(CeraModel(loaded.space), cap=cap).items()
     else:
         _check_quotient_cap(loaded.space, args)
-        cand = quotient_algebra(loaded.space).to_candidate()
-        if args.suite == "prerough":
-            items = check_pre_rough(cand).items()
-        else:
-            items = check_essential_pre_rough(cand).items()
+        check = check_pre_rough if args.suite == "prerough" else check_essential_pre_rough
+        items = check(quotient_algebra(loaded.space).to_candidate()).items()
     return Report(["check", "status", "witness"], _axiom_rows(items))
 
 

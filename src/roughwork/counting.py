@@ -129,9 +129,9 @@ def discernibility_square(rel: IndiscernibilityRelation) -> DiscernibilitySquare
         "IND": frozenset(rel.related),
         "DIS": frozenset(worlds) - rel.related,
     }
-    cs = CaseSpace.from_sets(worlds, extents)
+    cs = CaseSpace.from_sets(worlds, extents)  # two-valued by construction
     figures = {}
     for i, p in enumerate(SQUARE_PREDICATES):
         for q in SQUARE_PREDICATES[i + 1 :]:
-            figures[(p, q)] = classify_pair(cs, p, q).figure
+            figures[(p, q)] = classify_pair(cs, p, q, classical=False).figure
     return DiscernibilitySquare(rel.elements, extents, figures)

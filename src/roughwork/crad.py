@@ -54,13 +54,10 @@ class CradModel:
     @cached_property
     def carrier(self) -> tuple[DialecticalPair, ...]:
         """K: first_pair(x) for every subset x in mask order, then second_pair(x)."""
-        els, class_id = self.cera.elements(), self.cera.space.masks.class_id
-        of = [els[len(class_id) + c] for c in class_id.tolist()]
-        firsts = [DialecticalPair(x, c) for x, c in zip(els, of)]
-        return tuple(firsts + [DialecticalPair(c, x) for x, c in zip(els, of)])
+        return tuple(map(self.pair, range(2 * len(self.cera.space.masks.lower))))
 
     def pair(self, i: int) -> DialecticalPair:
-        """Pair i of ``carrier``, from elements of the mixed carrier."""
+        """Pair i of K, from elements of the mixed carrier."""
         cera, size = self.cera, len(self.cera.space.masks.lower)
         x = cera.element(i % size)
         c = cera.element(size + cera.space.masks.class_id.item(i % size))

@@ -161,9 +161,10 @@ def _parse_case_space(name: str, raw: object) -> CaseSpace:
 
 def load_model(path: str | Path) -> LoadedModel:
     """Read and validate a model file."""
-    path = Path(path)
+    path = Path(path) if path != "" else path  # Path("") is ".", which no one named
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as f:
+            raw = json.loads(f.read())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
     return parse_model(raw, source=str(path))

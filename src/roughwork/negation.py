@@ -222,11 +222,11 @@ def check_quotient_negation(quotient: QuotientAlgebra) -> NegationProfile:
     two classes' bounds lies in an operand's boundary, so the result is a
     class, which the order, inclusion of both bounds, puts above every
     common lower bound (below every common upper bound).  Class 0, that of
-    the empty set, is the least element.
+    the empty set, is the least element; witnesses are ``labels()``.
     """
-    dtype = np.min_scalar_type(-len(quotient.carrier))
-    meet, join, neg = (t.astype(dtype) for t in quotient.tables()[:3])
-    return _negation_profile(quotient.carrier, quotient.leq_matrix(), meet, join, 0, neg, -1)
+    labels = quotient.labels()
+    meet, join, neg = (t.astype(np.min_scalar_type(-len(labels))) for t in quotient.tables()[:3])
+    return _negation_profile(labels, quotient.leq_matrix(), meet, join, 0, neg, -1)
 
 
 def _negation_profile(labels, rel, meet, join, bot, F, none) -> NegationProfile:

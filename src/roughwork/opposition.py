@@ -165,11 +165,11 @@ def hexagon(space: ApproximationSpace, x: Subset) -> HexagonReport:
             stacklevel=2,
         )
     worlds = space.universe.atoms
-    cs = CaseSpace.from_sets(
+    cs = CaseSpace.from_sets(  # two-valued by construction, so no pair re-checks that
         worlds, {name: set(sub.atom_names()) for name, sub in regions.items()}
     )
     figures = {
-        (p, q): classify_pair(cs, p, q).figure
+        (p, q): classify_pair(cs, p, q, classical=False).figure
         for p, q in combinations(HEXAGON_NODE_ORDER, 2)
     }
     return HexagonReport(nodes=regions, figures=figures, degenerate=degenerate)

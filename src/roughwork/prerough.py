@@ -4,9 +4,10 @@ Two layers: the concrete quotient algebra a space induces on its rough
 classes, and exhaustive axiom checkers for arbitrary finite candidate
 structures given by operation tables.  A single quotient operation builds
 one fresh RoughClass, whose bounds are checked by one lookup in
-``space.masks``; the carrier of all classes is listed only when asked
-for.  Whole tables are index expressions over the same ``space.masks``,
-whose lookup by bounds makes that check on every cell at once.
+``space.masks``; ``labels()`` builds a class only when indexed.  Whole
+tables are index expressions over the same ``space.masks``, whose lookup
+by bounds makes that check on every cell at once; the checkers read them
+as they are.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from roughwork.approx import ApproximationSpace, RoughClass, Subset
-from roughwork.granular import AxiomReport, lattice_laws, sweep_laws
+from roughwork.granular import AxiomReport, Labels, lattice_laws, sweep_laws
 
 
 class QuotientAlgebra:
@@ -33,7 +34,17 @@ class QuotientAlgebra:
 
     @cached_property
     def carrier(self) -> tuple[RoughClass, ...]:
-        return tuple(self.space.rough_classes(include_empty=True))
+        return tuple(map(self.element, range(len(self.space.masks.class_lower))))
+
+    def labels(self) -> Labels:
+        """The carrier, each class built when indexed."""
+        return Labels(range(len(self.space.masks.class_lower)), self.element)
+
+    def element(self, j: int) -> RoughClass:
+        """Class j of the carrier, from its bounds in ``space.masks``."""
+        u, bm = self.space.universe, self.space.masks
+        lo, up = bm.class_lower.item(j), bm.class_upper.item(j)
+        return RoughClass(self.space, Subset(u, lo), Subset(u, up))
 
     def _cls(self, lower: Subset, upper: Subset) -> RoughClass:
         return RoughClass(self.space, lower, upper)
@@ -91,23 +102,15 @@ class QuotientAlgebra:
         return bm.class_index(full ^ up, full ^ lo), bm.class_index(lo, lo), bm.class_index(up, up)
 
     def to_candidate(self) -> FiniteAlgebraCandidate:
+        """The arrays of ``tables()`` as they are, over ``labels()``."""
         meet, join, neg, necessity, _ = self.tables()
         return FiniteAlgebraCandidate(
-            carrier=self.carrier,
-            meet=meet.tolist(),
-            join=join.tolist(),
-            neg=neg.tolist(),
-            necessity=necessity.tolist(),
-            zero=0,
-            one=int(self.space.masks.class_id[-1]),
+            carrier=self.labels(), meet=meet, join=join, neg=neg, necessity=necessity,
+            zero=0, one=int(self.space.masks.class_id[-1]),
         )
 
     def is_antichain(self, family: Sequence[RoughClass]) -> bool:
-        return not any(
-            self.leq(a, b) or self.leq(b, a)
-            for i, a in enumerate(family)
-            for b in family[i + 1 :]
-        )
+        return not any(self.leq(a, b) or self.leq(b, a) for a, b in combinations(family, 2))
 
     def maximal_antichains(self, limit: int) -> list[tuple[RoughClass, ...]]:
         """Maximal antichains in deterministic order, at most `limit` of them.
@@ -143,18 +146,18 @@ def quotient_algebra(space: ApproximationSpace) -> QuotientAlgebra:
 
 @dataclass
 class FiniteAlgebraCandidate:
-    """Finite structure under test, with index-based operation tables.
+    """Finite structure under test; its tables are lists or integer arrays of indices.
 
     join may be omitted; the checkers then derive it as ¬(¬a ⊓ ¬b).
     """
 
     carrier: Sequence
-    meet: list[list[int]]
-    neg: list[int]
-    necessity: list[int]
+    meet: list[list[int]] | np.ndarray
+    neg: list[int] | np.ndarray
+    necessity: list[int] | np.ndarray
     zero: int
     one: int
-    join: list[list[int]] | None = None
+    join: list[list[int]] | np.ndarray | None = None
 
     def __post_init__(self):
         self._validate()
@@ -162,7 +165,7 @@ class FiniteAlgebraCandidate:
     def _validate(self) -> tuple[np.ndarray | None, ...]:
         """meet, join, neg and necessity as index arrays (None for a None table);
         raises ValueError unless each is square and in range.  The checkers
-        call this again, since the tables are mutable lists."""
+        call this again, since the tables are mutable."""
         n = len(self.carrier)
         if n == 0:
             raise ValueError("carrier must be nonempty")

@@ -76,6 +76,7 @@ import numpy as np
 from roughwork import cli
 from roughwork.approx import (
     ApproximationSpace,
+    BoundMasks,
     RoughClass,
     Subset,
     Universe,
@@ -710,6 +711,14 @@ def quotient_candidate(q: QuotientAlgebra) -> FiniteAlgebraCandidate:
         zero=index[q.space.rough_class_of(q.space.universe.empty)],
         one=index[q.space.rough_class_of(q.space.universe.full)],
     )
+
+
+def int64_masks(space: ApproximationSpace) -> BoundMasks:
+    """``space.masks`` with its class ids from an int64 running count."""
+    bm = space.masks
+    smallest = bm.lower | (bm.lowbits & bm.upper & ~bm.lower)
+    starts = smallest == np.arange(len(smallest))
+    return bm._replace(class_id=(np.cumsum(starts, dtype=np.int64) - 1)[smallest])
 
 
 def quotient_poset(space: ApproximationSpace) -> tuple[BoundedPoset, UnaryOp]:

@@ -349,7 +349,8 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
 def test_an_empty_model_path_is_a_model_error_not_the_bundled_model(capsys):
     code, out, err = run(capsys, "space", "show", "--model", "")
     assert (code, out) == (3, "")
-    assert err.startswith("model error: ")
+    # the message names the empty path, not ".", the directory Path("") means
+    assert err == "model error: [Errno 2] No such file or directory: ''\n"
 
 
 # Every subcommand, then the argument errors, help included.

@@ -59,6 +59,11 @@ element on every partition of up to six atoms, with either commonality;
 the subset, mixed and pair carriers made unlistable, the identity suite
 must pass on every partition of up to five atoms and ``analyze`` must
 run for every kind, building the elements of its witnesses and no other.
+The quotient and mixed tables must equal their int64 reference where the
+class ids wrap or 2^n passes the mask dtype, and the hexagon and the
+discernibility square must give the figures that ``classify_pair`` gives
+with its two-valuedness check on, for every subset of every partition of
+up to five atoms.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import random
+import warnings
 from collections import Counter
 from itertools import combinations
 
@@ -86,6 +92,7 @@ from roughwork import (
 )
 from roughwork.approx import UniverseMismatchError
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
+from roughwork.counting import SQUARE_PREDICATES, close, discernibility_square
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
 from roughwork.granular import (
     INCLUSION,
@@ -110,9 +117,17 @@ from roughwork.negation import (
     falsify_theorem,
 )
 from roughwork.model_io import parse_model
+from roughwork.opposition import (
+    HEXAGON_NODE_ORDER,
+    CaseSpace,
+    DegeneratePartitionWarning,
+    classify_pair,
+    hexagon,
+)
 from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
 from roughwork.prerough import (
     FiniteAlgebraCandidate,
+    QuotientAlgebra,
     check_essential_pre_rough,
     check_pre_rough,
     quotient_algebra,
@@ -594,7 +609,11 @@ def test_classes_quotient_tables_and_antichains_on_partitions():
                 space, include_empty
             )
         q = quotient_algebra(space)
-        assert q.to_candidate() == oracle.quotient_candidate(q)
+        new, old = q.to_candidate(), oracle.quotient_candidate(q)
+        assert list(new.carrier) == list(old.carrier)
+        for name in ("meet", "join", "neg", "necessity"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert (new.zero, new.one) == (old.zero, old.one)
         for limit in (3, 10**6):
             assert q.maximal_antichains(limit) == oracle.maximal_antichains(
                 q.carrier, limit
@@ -621,6 +640,57 @@ def test_tag_detectors_match_the_element_calls_up_to_six_atoms(soft):
         model = CeraModel(space, soft=soft)
         report = check_cera_identities(model)
         assert list(report.items())[:2] == list(oracle.cera_tag_detectors(model).items())
+
+
+def test_tables_at_the_dtype_edges_equal_an_int64_reference():
+    """Class ids are counted in the mask dtype, which wraps on 8 singleton
+    blocks, and 2^n, past that dtype from 8 atoms on, is added to them in
+    the carrier dtype."""
+    for atoms, blocks in (
+        ("abcdefgh", "abcdefgh"),
+        ("abcdefgh", ["ab", "cd", "ef", "gh"]),
+        ("abcdefghij", ["ab", "cd", "ef", "gh", "ij"]),
+    ):
+        space = ApproximationSpace.from_partition(atoms, blocks)
+        wide = ApproximationSpace.from_partition(atoms, blocks)
+        wide._masks = oracle.int64_masks(space)
+        assert np.array_equal(space.masks.class_id, wide.masks.class_id)
+        quotients = QuotientAlgebra(space).tables(), QuotientAlgebra(wide).tables()
+        for new, old in zip(*quotients, strict=True):
+            assert old.dtype == np.int64 and np.array_equal(new, old)
+        for new, old in zip(CeraModel(space).tables(), CeraModel(wide).tables(), strict=True):
+            assert np.array_equal(new, old)
+
+
+def test_hexagon_and_square_figures_match_the_checked_classification(monkeypatch):
+    """Both build their case space two-valued and so skip that check; with
+    it on, classify_pair gives the same figures."""
+
+    def refuse(*args):
+        raise AssertionError("two-valuedness re-checked")
+
+    hexagons = 0
+    for space in SPACES:
+        u = space.universe
+        for x in u.subsets():
+            with monkeypatch.context() as m, warnings.catch_warnings():
+                m.setattr(CaseSpace, "is_classical", refuse)
+                warnings.simplefilter("ignore", DegeneratePartitionWarning)
+                report = hexagon(space, x)
+            nodes = {name: set(sub.atom_names()) for name, sub in report.nodes.items()}
+            cs = CaseSpace.from_sets(u.atoms, nodes)
+            pairs = combinations(HEXAGON_NODE_ORDER, 2)
+            assert report.figures == {(p, q): classify_pair(cs, p, q).figure for p, q in pairs}
+            hexagons += 1
+        blocks = [b.atom_names() for b in space.blocks]
+        rel = close(u.atoms, [(block[0], a) for block in blocks for a in block])
+        with monkeypatch.context() as m:
+            m.setattr(CaseSpace, "is_classical", refuse)
+            square = discernibility_square(rel)
+        cs = CaseSpace.from_sets([(a, b) for a in u.atoms for b in u.atoms], square.extents)
+        pairs = combinations(SQUARE_PREDICATES, 2)
+        assert square.figures == {(p, q): classify_pair(cs, p, q).figure for p, q in pairs}
+    assert hexagons == sum(1 << s.universe.size for s in SPACES)
 
 
 def test_passing_sweeps_build_no_carrier_and_witnesses_only_their_elements(monkeypatch):

@@ -15,6 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughwork import ApproximationSpace
+from roughwork.approx import RoughClass
+from roughwork.model_io import load_model
+from roughwork.negation import check_quotient_negation
 from roughwork.prerough import (
     FiniteAlgebraCandidate,
     check_essential_pre_rough,
@@ -50,7 +53,7 @@ def mutate_candidate(
         one=cand.one,
     )
     n = mutant.size
-    tables = ["meet", "neg", "necessity"] + (["join"] if mutant.join else [])
+    tables = ["meet", "neg", "necessity"] + (["join"] if mutant.join is not None else [])
     name = rng.choice(tables)
     table = getattr(mutant, name)
     if name in ("meet", "join"):
@@ -217,3 +220,29 @@ def test_random_space_quotients_pass(data):
     cand = quotient_algebra(space).to_candidate()
     assert check_pre_rough(cand).all_pass
     assert check_essential_pre_rough(cand).all_pass
+
+
+def test_quotient_suites_build_classes_only_for_witnesses(
+    example_space, ten_atom_model, monkeypatch
+):
+    """The quotient suites read index tables and name witnesses through
+    labels: a passing suite builds no RoughClass, a failing one builds
+    exactly the classes its witnesses hold."""
+    built = []
+    real = RoughClass.__init__
+    monkeypatch.setattr(
+        RoughClass, "__init__", lambda self, *args: built.append(args) or real(self, *args)
+    )
+    for space in (example_space, load_model(ten_atom_model).space):
+        q = quotient_algebra(space)
+        built.clear()
+        assert check_pre_rough(q.to_candidate()).all_pass
+        assert check_essential_pre_rough(q.to_candidate()).all_pass
+        assert built == []
+        profile = check_quotient_negation(q)
+        witnesses = [
+            w for _, check in profile.checks.items() for w in check.witness or ()
+            if isinstance(w, RoughClass)
+        ]
+        assert not profile.checks["N1"].passed and not profile.checks["N9"].passed
+        assert len(built) == len(witnesses) > 0
