@@ -6,13 +6,15 @@ partition into blocks; single lower and upper approximations are block
 scans.  ``bound_masks`` computes the approximations of every mask at once,
 with the rough-class index of each mask and the bounds of each class; it
 is the one place the classes of a space are worked out.  A space keeps
-it as ``space.masks``, which every other module reads.
+it as ``space.masks``, which every other module reads.  ``Labels`` states
+a carrier once, by its length and element i: ``Universe.labels()`` the
+subsets, ``ApproximationSpace.class_labels()`` the rough classes.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -33,6 +35,35 @@ class UnknownAtomError(ValueError):
 
 class CapExceededError(RuntimeError):
     """A search or carrier is larger than the cap it runs under."""
+
+
+def check_cap(carrier: Sized, cap: int | None, message: str) -> None:
+    """Raise ``CapExceededError`` if ``carrier`` is longer than ``cap`` (None: no
+    cap), with ``message`` formatted with the carrier's ``size`` and the ``cap``."""
+    if cap is not None and len(carrier) > cap:
+        raise CapExceededError(message.format(size=len(carrier), cap=cap))
+
+
+class Labels(Sequence):
+    """The elements ``make(i)`` of a carrier, each built when indexed.
+
+    A law sweep names its witness by these labels, so a passing sweep
+    builds no element.  A slice is the labels of the indices it selects.
+    """
+
+    def __init__(self, indices: range, make: Callable[[int], object]):
+        self._indices, self._make = indices, make
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Labels(self._indices[i], self._make)
+        return self._make(self._indices[i])
+
+    def __iter__(self) -> Iterator:
+        return map(self._make, self._indices)
 
 
 class Universe:
@@ -112,10 +143,13 @@ class Universe:
                 )
         return Subset(self, mask)
 
+    def labels(self) -> Labels:
+        """The carrier of all subsets, in canonical (binary counting) order."""
+        return Labels(range(1 << self.size), self.from_mask)
+
     def subsets(self) -> Iterator[Subset]:
         """All subsets in canonical (binary counting) order."""
-        for mask in range(1 << self.size):
-            yield Subset(self, mask)
+        return iter(self.labels())
 
     def __eq__(self, other: object) -> bool:
         return other is self or (isinstance(other, Universe) and self.atoms == other.atoms)
@@ -347,11 +381,7 @@ class ApproximationSpace:
 
     def triples(self) -> list[ApproxTriple]:
         """One triple per nonempty subset, in canonical order."""
-        out = []
-        for mask in range(1, 1 << self.universe.size):
-            x = Subset(self.universe, mask)
-            out.append(ApproxTriple(x, self.lower(x), self.upper(x)))
-        return out
+        return [ApproxTriple(x, self.lower(x), self.upper(x)) for x in self.universe.labels()[1:]]
 
     def rough_eq(self, a: Subset, b: Subset) -> bool:
         return self.lower(a) == self.lower(b) and self.upper(a) == self.upper(b)
@@ -359,18 +389,20 @@ class ApproximationSpace:
     def rough_class_of(self, x: Subset) -> RoughClass:
         return RoughClass(self, self.lower(x), self.upper(x))
 
+    def class_labels(self) -> Labels:
+        """The carrier of rough classes, ordered by smallest member: class j
+        has the bounds ``masks.class_lower[j]`` and ``masks.class_upper[j]``."""
+        u, lo, up = self.universe, self.masks.class_lower, self.masks.class_upper
+        make = lambda j: RoughClass(self, Subset(u, lo.item(j)), Subset(u, up.item(j)))
+        return Labels(range(len(lo)), make)
+
     def rough_classes(self, include_empty: bool = False) -> list[RoughClass]:
         """Classes of nonempty subsets, ordered by smallest member.
 
         The class of the empty set is prepended on request; it is the zero
         of the quotient order and is never roughly equal to a nonempty set.
         """
-        u, bm = self.universe, self.masks
-        classes = [
-            RoughClass(self, Subset(u, lo), Subset(u, up))
-            for lo, up in zip(bm.class_lower.tolist(), bm.class_upper.tolist())
-        ]
-        return classes if include_empty else classes[1:]
+        return list(self.class_labels()[0 if include_empty else 1 :])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -489,8 +521,8 @@ def bound_masks(space: ApproximationSpace) -> BoundMasks:
     atom of each boundary block, and a mask that is its own smallest
     member starts a class.
     """
-    n = space.universe.size
-    masks = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
+    size = len(space.universe.labels())
+    masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
     lower = np.zeros_like(masks)
     upper = np.zeros_like(masks)
     for block in space.blocks:

@@ -7,8 +7,8 @@ collapses the class argument through its members and lands back in a
 class.  The element methods answer single queries on objects;
 ``CeraModel.tables`` gives the operations over the whole carrier as index
 arrays, from ``space.masks`` and the quotient's tables, for the identity
-suite and the parthood matrices.  ``CeraModel.element(i)`` states the
-carrier layout once: subset i, then class i - 2^n.  The identity suite
+suite and the parthood matrices.  ``CeraModel.labels()`` states the
+carrier once: subset i, then class i - 2^n.  The identity suite
 decides every law, its tag detectors included, on tables and bounds,
 calls no element method, and builds elements only for a witness.
 """
@@ -20,10 +20,8 @@ from operator import and_, or_
 
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, CapExceededError, RoughClass, Subset
-from roughwork.granular import (
-    AxiomCheck, AxiomReport, Labels, first_violation, lattice_laws
-)
+from roughwork.approx import ApproximationSpace, Labels, RoughClass, Subset, check_cap
+from roughwork.granular import AxiomCheck, AxiomReport, first_violation, lattice_laws
 from roughwork.prerough import QuotientAlgebra
 
 # Identity checking materializes full binary operation tables.
@@ -95,17 +93,25 @@ class CeraModel:
     def class_of(self, x: Subset) -> MixedElement:
         return MixedElement.type2(self.space.rough_class_of(x))
 
+    def labels(self) -> Labels:
+        """The carrier, each element built when indexed: the subsets, then the classes."""
+        subsets, classes = self.space.universe.labels(), self.quotient.labels()
+        return Labels(range(len(subsets) + len(classes)), self.element)
+
     def element(self, i: int) -> MixedElement:
-        """Element i of the carrier: subset i, then class i - 2^n."""
+        """Element i of ``labels()``: subset i, then class i - 2^n."""
         j = i - len(self.space.masks.lower)
         if j < 0:
             return MixedElement.type1(Subset(self.space.universe, i))
-        return MixedElement.type2(self.quotient.element(j))
+        return MixedElement.type2(self.quotient.labels()[j])
 
     def elements(self) -> list[MixedElement]:
         """Full carrier: subsets in mask order, then classes."""
-        bm = self.space.masks
-        return [self.element(i) for i in range(len(bm.lower) + len(bm.class_lower))]
+        return list(self.labels())
+
+    def class_ids(self) -> np.ndarray:
+        """The class index of each element of ``labels()``: subset i's, then j for class j."""
+        return np.concatenate([self.space.masks.class_id, np.arange(len(self.quotient.labels()))])
 
     def tables(self) -> tuple[np.ndarray, ...]:
         """oplus, commonality, L, black lozenge and sim_neg over ``elements()``.
@@ -115,8 +121,7 @@ class CeraModel:
         not fit the dtype of the class ids.
         """
         bm = self.space.masks
-        size = len(bm.lower)
-        dtype = np.min_scalar_type(size + len(bm.class_lower) - 1)
+        size, dtype = len(bm.lower), np.min_scalar_type(len(self.labels()) - 1)
         neg, nec, pos = (t.astype(dtype) + size for t in self.quotient._unary_tables())
         complement = (size - 1) ^ np.arange(size, dtype=bm.class_lower.dtype)
         return (
@@ -130,8 +135,7 @@ class CeraModel:
     def _binary_table(self, op) -> np.ndarray:
         """oplus (``np.bitwise_or``) or commonality (``np.bitwise_and``), as in ``tables()``."""
         bm = self.space.masks
-        size = len(bm.lower)
-        dtype = np.min_scalar_type(size + len(bm.class_lower) - 1)
+        size, dtype = len(bm.lower), np.min_scalar_type(len(self.labels()) - 1)
         lo, up = bm.class_lower, bm.class_upper
         subsets = np.arange(size, dtype=lo.dtype)
         # a class enters a mixed case as the collapse of its members: their
@@ -228,12 +232,10 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
     Guarded laws quantify only over the tags named in their premises.
     """
     # The carrier is the subsets 0..2^n-1 (type 1), then the classes (type 2).
+    els = model.labels()
+    check_cap(els, cap, "carrier of size {size} exceeds identity-check cap")
     bm = model.space.masks
-    size = len(bm.lower)
-    n = size + len(bm.class_lower)
-    if n > cap:
-        raise CapExceededError(f"carrier of size {n} exceeds identity-check cap")
-    els = Labels(range(n), model.element)
+    size, n = len(bm.lower), len(els)
 
     arange = np.arange(n)
     type1 = arange < size

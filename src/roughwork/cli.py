@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from roughwork import expr as expr_mod
-from roughwork.approx import CapExceededError
+from roughwork.approx import CapExceededError, check_cap
 from roughwork.cera import (
     IDENTITY_CARRIER_CAP,
     CeraModel,
@@ -135,7 +135,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _positive_int(text: str) -> int:
-    """The type of ``--cap``: anything else is an argument error (exit 2)."""
+    """The type of ``--cap``, so ``args.cap or default`` is the cap; else exit 2."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -207,21 +207,20 @@ def _cmd_eval(args) -> Report:
 
 def _cmd_check(args) -> Report:
     loaded = _load(args)
-    size = 1 << loaded.space.universe.size
-    if args.suite in ("gos", "admissible") and args.cap is not None and size > args.cap:
-        raise CapExceededError(f"power set of {size} subsets exceeds the cap {args.cap}")
+    if args.suite in ("gos", "admissible"):
+        subsets = loaded.space.universe.labels()
+        check_cap(subsets, args.cap, "power set of {size} subsets exceeds the cap {cap}")
     if args.suite == "gos":
         items = check_gos_axioms(loaded.granular).items()
     elif args.suite == "admissible":
         report = check_admissibility(loaded.granular)
         items = [("WRA", report.wra), ("LS", report.ls), ("FU", report.fu)]
     elif args.suite == "cera":
-        cap = IDENTITY_CARRIER_CAP if args.cap is None else args.cap
-        items = check_cera_identities(CeraModel(loaded.space), cap=cap).items()
+        cera = CeraModel(loaded.space)
+        items = check_cera_identities(cera, args.cap or IDENTITY_CARRIER_CAP).items()
     else:
-        _check_quotient_cap(loaded.space, args)
         check = check_pre_rough if args.suite == "prerough" else check_essential_pre_rough
-        items = check(quotient_algebra(loaded.space).to_candidate()).items()
+        items = check(_capped_quotient(loaded.space, args).to_candidate()).items()
     return Report(["check", "status", "witness"], _axiom_rows(items))
 
 
@@ -232,8 +231,7 @@ def _cmd_parthood(args) -> Report:
             raise ValueError("usage: parthood analyze <kind>")
         kind = ParthoodKind.from_name(args.rest[0])
         model = _parthood_model(kind, loaded)
-        cap = MATRIX_CAP if args.cap is None else args.cap
-        report = analyze(kind, model, cap=cap)
+        report = analyze(kind, model, cap=args.cap or MATRIX_CAP)
         rows = _axiom_rows(
             [
                 ("reflexive", report.reflexive),
@@ -292,19 +290,17 @@ def _cmd_crad(args) -> Report:
     )
 
 
-def _check_quotient_cap(space, args) -> None:
-    """Refuse a quotient of more rough classes than ``--cap``: its tables are carrier²."""
-    classes = len(space.masks.class_lower)
-    cap = MATRIX_CAP if args.cap is None else args.cap
-    if classes > cap:
-        raise CapExceededError(f"quotient of {classes} rough classes exceeds the cap {cap}")
+def _capped_quotient(space, args):
+    """The rough quotient, refused past ``--cap`` classes: its tables are carrier²."""
+    quotient = quotient_algebra(space)
+    message = "quotient of {size} rough classes exceeds the cap {cap}"
+    check_cap(quotient.labels(), args.cap or MATRIX_CAP, message)
+    return quotient
 
 
 def _cmd_negation(args) -> Report:
     if args.action == "check":
-        loaded = _load(args)
-        _check_quotient_cap(loaded.space, args)
-        profile = check_quotient_negation(quotient_algebra(loaded.space))
+        profile = check_quotient_negation(_capped_quotient(_load(args).space, args))
         rows = _axiom_rows(profile.checks.items())
         rows += [(name, str(getattr(profile, name)), "") for name in ("index", "period", "pace")]
         return Report(["check", "status", "witness"], rows)
@@ -425,12 +421,11 @@ def _cmd_count(args) -> Report:
 
 def _cmd_granulation(args) -> Report:
     loaded = _load(args)
-    cap = SEARCH_CANDIDATE_CAP if args.cap is None else args.cap
     families = search_admissible_granulations(
         loaded.granular.lower_op,
         loaded.granular.upper_op,
         max_granules=args.max_granules,
-        candidate_cap=cap,
+        candidate_cap=args.cap or SEARCH_CANDIDATE_CAP,
     )
     rows = [(" | ".join(str(g) for g in family),) for family in families]
     text = [row[0] for row in rows]

@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from roughwork.approx import Subset
+import numpy as np
+
+from roughwork.approx import Labels, Subset
 from roughwork.cera import CeraModel, MixedElement, UndefinedOperationError
 
 
@@ -53,15 +55,22 @@ class CradModel:
 
     @cached_property
     def carrier(self) -> tuple[DialecticalPair, ...]:
-        """K: first_pair(x) for every subset x in mask order, then second_pair(x)."""
-        return tuple(map(self.pair, range(2 * len(self.cera.space.masks.lower))))
+        return tuple(self.labels())
+
+    def labels(self) -> Labels:
+        """K, each pair built when indexed: every first_pair(x), then every second_pair(x)."""
+        return Labels(range(2 * len(self.cera.space.universe.labels())), self.pair)
 
     def pair(self, i: int) -> DialecticalPair:
-        """Pair i of K, from elements of the mixed carrier."""
+        """Pair i of ``labels()``, from elements of the mixed carrier."""
         cera, size = self.cera, len(self.cera.space.masks.lower)
         x = cera.element(i % size)
         c = cera.element(size + cera.space.masks.class_id.item(i % size))
         return DialecticalPair(x, c) if i < size else DialecticalPair(c, x)
+
+    def class_ids(self) -> np.ndarray:
+        """The class index of each pair of ``labels()``: that of its subset."""
+        return np.tile(self.cera.space.masks.class_id, 2)
 
     def first_pair(self, x: Subset) -> DialecticalPair:
         """The subset-first element (x, 0 (+) x) of K."""

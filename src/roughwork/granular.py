@@ -54,14 +54,14 @@ class OperatorTable:
     __slots__ = ("universe", "_table")
 
     def __init__(self, universe: Universe, entries: dict[int, int]):
-        if set(entries) != set(range(1 << universe.size)):
+        if set(entries) != set(range(len(universe.labels()))):
             raise ValueError("operator table must be total on the power set")
         self._fill(universe, [entries[m] for m in range(len(entries))])
 
     @classmethod
     def from_list(cls, universe: Universe, table: list[int]) -> OperatorTable:
         """The table mapping mask ``m`` to ``table[m]``."""
-        if len(table) != 1 << universe.size:
+        if len(table) != len(universe.labels()):
             raise ValueError("operator table must be total on the power set")
         out = cls.__new__(cls)
         out._fill(universe, table)
@@ -149,25 +149,6 @@ def first_violation(
         return None
     cell = np.unravel_index(int(bad.argmax()), bad.shape)
     return tuple(axis[int(i)] for axis, i in zip(axes, cell))
-
-
-class Labels(Sequence):
-    """The elements ``make(i)`` of a carrier, each built when indexed.
-
-    A law sweep names its witness by these labels, so a passing sweep
-    builds no element.  A slice is the labels of the indices it selects.
-    """
-
-    def __init__(self, indices: range, make: Callable[[int], object]):
-        self._indices, self._make = indices, make
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Labels(self._indices[i], self._make)
-        return self._make(self._indices[i])
 
 
 def packed_rows(m: np.ndarray) -> np.ndarray:
@@ -329,9 +310,9 @@ def from_space(space: ApproximationSpace) -> GranularModel:
 
 def _mask_tables(universe: Universe, *ops: OperatorTable) -> tuple[np.ndarray, ...]:
     """The masks themselves, then each operator's table, as index arrays."""
-    dtype = np.min_scalar_type((1 << universe.size) - 1)
-    masks = np.arange(1 << universe.size, dtype=dtype)
-    return (masks, *(np.array(op._table, dtype=dtype) for op in ops))
+    size = len(universe.labels())
+    masks = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    return (masks, *(np.array(op._table, dtype=masks.dtype) for op in ops))
 
 
 def _not_within(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,7 +352,7 @@ def check_gos_axioms(model: GranularModel, strict_upper: bool = False) -> AxiomR
     uu = up[up]
     expansion = "upper-strict-expansion" if strict_upper else "upper-weak-expansion"
     results = sweep_laws(
-        Labels(range(1 << u.size), u.from_mask),
+        u.labels(),
         {
             "lower-contraction": _not_within(lo, masks),
             "lower-idempotence": lo[lo] != lo,
@@ -401,7 +382,7 @@ def check_operator_axioms(table: OperatorTable, kind: str) -> AxiomReport:
     else:
         laws = {"increasing": _not_within(masks, op)}
     laws["monotonicity"] = _monotonicity(masks, op)
-    return AxiomReport(sweep_laws(Labels(range(len(op)), table.universe.from_mask), laws))
+    return AxiomReport(sweep_laws(table.universe.labels(), laws))
 
 
 def _separation(n: int, m: int) -> int:
@@ -512,7 +493,7 @@ def check_admissibility(model: GranularModel) -> AdmissibilityReport:
     outside = {out for out in {*lo, *up} if _separation(n, out) & ~cover}
     unrepresented = (
         (Subset(u, m), Subset(u, out))
-        for m in range(1 << n)
+        for m in range(len(lo))
         for out in (lo[m], up[m])
         if out in outside
     )
@@ -553,14 +534,13 @@ def search_admissible_granulations(
     if lower_op.universe != upper_op.universe:
         raise UniverseMismatchError("operator tables over different universes")
     universe = lower_op.universe
-    pool_size = (1 << universe.size) - 1
-    total = sum(comb(pool_size, k) for k in range(1, max_granules + 1))
+    pool = universe.labels()[1:]
+    total = sum(comb(len(pool), k) for k in range(1, max_granules + 1))
     if total > candidate_cap:
         raise SearchCapExceededError(
             f"{total} candidate families exceed the cap of {candidate_cap}"
         )
-    n = universe.size
-    pool = [Subset(universe, m) for m in range(1, 1 << n)]
+    n, pool = universe.size, list(pool)
     seps = [_separation(n, g.mask) for g in pool]
     need = _cover(n, set(lower_op._table) | set(upper_op._table))
     tests = _GranuleTests(parthood, lower_op, upper_op)
@@ -582,7 +562,7 @@ def search_admissible_granulations(
         """Walk the extensions of ``family`` in canonical order; return p
         once family[:p + 1] is found to fail, which ends every walk below it."""
         depth = len(family)
-        for j in range(start, pool_size):
+        for j in range(start, len(pool)):
             g = pool[j]
             if tests.ls.get(g.mask) is not None:
                 continue

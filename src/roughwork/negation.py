@@ -25,6 +25,7 @@ from roughwork.prerough import QuotientAlgebra
 
 FALSIFY_SIZE_CAP = 6
 FALSIFY_DEFAULT_CAP = 5
+ITERATE_CAP = 10_000  # iterates N5 computes before it gives up on a repeat
 CLAIM_IDS = (
     "no-index-0-n",
     "n123-bottom-top",
@@ -167,39 +168,37 @@ class NegationProfile:
     """Condition report plus the iterate index bookkeeping."""
 
     checks: AxiomReport
-    index: tuple[int, int] | None
-    period: int | None
-    pace: int | None
+    index: tuple[int, int]
+    period: int
+    pace: int
 
     def __post_init__(self):
-        assert self.checks["N5"].passed == (self.index is not None)
-        if self.index is not None:
-            m, n = self.index
-            assert self.period == n and self.pace == n - m
+        m, n = self.index
+        assert self.checks["N5"].passed and self.period == n and self.pace == n - m
 
     def passed(self, name: str) -> bool:
         return self.checks[name].passed
 
 
-def _iterate_index(F: np.ndarray, first: np.ndarray) -> tuple[int, int] | None:
+def _iterate_index(F: np.ndarray, first: np.ndarray) -> tuple[int, int]:
     """Least n admitting m < n with f^m weakly equal to f^n pointwise.
 
     Iterates are index arrays from ``first``, -1 where undefined; F gets a
     -1 sentinel, so an undefined value stays undefined in every later
     iterate, and iterate n weakly equals an earlier one iff they agree
-    wherever iterate n is defined.
-    """
+    wherever iterate n is defined.  A finite map has such an n; past
+    ``ITERATE_CAP`` iterates, this raises ``CapExceededError``."""
     apply = np.append(F, -1)
-    maps = np.empty((10001, len(first)), dtype=F.dtype)
+    maps = np.empty((ITERATE_CAP + 1, len(first)), dtype=F.dtype)
     maps[0] = first
-    for n in range(1, 10001):
+    for n in range(1, ITERATE_CAP + 1):
         maps[n] = apply[maps[n - 1]]
         # every pair of older iterates already failed, so test the new one only
         hit = ((maps[:n] == maps[n]) | (maps[n] < 0)).all(axis=1)
         m = int(hit.argmax())
         if hit[m]:
             return m, n
-    return None
+    raise SearchTooLargeError(f"no repeat within the iterate cap {ITERATE_CAP}")
 
 
 def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
@@ -252,13 +251,9 @@ def _negation_profile(labels, rel, meet, join, bot, F, none) -> NegationProfile:
             "N9": defined[:, None] & (((meet < 0) | (meet == bot)) != y_below_fx),
         },
     )
-    index = _iterate_index(F, np.where(r == none, -1, r))
-    results["N5"] = AxiomCheck(index is not None, None if index else ("no-cycle",))
-    checks = AxiomReport({name: results[name] for name in CONDITION_NAMES})
-    if index is None:
-        return NegationProfile(checks, None, None, None)
-    m, n = index
-    return NegationProfile(checks, index, n, n - m)
+    m, n = _iterate_index(F, np.where(r == none, -1, r))
+    results["N5"] = AxiomCheck(True)  # a finite map's iterates repeat
+    return NegationProfile(AxiomReport({k: results[k] for k in CONDITION_NAMES}), (m, n), n, n - m)
 
 
 def check_interior(poset: BoundedPoset, i: UnaryOp) -> None:

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset
-from roughwork.approx import CapExceededError as CarrierCapExceededError
+from roughwork.approx import ApproximationSpace, Labels, RoughClass, Subset, check_cap
+from roughwork.approx import CapExceededError as CarrierCapExceededError  # raised past a cap
 from roughwork.cera import CeraModel, MixedElement
 from roughwork.crad import CradModel, DialecticalPair
 from roughwork.granular import (
-    AxiomCheck, GranularModel, Labels, _mask_tables, first_violation, relation_square
+    AxiomCheck, GranularModel, _mask_tables, first_violation, relation_square
 )
 
 MATRIX_CAP = 1024
@@ -140,7 +140,7 @@ def _carrier(kind: ParthoodKind, model) -> Labels:
         if kind is ParthoodKind.G_SIMPLE and not isinstance(model, GranularModel):
             raise TypeError("g-simple parthood needs a granular model")
         if isinstance(model, (GranularModel, ApproximationSpace)):
-            return Labels(range(1 << model.universe.size), model.universe.from_mask)
+            return model.universe.labels()
         raise TypeError(
             "subset parthoods need an approximation space or granular model,"
             f" got {model!r}"
@@ -148,11 +148,10 @@ def _carrier(kind: ParthoodKind, model) -> Labels:
     if kind in MIXED_KINDS:
         if not isinstance(model, CeraModel):
             raise TypeError(f"{kind.value} parthood needs the mixed algebra")
-        classes = len(model.space.masks.class_lower)
-        return Labels(range((1 << model.space.universe.size) + classes), model.element)
+        return model.labels()
     if not isinstance(model, CradModel):
         raise TypeError("natural parthood needs the dialectical pair model")
-    return Labels(range(2 << model.cera.space.universe.size), model.pair)
+    return model.labels()
 
 
 def carrier_elements(kind: ParthoodKind, model) -> list:
@@ -169,14 +168,11 @@ def relation_matrix(
     cap is checked first; label i builds element i of ``carrier_elements``.
     """
     elements = _carrier(kind, model)
-    size = len(elements)
-    if size > cap:
-        raise CarrierCapExceededError(
-            f"carrier of size {size} exceeds the matrix cap {cap}"
-        )
+    check_cap(elements, cap, "carrier of size {size} exceeds the matrix cap {cap}")
+    r = np.arange(len(elements))
     if kind is ParthoodKind.G_SIMPLE:
         granules = np.array([g.mask for g in model.granules])[:, None]
-        codes = np.packbits(granules & ~np.arange(size) == 0, axis=0)
+        codes = np.packbits(granules & ~r == 0, axis=0)
         return elements, ~(codes[:, :, None] & ~codes[:, None, :]).any(axis=0)
     if kind in SUBSET_KINDS:
         if isinstance(model, GranularModel):
@@ -185,17 +181,13 @@ def relation_matrix(
             lower, upper = model.masks[:2]
         condition = _BOUND_CONDITIONS[kind]
         return elements, condition(lower[:, None], upper[:, None], lower, upper)
-    r = np.arange(size)
     if kind is ParthoodKind.ADDITIVE:
         return elements, model._binary_table(np.bitwise_or) == r
     if kind is ParthoodKind.COMMON:
         return elements, model._binary_table(np.bitwise_and) == r[:, None]
-    # Element i < 2^n holds subset i; element 2^n + j holds class j in the
-    # mixed carrier, and the class-first pair on subset j in K.
+    # roughly consistent and natural parthood compare the classes of the elements
     quotient = model.quotient if kind in MIXED_KINDS else model.cera.quotient
-    class_id = quotient.space.masks.class_id
-    j = r[len(class_id):] - len(class_id)
-    classes = np.concatenate([class_id, j if kind in MIXED_KINDS else class_id[j]])
+    classes = model.class_ids()
     return elements, quotient.leq_matrix()[classes][:, classes]
 
 

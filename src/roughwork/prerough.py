@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset
-from roughwork.granular import AxiomReport, Labels, lattice_laws, sweep_laws
+from roughwork.approx import ApproximationSpace, Labels, RoughClass, Subset
+from roughwork.granular import AxiomReport, lattice_laws, sweep_laws
 
 
 class QuotientAlgebra:
@@ -34,17 +34,11 @@ class QuotientAlgebra:
 
     @cached_property
     def carrier(self) -> tuple[RoughClass, ...]:
-        return tuple(map(self.element, range(len(self.space.masks.class_lower))))
+        return tuple(self.labels())
 
     def labels(self) -> Labels:
-        """The carrier, each class built when indexed."""
-        return Labels(range(len(self.space.masks.class_lower)), self.element)
-
-    def element(self, j: int) -> RoughClass:
-        """Class j of the carrier, from its bounds in ``space.masks``."""
-        u, bm = self.space.universe, self.space.masks
-        lo, up = bm.class_lower.item(j), bm.class_upper.item(j)
-        return RoughClass(self.space, Subset(u, lo), Subset(u, up))
+        """The carrier, each class built when indexed: ``space.class_labels()``."""
+        return self.space.class_labels()
 
     def _cls(self, lower: Subset, upper: Subset) -> RoughClass:
         return RoughClass(self.space, lower, upper)

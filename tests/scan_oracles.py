@@ -62,6 +62,12 @@ before it read the quotient's own meet, join and negation tables.
 
 And ``cli.main`` as it built a new parser on every call, before it built
 its parser once per process.
+
+And each carrier as its readers wrote it out, before each was stated once
+by the model that owns it: the 2^n subsets, class j from its bounds, the
+mixed carrier of 2^n + classes elements, K of 2·2^n pairs, their sizes
+as ``parthood`` counted them, and the class of each mixed element and
+pair as ``relation_matrix`` laid it out on 2^n.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from roughwork import cli
+from roughwork import cli, negation
 from roughwork.approx import (
     ApproximationSpace,
     BoundMasks,
@@ -111,6 +117,7 @@ from roughwork.negation import (
 from roughwork.negation import check_negation as _table_check_negation
 from roughwork.parthood import (
     MATRIX_CAP,
+    MIXED_KINDS,
     SUBSET_KINDS,
     CarrierCapExceededError,
     ParthoodKind,
@@ -390,7 +397,7 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
         ),
     )
     index = iterate_index(els, f)
-    results["N5"] = AxiomCheck(index is not None, None if index else ("no-cycle",))
+    results["N5"] = AxiomCheck(True)
 
     def n6_violations():
         for x in els:
@@ -421,8 +428,6 @@ def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
 
     first("N9", n9_violations())
 
-    if index is None:
-        return NegationProfile(AxiomReport(results), None, None, None)
     m, n = index
     return NegationProfile(AxiomReport(results), index, n, n - m)
 
@@ -697,6 +702,79 @@ def rough_classes(space: ApproximationSpace, include_empty: bool = False) -> lis
     if include_empty:
         classes.insert(0, space.rough_class_of(space.universe.empty))
     return classes
+
+
+def subsets(universe: Universe) -> list[Subset]:
+    """``Universe.subsets`` as it counted the 2^n masks itself."""
+    return [Subset(universe, mask) for mask in range(1 << universe.size)]
+
+
+def class_at(space: ApproximationSpace, j: int) -> RoughClass:
+    """Class j as ``QuotientAlgebra.element`` built it from the bounds in ``space.masks``."""
+    u, bm = space.universe, space.masks
+    return RoughClass(space, Subset(u, bm.class_lower.item(j)), Subset(u, bm.class_upper.item(j)))
+
+
+def rough_classes_by_bounds(space: ApproximationSpace, include_empty: bool = False) -> list:
+    """``ApproximationSpace.rough_classes`` as it zipped the class bounds itself."""
+    u, bm = space.universe, space.masks
+    classes = [
+        RoughClass(space, Subset(u, lo), Subset(u, up))
+        for lo, up in zip(bm.class_lower.tolist(), bm.class_upper.tolist())
+    ]
+    return classes if include_empty else classes[1:]
+
+
+def quotient_carrier(q: QuotientAlgebra) -> tuple[RoughClass, ...]:
+    """``QuotientAlgebra.carrier`` over the class count it read off ``space.masks``."""
+    return tuple(class_at(q.space, j) for j in range(len(q.space.masks.class_lower)))
+
+
+def mixed_element(model: CeraModel, i: int) -> MixedElement:
+    """``CeraModel.element``: subset i, then class i - 2^n."""
+    j = i - len(model.space.masks.lower)
+    if j < 0:
+        return MixedElement.type1(Subset(model.space.universe, i))
+    return MixedElement.type2(class_at(model.space, j))
+
+
+def cera_elements(model: CeraModel) -> list[MixedElement]:
+    """``CeraModel.elements`` over the size 2^n + classes it wrote out."""
+    bm = model.space.masks
+    return [mixed_element(model, i) for i in range(len(bm.lower) + len(bm.class_lower))]
+
+
+def crad_carrier(model: CradModel) -> tuple[DialecticalPair, ...]:
+    """``CradModel.carrier`` over the size 2·2^n it wrote out: pair i from the
+    mixed elements i mod 2^n and 2^n + the class of that subset."""
+    bm = model.cera.space.masks
+    size = len(bm.lower)
+
+    def pair(i: int) -> DialecticalPair:
+        x = mixed_element(model.cera, i % size)
+        c = mixed_element(model.cera, size + bm.class_id.item(i % size))
+        return DialecticalPair(x, c) if i < size else DialecticalPair(c, x)
+
+    return tuple(map(pair, range(2 * size)))
+
+
+def carrier_size(kind: ParthoodKind, model) -> int:
+    """The carrier size ``parthood._carrier`` wrote out for the kind."""
+    if kind in SUBSET_KINDS:
+        return 1 << model.universe.size
+    if kind in MIXED_KINDS:
+        return (1 << model.space.universe.size) + len(model.space.masks.class_lower)
+    return 2 << model.cera.space.universe.size
+
+
+def element_classes(kind: ParthoodKind, model) -> np.ndarray:
+    """The class of each mixed element or pair, as ``relation_matrix`` laid it
+    out: mixed element 2^n + j is class j, and pair 2^n + j the class-first
+    pair on subset j."""
+    quotient = model.quotient if kind in MIXED_KINDS else model.cera.quotient
+    class_id = quotient.space.masks.class_id
+    j = np.arange(carrier_size(kind, model))[len(class_id) :] - len(class_id)
+    return np.concatenate([class_id, j if kind in MIXED_KINDS else class_id[j]])
 
 
 def quotient_candidate(q: QuotientAlgebra) -> FiniteAlgebraCandidate:
@@ -1144,17 +1222,18 @@ def weak_equal_maps(left: tuple, right: tuple) -> bool:
     )
 
 
-def iterate_index(elements: tuple, f: UnaryOp) -> tuple[int, int] | None:
-    """Least n admitting m < n with f^m weakly equal to f^n pointwise."""
+def iterate_index(elements: tuple, f: UnaryOp) -> tuple[int, int]:
+    """Least n admitting m < n with f^m weakly equal to f^n pointwise;
+    past ``negation.ITERATE_CAP`` iterates it raises, as the kernel does."""
     maps = [tuple(elements)]
-    for _ in range(10000):
+    for _ in range(negation.ITERATE_CAP):
         nxt = tuple(None if v is None else f(v) for v in maps[-1])
         # every pair of older iterates already failed, so test the new one only
         for m, earlier in enumerate(maps):
             if weak_equal_maps(earlier, nxt):
                 return m, len(maps)
         maps.append(nxt)
-    return None
+    raise SearchTooLargeError(f"no repeat within the iterate cap {negation.ITERATE_CAP}")
 
 
 def meet_table(rel: np.ndarray) -> np.ndarray:

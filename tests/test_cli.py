@@ -10,9 +10,12 @@ import pytest
 import scan_oracles as oracle
 from roughwork import approx, cli, granular, model_io, negation
 from roughwork.approx import RoughClass
+from roughwork.cera import CeraModel
 from roughwork.cli import main
+from roughwork.crad import CradModel
 from roughwork.granular import from_space
 from roughwork.model_io import ModelFormatError, default_model_path, load_model, parse_model
+from roughwork.prerough import QuotientAlgebra
 
 LITERAL_TAGS = "1_1 2_1 1_2 1_3 2_3 1_4 2_4 3_4 4_4 5_4 6_4 7_4"
 
@@ -585,3 +588,34 @@ CAPPED_16 = [
 @pytest.mark.parametrize("argv, err", CAPPED_16, ids=[" ".join(c[0]) for c in CAPPED_16])
 def test_quotient_tables_stop_at_their_cap_before_any_carrier(capsys, model16, argv, err):
     assert run(capsys, *argv, "--model", str(model16)) == (4, "", err)
+
+
+# Each capped command and the carrier statement it sweeps, on a loaded model.
+SWEPT_CARRIERS = [
+    (("check", "gos"), lambda loaded: loaded.granular.universe.labels()),
+    (("check", "admissible"), lambda loaded: loaded.granular.universe.labels()),
+    (("check", "cera"), lambda loaded: CeraModel(loaded.space).labels()),
+    (("check", "prerough"), lambda loaded: QuotientAlgebra(loaded.space).labels()),
+    (("check", "essential"), lambda loaded: QuotientAlgebra(loaded.space).labels()),
+    (("negation", "check"), lambda loaded: QuotientAlgebra(loaded.space).labels()),
+    (("parthood", "analyze", "lateral"), lambda loaded: loaded.granular.universe.labels()),
+    (("parthood", "analyze", "additive"), lambda loaded: CeraModel(loaded.space).labels()),
+    (
+        ("parthood", "analyze", "natural-crad"),
+        lambda loaded: CradModel(CeraModel(loaded.space)).labels(),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, carrier", SWEPT_CARRIERS, ids=[" ".join(c[0]) for c in SWEPT_CARRIERS]
+)
+def test_cap_messages_name_the_length_of_the_carrier_swept(capsys, model16, argv, carrier):
+    for path in (default_model_path(), model16):
+        size = len(carrier(load_model(path)))
+        code, out, err = run(capsys, *argv, "--cap", str(size - 1), "--model", str(path))
+        assert (code, out) == (4, "")
+        named = [int(word) for word in err.split() if word.isdecimal()]
+        assert named[0] == size and named[1:] in ([], [size - 1]), err
+        if path != model16:
+            assert run(capsys, *argv, "--cap", str(size), "--model", str(path))[0] == 0

@@ -94,6 +94,7 @@ from roughwork.approx import UniverseMismatchError
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.counting import SQUARE_PREDICATES, close, discernibility_square
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
+from roughwork.crad import _class as pair_class
 from roughwork.granular import (
     INCLUSION,
     GranularModel,
@@ -913,6 +914,41 @@ def test_default_tables_equal_the_object_approximations_up_to_six_atoms():
             assert model.granules == space.blocks
             assert (model.lower_op, model.upper_op) == tables
             assert {type(v) for v in model.lower_op._table + model.upper_op._table} == {int}
+
+
+def test_each_carrier_statement_equals_the_eager_form_it_replaced_up_to_six_atoms():
+    for space in SPACES_6:
+        u, mixed = space.universe, CeraModel(space)
+        pairs, q = CradModel(mixed), mixed.quotient
+        subsets, classes = oracle.subsets(u), oracle.quotient_carrier(q)
+        assert list(u.labels()) == list(u.subsets()) == subsets
+        assert tuple(space.class_labels()) == tuple(q.labels()) == q.carrier == classes
+        assert space.rough_classes(include_empty=True) == list(classes)
+        for include_empty in (False, True):
+            old = oracle.rough_classes_by_bounds(space, include_empty)
+            assert space.rough_classes(include_empty) == old
+        assert list(mixed.labels()) == mixed.elements() == oracle.cera_elements(mixed)
+        assert tuple(pairs.labels()) == pairs.carrier == oracle.crad_carrier(pairs)
+        eager = [subsets, classes, mixed.elements(), pairs.carrier]
+        statements = [u.labels(), q.labels(), mixed.labels(), pairs.labels()]
+        for labels, listed in zip(statements, eager, strict=True):
+            n = len(listed)
+            assert len(labels) == n
+            at = (0, n // 2, n - 1, -1)
+            assert [labels[i] for i in at] == [listed[i] for i in at]
+            assert list(labels[1::3]) == list(listed[1::3])
+        kinds = ((ParthoodKind.LATERAL, space), (ParthoodKind.ADDITIVE, mixed))
+        for kind, model in kinds + ((ParthoodKind.NATURAL_CRAD, pairs),):
+            assert len(parthood._carrier(kind, model)) == oracle.carrier_size(kind, model)
+        # the class of each element: the array against the layout and the object path
+        mixed_class = lambda el: parthood._class_of(mixed, el)
+        for kind, model, elements, of in (
+            (ParthoodKind.ROUGHLY_CONSISTENT, mixed, mixed.elements(), mixed_class),
+            (ParthoodKind.NATURAL_CRAD, pairs, pairs.carrier, pair_class),
+        ):
+            ids = model.class_ids()
+            assert np.array_equal(ids, oracle.element_classes(kind, model))
+            assert [classes[c] for c in ids.tolist()] == [of(el) for el in elements]
 
 
 def random_order(rng: random.Random, n: int) -> list[tuple[int, int]]:

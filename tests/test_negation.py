@@ -144,6 +144,23 @@ def test_index_compares_each_new_iterate_with_its_predecessors_only(monkeypatch)
     assert negation._iterate_index(F, np.arange(19, dtype=np.int8)) == (0, 420)
 
 
+def test_n5_passes_up_to_the_iterate_cap_and_raises_past_it(monkeypatch):
+    # cycles of lengths 3, 4, 5 and 7: the first repeat is f^420 = f^0
+    cycles = [range(0, 3), range(3, 7), range(7, 12), range(12, 19)]
+    perm = UnaryOp({c[k]: c[(k + 1) % len(c)] for c in cycles for k in range(len(c))})
+    chain = BoundedPoset.chain(range(19))
+    monkeypatch.setattr(negation, "ITERATE_CAP", 420)
+    profile = check_negation(chain, perm)
+    assert profile.passed("N5")
+    assert (profile.index, profile.period, profile.pace) == ((0, 420), 420, 420)
+    # a finite map's iterates always repeat, so past the cap N5 raises rather than fails
+    monkeypatch.setattr(negation, "ITERATE_CAP", 419)
+    with pytest.raises(SearchTooLargeError, match="^no repeat within the iterate cap 419$"):
+        check_negation(chain, perm)
+    with pytest.raises(SearchTooLargeError):
+        oracle.check_negation(chain, perm)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_index_matches_naive_search_and_is_minimal(data):
