@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from roughwork.opposition import CaseSpace, Figure, classify_pair
+from roughwork.opposition import Figure, figure_of
 
 CLOSURE_MODES = ("equivalence", "reflexive-transitive")
 
@@ -121,17 +121,16 @@ class DiscernibilitySquare:
 
 def discernibility_square(rel: IndiscernibilityRelation) -> DiscernibilitySquare:
     """Evaluate the four predicates over all ordered element pairs."""
-    worlds = tuple((a, b) for a in rel.elements for b in rel.elements)
+    worlds = frozenset((a, b) for a in rel.elements for b in rel.elements)
     identity = frozenset((a, a) for a in rel.elements)
     extents = {
         "IS": identity,
-        "IS.NOT": frozenset(worlds) - identity,
+        "IS.NOT": worlds - identity,
         "IND": frozenset(rel.related),
-        "DIS": frozenset(worlds) - rel.related,
+        "DIS": worlds - rel.related,
     }
-    cs = CaseSpace.from_sets(worlds, extents)  # two-valued by construction
     figures = {}
     for i, p in enumerate(SQUARE_PREDICATES):
         for q in SQUARE_PREDICATES[i + 1 :]:
-            figures[(p, q)] = classify_pair(cs, p, q, classical=False).figure
+            figures[(p, q)] = figure_of(extents[p], extents[q], worlds)
     return DiscernibilitySquare(rel.elements, extents, figures)

@@ -186,17 +186,24 @@ def _iterate_index(F: np.ndarray, first: np.ndarray) -> tuple[int, int]:
     Iterates are index arrays from ``first``, -1 where undefined; F gets a
     -1 sentinel, so an undefined value stays undefined in every later
     iterate, and iterate n weakly equals an earlier one iff they agree
-    wherever iterate n is defined.  A finite map has such an n; past
+    wherever iterate n is defined.  So each iterate is looked up by its
+    bytes on that defined set, and the keys are rebuilt when the set
+    shrinks, at most len(first) times.  A finite map has such an n; past
     ``ITERATE_CAP`` iterates, this raises ``CapExceededError``."""
     apply = np.append(F, -1)
-    maps = np.empty((ITERATE_CAP + 1, len(first)), dtype=F.dtype)
+    maps = np.empty((ITERATE_CAP + 1, len(first)), dtype=F.dtype)  # one dtype for every key
     maps[0] = first
-    for n in range(1, ITERATE_CAP + 1):
-        maps[n] = apply[maps[n - 1]]
-        # every pair of older iterates already failed, so test the new one only
-        hit = ((maps[:n] == maps[n]) | (maps[n] < 0)).all(axis=1)
-        m = int(hit.argmax())
-        if hit[m]:
+    defined, seen = maps[0] >= 0, {}
+    for n in range(ITERATE_CAP + 1):
+        if n:
+            maps[n] = apply[maps[n - 1]]
+        if (maps[n][defined] < 0).any():
+            defined = maps[n] >= 0
+            seen = {}
+            for m in range(n):
+                seen.setdefault(maps[m][defined].tobytes(), m)
+        m = seen.setdefault(maps[n][defined].tobytes(), n)
+        if m < n:
             return m, n
     raise SearchTooLargeError(f"no repeat within the iterate cap {ITERATE_CAP}")
 
@@ -296,12 +303,14 @@ def interior_compose(
 
 
 def _canonical_relation(poset: BoundedPoset) -> tuple:
-    """The least sorted image of the strict order under any relabeling."""
+    """The least sorted image of the strict order under any relabeling that
+    fixes 0 and n - 1: every lattice ``enumerate_lattices`` keeps has its
+    bottom at 0 and its top at n - 1, so every isomorphism between two fixes them."""
     n = len(poset.elements)
     strict = np.argwhere(poset._rel & ~np.eye(n, dtype=bool)).tolist()
     return min(
         tuple(sorted((perm[i], perm[j]) for i, j in strict))
-        for perm in permutations(range(n))
+        for perm in ((0, *p, n - 1) for p in permutations(range(1, n - 1)))
     )
 
 
@@ -385,16 +394,11 @@ def falsify_theorem(
         for poset in enumerate_distributive_lattices(n):
             maps, n1, n2, n3, n9 = _condition_masks(poset)
             if claim_id == "no-index-0-n":
-                # index (0, n) forces a permutation, so only scan those
-                candidates = n1 & n2 & (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
-                for row in maps[candidates]:
-                    m, k = _iterate_index(row, np.arange(n, dtype=row.dtype))
-                    if m == 0 and k > 2:
-                        return FalsificationWitness(
-                            claim_id, poset, _total_op(poset, row), f"index (0, {k})"
-                        )
-                continue
-            if claim_id == "n123-bottom-top":
+                # a permutation's first repeat is (0, its order): index (0, k > 2) iff f∘f ≠ id
+                perm = (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
+                moved = (np.take_along_axis(maps, maps, axis=1) != np.arange(n)).any(axis=1)
+                hits, note = n1 & n2 & perm & moved, None
+            elif claim_id == "n123-bottom-top":
                 bot, top = poset._bottom, poset._top
                 bad = (maps[:, bot] != top) | (maps[:, top] != bot)
                 hits, note = n1 & n2 & n3 & bad, "regular yet moves the bounds wrongly"
@@ -403,8 +407,10 @@ def falsify_theorem(
             else:
                 hits, note = n9 & ~(n1 & n2 & n3), "satisfies N9 but not all of N1-N3"
             if hits.any():
-                op = _total_op(poset, maps[np.flatnonzero(hits)[0]])
-                return FalsificationWitness(claim_id, poset, op, note)
+                row = maps[np.flatnonzero(hits)[0]]
+                if note is None:
+                    note = f"index {_iterate_index(row, np.arange(n, dtype=row.dtype))}"
+                return FalsificationWitness(claim_id, poset, _total_op(poset, row), note)
     return None
 
 

@@ -44,6 +44,13 @@ def classify_from_questions(tt_possible: bool, ff_possible: bool) -> Figure:
     return Figure.CONTRARIETY if ff_possible else Figure.CONTRADICTION
 
 
+def figure_of(a, b, every) -> Figure:
+    """The figure of two classical sentences from their extents, frozensets of
+    worlds or int masks, with ``every`` all worlds: true together iff ``a & b``
+    is nonempty, false together iff ``a | b`` is not ``every``."""
+    return classify_from_questions(bool(a & b), (a | b) != every)
+
+
 @dataclass(frozen=True)
 class CaseSpace:
     """Worlds with a (t, f) valuation for every sentence at every world."""
@@ -83,6 +90,11 @@ class CaseSpace:
             raise KeyError(f"no valuation for {sentence!r} at {world!r}") from exc
         return bool(t), bool(f)
 
+    def extent(self, sentence, bit: int, worlds: Iterable | None = None) -> frozenset:
+        """Worlds of ``worlds`` (default all, in order) where bit 0 (t) or bit 1 (f) is set."""
+        worlds = self.worlds if worlds is None else worlds
+        return frozenset(w for w in worlds if self.pair(sentence, w)[bit])
+
     def is_classical(self, sentence) -> bool:
         return all(
             self.pair(sentence, w) in ((True, False), (False, True))
@@ -112,19 +124,11 @@ def classify_pair(
                 raise NonClassicalValuationError(
                     f"sentence {s!r} is not two-valued in this case space"
                 )
-    seen = {key: False for key in ("TT", "TF", "FT", "FF")}
-    for w in cs.worlds:
-        ta = cs.pair(a, w)[0]
-        tb = cs.pair(b, w)[0]
-        key = ("T" if ta else "F") + ("T" if tb else "F")
-        seen[key] = True
-    profile = {k: ("T" if v else "NP") for k, v in seen.items()}
-    return PairClassification(
-        figure=classify_from_questions(seen["TT"], seen["FF"]),
-        tt_possible=seen["TT"],
-        ff_possible=seen["FF"],
-        row_profile=profile,
-    )
+    ta, tb = cs.extent(a, 0), cs.extent(b, 0)
+    every = frozenset(cs.worlds)
+    row = {"TT": ta & tb, "TF": ta - tb, "FT": tb - ta, "FF": every - ta - tb}
+    profile = {k: ("T" if v else "NP") for k, v in row.items()}
+    return PairClassification(figure_of(ta, tb, every), bool(row["TT"]), bool(row["FF"]), profile)
 
 
 HEXAGON_NODE_ORDER = ("L", "B", "E", "U", "Lc", "LE")
@@ -164,12 +168,9 @@ def hexagon(space: ApproximationSpace, x: Subset) -> HexagonReport:
             DegeneratePartitionWarning,
             stacklevel=2,
         )
-    worlds = space.universe.atoms
-    cs = CaseSpace.from_sets(  # two-valued by construction, so no pair re-checks that
-        worlds, {name: set(sub.atom_names()) for name, sub in regions.items()}
-    )
+    every = space.universe.full.mask
     figures = {
-        (p, q): classify_pair(cs, p, q, classical=False).figure
+        (p, q): figure_of(regions[p].mask, regions[q].mask, every)
         for p, q in combinations(HEXAGON_NODE_ORDER, 2)
     }
     return HexagonReport(nodes=regions, figures=figures, degenerate=degenerate)
@@ -308,17 +309,15 @@ def combination_profile(
                 return bool(bet[key])
         raise MissingAnnotationError(f"bet annotation missing for {(a, b)!r}")
 
-    def holds(label: str, s, w) -> bool:
-        t, f = cs.pair(s, w)
-        if label == "T":
-            return t
+    def extent(label: str, s, worlds) -> frozenset:
         if label == "F":
-            return f
+            return cs.extent(s, 1, worlds)
+        t = cs.extent(s, 0, worlds)  # an unvalued sentence raises before its annotation is read
         if label == "delta":
-            return t and f
-        if label == "beta":
-            return annotated_beta(s) and t
-        return annotated_bet() and t
+            return t & cs.extent(s, 1, worlds)
+        if label == "T" or (annotated_beta(s) if label == "beta" else annotated_bet()):
+            return t
+        return frozenset()
 
     realized = set()
     for la, lb in COMBINATION_PATTERNS:
@@ -326,7 +325,9 @@ def combination_profile(
             continue
         if bet is None and "bet" in (la, lb):
             continue
-        if any(holds(la, a, w) and holds(lb, b, w) for w in cs.worlds):
+        # the right label is read only where the left holds, as a world-by-world scan reads it
+        left = extent(la, a, cs.worlds)
+        if left and extent(lb, b, [w for w in cs.worlds if w in left]):
             realized.add(f"{la}/{lb}")
     return frozenset(realized)
 

@@ -176,14 +176,6 @@ class FiniteAlgebraCandidate:
     def size(self) -> int:
         return len(self.carrier)
 
-    def join_of(self, a: int, b: int) -> int:
-        if self.join is not None:
-            return self.join[a][b]
-        return self.neg[self.meet[self.neg[a]][self.neg[b]]]
-
-    def leq(self, a: int, b: int) -> bool:
-        return self.meet[a][b] == a
-
 
 def _index_array(name: str, table, shape: tuple[int, ...]) -> np.ndarray:
     """``table`` as an index array of ``shape``, in the narrowest dtype.

@@ -68,11 +68,23 @@ by the model that owns it: the 2^n subsets, class j from its bounds, the
 mixed carrier of 2^n + classes elements, K of 2·2^n pairs, their sizes
 as ``parthood`` counted them, and the class of each mixed element and
 pair as ``relation_matrix`` laid it out on 2^n.
+
+And the candidate's derived join and order as ``FiniteAlgebraCandidate``
+methods, which only these scans called.
+
+And the figures of opposition read world by world, before each was read
+off the extents of its two sentences: the pair classification that keyed
+each world TT/TF/FT/FF, the hexagon and the discernibility square that
+rebuilt their extents as a ``CaseSpace`` and classified each pair through
+it, and the combination profile that tested every pattern at every world
+through its label closures.
 """
 
 from __future__ import annotations
 
 import operator
+import warnings
+from functools import partial
 from itertools import chain, combinations, permutations
 from math import comb
 from typing import Callable, Iterable, Sequence
@@ -89,6 +101,7 @@ from roughwork.approx import (
     UniverseMismatchError,
 )
 from roughwork.cera import CeraModel, MixedElement, UndefinedOperationError
+from roughwork.counting import SQUARE_PREDICATES, DiscernibilitySquare, IndiscernibilityRelation
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
 from roughwork.granular import (
     INCLUSION,
@@ -115,6 +128,17 @@ from roughwork.negation import (
     enumerate_distributive_lattices,
 )
 from roughwork.negation import check_negation as _table_check_negation
+from roughwork.opposition import (
+    COMBINATION_PATTERNS,
+    HEXAGON_NODE_ORDER,
+    CaseSpace,
+    DegeneratePartitionWarning,
+    HexagonReport,
+    MissingAnnotationError,
+    NonClassicalValuationError,
+    PairClassification,
+    classify_from_questions,
+)
 from roughwork.parthood import (
     MATRIX_CAP,
     MIXED_KINDS,
@@ -155,8 +179,19 @@ def _scan3(
     return AxiomCheck(True)
 
 
+def _join_of(cand: FiniteAlgebraCandidate, a: int, b: int) -> int:
+    """The join table's entry, or the join derived as ¬(¬a ∧ ¬b)."""
+    if cand.join is not None:
+        return cand.join[a][b]
+    return cand.neg[cand.meet[cand.neg[a]][cand.neg[b]]]
+
+
+def _leq(cand: FiniteAlgebraCandidate, a: int, b: int) -> bool:
+    return cand.meet[a][b] == a
+
+
 def _lattice_base(cand: FiniteAlgebraCandidate) -> dict[str, AxiomCheck]:
-    mt, jn = cand.meet.__getitem__, cand.join_of
+    mt, jn = cand.meet.__getitem__, partial(_join_of, cand)
     results = {
         "meet-idempotent": _scan1(cand, lambda a: mt(a)[a] == a),
         "meet-commutative": _scan2(cand, lambda a, b: mt(a)[b] == mt(b)[a]),
@@ -195,7 +230,7 @@ def _lattice_base(cand: FiniteAlgebraCandidate) -> dict[str, AxiomCheck]:
 
 def check_pre_rough(cand: FiniteAlgebraCandidate) -> AxiomReport:
     """Distributive De Morgan lattice plus the modal-operator identities."""
-    mt, jn, ng, L = cand.meet.__getitem__, cand.join_of, cand.neg, cand.necessity
+    mt, jn, ng, L = cand.meet.__getitem__, partial(_join_of, cand), cand.neg, cand.necessity
     results = _lattice_base(cand)
     results.update(
         {
@@ -253,9 +288,9 @@ def check_essential_pre_rough(cand: FiniteAlgebraCandidate) -> AxiomReport:
             "E6-order-determination": _scan2(
                 cand,
                 lambda a, b: not (
-                    cand.leq(dia(a), dia(b)) and cand.leq(L[a], L[b])
+                    _leq(cand, dia(a), dia(b)) and _leq(cand, L[a], L[b])
                 )
-                or cand.leq(a, b),
+                or _leq(cand, a, b),
             ),
         }
     )
@@ -1300,3 +1335,117 @@ def main_with_a_fresh_parser(argv: list[str]) -> int:
         return cli.main(argv)
     finally:
         cli.build_parser = cached
+
+
+def classify_pair(cs: CaseSpace, a, b, classical: bool = True) -> PairClassification:
+    """``opposition.classify_pair`` keying each world TT/TF/FT/FF by its t bits."""
+    if classical:
+        for s in (a, b):
+            if not cs.is_classical(s):
+                raise NonClassicalValuationError(
+                    f"sentence {s!r} is not two-valued in this case space"
+                )
+    seen = {key: False for key in ("TT", "TF", "FT", "FF")}
+    for w in cs.worlds:
+        ta = cs.pair(a, w)[0]
+        tb = cs.pair(b, w)[0]
+        key = ("T" if ta else "F") + ("T" if tb else "F")
+        seen[key] = True
+    profile = {k: ("T" if v else "NP") for k, v in seen.items()}
+    return PairClassification(
+        figure=classify_from_questions(seen["TT"], seen["FF"]),
+        tt_possible=seen["TT"],
+        ff_possible=seen["FF"],
+        row_profile=profile,
+    )
+
+
+def hexagon(space: ApproximationSpace, x: Subset) -> HexagonReport:
+    """``opposition.hexagon`` classifying its node pairs through a ``CaseSpace``."""
+    lower = space.lower(x)
+    upper = space.upper(x)
+    regions = {
+        "L": lower,
+        "B": space.boundary(x),
+        "E": upper.complement(),
+        "U": upper,
+        "Lc": lower.complement(),
+        "LE": lower | upper.complement(),
+    }
+    degenerate = tuple(name for name in ("L", "B", "E") if regions[name].is_empty)
+    if degenerate:
+        warnings.warn(
+            f"empty region(s): {', '.join(degenerate)}",
+            DegeneratePartitionWarning,
+            stacklevel=2,
+        )
+    worlds = space.universe.atoms
+    cs = CaseSpace.from_sets(
+        worlds, {name: set(sub.atom_names()) for name, sub in regions.items()}
+    )
+    figures = {
+        (p, q): classify_pair(cs, p, q, classical=False).figure
+        for p, q in combinations(HEXAGON_NODE_ORDER, 2)
+    }
+    return HexagonReport(nodes=regions, figures=figures, degenerate=degenerate)
+
+
+def discernibility_square(rel: IndiscernibilityRelation) -> DiscernibilitySquare:
+    """``counting.discernibility_square`` classifying its pairs through a ``CaseSpace``."""
+    worlds = tuple((a, b) for a in rel.elements for b in rel.elements)
+    identity = frozenset((a, a) for a in rel.elements)
+    extents = {
+        "IS": identity,
+        "IS.NOT": frozenset(worlds) - identity,
+        "IND": frozenset(rel.related),
+        "DIS": frozenset(worlds) - rel.related,
+    }
+    cs = CaseSpace.from_sets(worlds, extents)
+    figures = {}
+    for i, p in enumerate(SQUARE_PREDICATES):
+        for q in SQUARE_PREDICATES[i + 1 :]:
+            figures[(p, q)] = classify_pair(cs, p, q, classical=False).figure
+    return DiscernibilitySquare(rel.elements, extents, figures)
+
+
+def combination_profile(
+    cs: CaseSpace,
+    a,
+    b,
+    beta=None,
+    bet=None,
+) -> frozenset[str]:
+    """``opposition.combination_profile`` testing each pattern world by world."""
+
+    def annotated_beta(s) -> bool:
+        if s not in beta:
+            raise MissingAnnotationError(f"beta annotation missing for {s!r}")
+        return bool(beta[s])
+
+    def annotated_bet() -> bool:
+        for key in ((a, b), (b, a)):
+            if key in bet:
+                return bool(bet[key])
+        raise MissingAnnotationError(f"bet annotation missing for {(a, b)!r}")
+
+    def holds(label: str, s, w) -> bool:
+        t, f = cs.pair(s, w)
+        if label == "T":
+            return t
+        if label == "F":
+            return f
+        if label == "delta":
+            return t and f
+        if label == "beta":
+            return annotated_beta(s) and t
+        return annotated_bet() and t
+
+    realized = set()
+    for la, lb in COMBINATION_PATTERNS:
+        if beta is None and "beta" in (la, lb):
+            continue
+        if bet is None and "bet" in (la, lb):
+            continue
+        if any(holds(la, a, w) and holds(lb, b, w) for w in cs.worlds):
+            realized.add(f"{la}/{lb}")
+    return frozenset(realized)

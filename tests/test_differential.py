@@ -61,9 +61,17 @@ must pass on every partition of up to five atoms and ``analyze`` must
 run for every kind, building the elements of its witnesses and no other.
 The quotient and mixed tables must equal their int64 reference where the
 class ids wrap or 2^n passes the mask dtype, and the hexagon and the
-discernibility square must give the figures that ``classify_pair`` gives
-with its two-valuedness check on, for every subset of every partition of
-up to five atoms.
+discernibility square, building no case space and classifying no pair,
+must give the figures that ``classify_pair`` gives with its
+two-valuedness check on, and that the world-loop oracles give, for every
+subset of every partition of up to five atoms.  The figures read off
+extents must equal the world-loop oracles, with the same result or the
+same error type and text: ``classify_pair``, with the check on and off,
+on every case space of up to three worlds and two sentences over all
+four (t, f) values, and ``combination_profile`` on every one of up to
+two worlds under every shape of beta and bet annotation.  The N5
+iterate index must equal the object iterates' index on every partial
+map of up to four points, from every choice of undefined first entries.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ import operator
 import random
 import warnings
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -85,8 +93,10 @@ from roughwork import (
     Subset,
     Universe,
     cera,
+    counting,
     granular,
     negation,
+    opposition,
     parthood,
     prerough,
 )
@@ -123,6 +133,7 @@ from roughwork.opposition import (
     CaseSpace,
     DegeneratePartitionWarning,
     classify_pair,
+    combination_profile,
     hexagon,
 )
 from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
@@ -664,34 +675,87 @@ def test_tables_at_the_dtype_edges_equal_an_int64_reference():
 
 
 def test_hexagon_and_square_figures_match_the_checked_classification(monkeypatch):
-    """Both build their case space two-valued and so skip that check; with
-    it on, classify_pair gives the same figures."""
+    """Both read their figures off their extents, building no case space and
+    classifying no pair; classify_pair with its two-valuedness check on, and
+    the world-loop oracles, give the same figures."""
 
-    def refuse(*args):
-        raise AssertionError("two-valuedness re-checked")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a case space was built or a pair classified")
+
+    def refusing(m):
+        m.setattr(CaseSpace, "__init__", refuse)
+        m.setattr(opposition, "classify_pair", refuse)
+        m.setattr(counting, "classify_pair", refuse, raising=False)
 
     hexagons = 0
     for space in SPACES:
         u = space.universe
         for x in u.subsets():
             with monkeypatch.context() as m, warnings.catch_warnings():
-                m.setattr(CaseSpace, "is_classical", refuse)
+                refusing(m)
                 warnings.simplefilter("ignore", DegeneratePartitionWarning)
                 report = hexagon(space, x)
             nodes = {name: set(sub.atom_names()) for name, sub in report.nodes.items()}
             cs = CaseSpace.from_sets(u.atoms, nodes)
             pairs = combinations(HEXAGON_NODE_ORDER, 2)
             assert report.figures == {(p, q): classify_pair(cs, p, q).figure for p, q in pairs}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegeneratePartitionWarning)
+                assert report == oracle.hexagon(space, x)
             hexagons += 1
         blocks = [b.atom_names() for b in space.blocks]
         rel = close(u.atoms, [(block[0], a) for block in blocks for a in block])
         with monkeypatch.context() as m:
-            m.setattr(CaseSpace, "is_classical", refuse)
+            refusing(m)
             square = discernibility_square(rel)
         cs = CaseSpace.from_sets([(a, b) for a in u.atoms for b in u.atoms], square.extents)
         pairs = combinations(SQUARE_PREDICATES, 2)
         assert square.figures == {(p, q): classify_pair(cs, p, q).figure for p, q in pairs}
+        assert square == oracle.discernibility_square(rel)
     assert hexagons == sum(1 << s.universe.size for s in SPACES)
+
+
+def case_spaces(max_worlds: int):
+    """Every case space of up to ``max_worlds`` worlds valuing sentences A and
+    B, each with any of the four (t, f) bit pairs at each world."""
+    for k in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(k))
+        for cells in product(product((0, 1), repeat=2), repeat=2 * k):
+            valuation = {"A": dict(zip(worlds, cells[:k])), "B": dict(zip(worlds, cells[k:]))}
+            yield CaseSpace(worlds, valuation)
+
+
+def test_classify_pair_matches_the_world_loop_on_every_small_case_space():
+    # C is unvalued, so its KeyError text must name the same world.
+    spaces = 0
+    for cs in case_spaces(3):
+        for a, b in (("A", "B"), ("B", "A"), ("A", "A"), ("C", "B"), ("A", "C")):
+            for classical in (True, False):
+                new = raised(classify_pair, cs, a, b, classical)
+                assert new == raised(oracle.classify_pair, cs, a, b, classical)
+        spaces += 1
+    assert spaces == 4**2 + 4**4 + 4**6
+
+
+BOOLS = (True, False)
+BETAS = [None, {}] + [{s: v} for s in "AB" for v in BOOLS]
+BETAS += [{"A": x, "B": y} for x, y in product(BOOLS, repeat=2)]
+BETS = [None, {}] + [{key: v} for key in (("A", "B"), ("B", "A")) for v in BOOLS]
+BETS += [{("A", "B"): x, ("B", "A"): y} for x, y in product(BOOLS, repeat=2)]
+
+
+def test_combination_profile_matches_the_world_loop_on_every_small_case_space():
+    # The right label is read only where the left holds: an unvalued right
+    # sentence is named at the first such world, and a missing right
+    # annotation raises only if the left label holds somewhere.
+    outcomes = Counter()
+    pairs = [("A", "B"), ("B", "A"), ("A", "C"), ("C", "A")]
+    for cs in case_spaces(2):
+        for (a, b), beta, bet in product(pairs, BETAS, BETS):
+            new = raised(combination_profile, cs, a, b, beta, bet)
+            assert new == raised(oracle.combination_profile, cs, a, b, beta, bet)
+            outcomes[new[0] if isinstance(new, tuple) else "profile"] += 1
+    assert outcomes.keys() == {"profile", KeyError, opposition.MissingAnnotationError}
 
 
 def test_passing_sweeps_build_no_carrier_and_witnesses_only_their_elements(monkeypatch):
@@ -1174,6 +1238,20 @@ def test_iterate_index_counts_a_none_element_undefined():
             F = np.array([-1 if op(x) is None else els.index(op(x)) for x in els], dtype=r.dtype)
             differs += negation._iterate_index(F, r) != index
     assert differs >= 20
+
+
+def test_iterate_index_matches_the_object_iterates_on_every_partial_map_up_to_four_points():
+    cases = 0
+    for n in range(1, 5):
+        for values in product(range(-1, n), repeat=n):
+            F = np.array(values, dtype=np.int8)
+            op = UnaryOp({x: v for x, v in enumerate(values) if v >= 0})
+            for undefined in product((False, True), repeat=n):
+                first = np.where(undefined, -1, np.arange(n)).astype(np.int8)
+                elements = tuple(None if u else x for x, u in enumerate(undefined))
+                assert negation._iterate_index(F, first) == oracle.iterate_index(elements, op)
+                cases += 1
+    assert cases == sum((n + 1) ** n * 2**n for n in range(1, 5))
 
 
 def test_poset_errors_on_large_relations_match_the_boolean_product():
