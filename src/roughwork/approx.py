@@ -434,7 +434,7 @@ class RoughClass:
         space._check(lower)
         space._check(upper)
         bm, lo, up = space.masks, lower.mask, upper.mask
-        m = lo | bm.lowbits & up & ~lo  # class_index on one pair of ints
+        m = smallest_member(bm.lowbits, lo, up)  # class_index on one pair of ints
         if bm.lower.item(m) != lo or bm.upper.item(m) != up:
             raise ValueError("bounds that no rough class has")
         self.space = space
@@ -469,8 +469,8 @@ class RoughClass:
 
     def sample_member(self) -> Subset:
         """The member with the smallest canonical index."""
-        lower, boundary = self.lower.mask, self.upper.mask & ~self.lower.mask
-        return Subset(self.space.universe, lower | self.space.masks.lowbits & boundary)
+        lowbits, lower, upper = self.space.masks.lowbits, self.lower.mask, self.upper.mask
+        return Subset(self.space.universe, smallest_member(lowbits, lower, upper))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -506,10 +506,19 @@ class BoundMasks(NamedTuple):
         Raises ValueError unless every pair is the bounds of a class: the
         realizability check, which ``RoughClass`` makes on one pair of ints.
         """
-        mask = lower | (self.lowbits & upper & ~lower)
+        mask = smallest_member(self.lowbits, lower, upper)
         if (self.lower[mask] != lower).any() or (self.upper[mask] != upper).any():
             raise ValueError("bounds that no rough class has")
         return self.class_id[mask]
+
+    def complement(self, masks):
+        """The complement of each mask in the universe: ints or arrays."""
+        return (len(self.lower) - 1) ^ masks
+
+
+def smallest_member(lowbits, lower, upper):
+    """The lower bound plus the lowest atom (in ``lowbits``) of each boundary block."""
+    return lower | lowbits & upper & ~lower
 
 
 def bound_masks(space: ApproximationSpace) -> BoundMasks:
@@ -530,7 +539,7 @@ def bound_masks(space: ApproximationSpace) -> BoundMasks:
         lower[masks & b == b] |= b
         upper[masks & b != 0] |= b
     lowbits = sum(block.mask & -block.mask for block in space.blocks)
-    smallest = lower | (lowbits & upper & ~lower)
+    smallest = smallest_member(lowbits, lower, upper)
     starts = smallest == masks
     # Counted in the mask dtype: on 8 or 16 singleton blocks the count wraps to 0 at
     # the last mask, but every id (the count minus one, modulo 2^n) stays exact.

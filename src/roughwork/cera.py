@@ -1,28 +1,24 @@
 """Mixed-domain enriched algebra over subsets and their rough classes.
 
 The carrier joins every plain subset of the universe (type 1) with every
-rough class of the space, the class of the empty set included (type 2).
-The binary operations share one tag dispatch: a mixed application
-collapses the class argument through its members and lands back in a
-class.  The element methods answer single queries on objects;
-``CeraModel.tables`` gives the operations over the whole carrier as index
-arrays, from ``space.masks`` and the quotient's tables, for the identity
-suite and the parthood matrices.  ``CeraModel.labels()`` states the
-carrier once: subset i, then class i - 2^n.  The identity suite
-decides every law, its tag detectors included, on tables and bounds,
-calls no element method, and builds elements only for a witness.
+rough class of the space, the class of the empty set included (type 2);
+``CeraModel.labels()`` states it once: subset i, then class i - 2^n.  Each
+binary operation is one rule, which the element method runs on the Subsets
+of a single query and ``CeraModel.table`` on the masks of the carrier.
+The identity suite decides every law, its tag detectors included, on those
+tables and bounds, calls no element method, and builds elements only for
+a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import and_, or_
 
 import numpy as np
 
 from roughwork.approx import ApproximationSpace, Labels, RoughClass, Subset, check_cap
 from roughwork.granular import AxiomCheck, AxiomReport, first_violation, lattice_laws
-from roughwork.prerough import QuotientAlgebra
+from roughwork.prerough import BINARY_RULES, QuotientAlgebra
 
 # Identity checking materializes full binary operation tables.
 IDENTITY_CARRIER_CAP = 4096
@@ -73,6 +69,19 @@ class MixedElement:
         return str(self.payload)
 
 
+# Each binary operation: two subsets combine by the first entry, given the complement ``c``,
+# and two classes by the quotient rule the last names.  In a mixed case the class enters as
+# the collapse of its members the second (left) or third (right) names, their union its
+# upper bound or their intersection its lower, and the result lands in a class.
+RULES = {
+    "oplus": (lambda c, a, b: a | b, "upper", "upper", "join"),  # across every member
+    "odot": (lambda c, a, b: a & b, "lower", "lower", "meet"),  # common to every member
+    "circ": (lambda c, a, b: a & b, "upper", "upper", "meet"),  # meets their union
+    # union over members z of (x + z complement) = x + lower complement
+    "rightsquig": (lambda c, a, b: a | c(b), "upper", "lower", "implies"),
+}
+
+
 class CeraModel:
     """Operations and constants of the mixed algebra of one space.
 
@@ -85,6 +94,7 @@ class CeraModel:
         self.space = space
         self.soft = soft
         self.quotient = QuotientAlgebra(space)
+        self._rules = {**RULES, "commonality": RULES["circ" if soft else "odot"]}
         self.bottom = MixedElement.type1(space.universe.empty)
         self.top = MixedElement.type1(space.universe.full)
         self.zero = MixedElement.type2(self.quotient.zero)
@@ -114,37 +124,27 @@ class CeraModel:
         return np.concatenate([self.space.masks.class_id, np.arange(len(self.quotient.labels()))])
 
     def tables(self) -> tuple[np.ndarray, ...]:
-        """oplus, commonality, L, black lozenge and sim_neg over ``elements()``.
-
-        Entries are carrier indices: subset ``m`` is element ``m`` and class
-        ``c`` is element ``2^n + c``, added in the carrier dtype: 2^n may
-        not fit the dtype of the class ids.
-        """
+        """oplus, commonality, L, black lozenge and sim_neg over ``elements()``, as
+        carrier indices: subset ``m`` is element ``m`` and class ``c`` is element
+        ``2^n + c``, added in the carrier dtype (2^n may not fit that of class ids)."""
         bm = self.space.masks
         size, dtype = len(bm.lower), np.min_scalar_type(len(self.labels()) - 1)
-        neg, nec, pos = (t.astype(dtype) + size for t in self.quotient._unary_tables())
-        complement = (size - 1) ^ np.arange(size, dtype=bm.class_lower.dtype)
-        return (
-            self._binary_table(np.bitwise_or),
-            self._binary_table(np.bitwise_and),
-            np.concatenate([bm.lower, nec], dtype=dtype),
-            np.concatenate([bm.upper, pos], dtype=dtype),
-            np.concatenate([complement, neg], dtype=dtype),
-        )
+        on_subsets = bm.lower, bm.upper, bm.complement(np.arange(size, dtype=bm.lower.dtype))
+        ops = ("necessity", "possibility", "neg")
+        classes = (self.quotient.table(op).astype(dtype) + size for op in ops)
+        unary = (np.concatenate(t, dtype=dtype) for t in zip(on_subsets, classes))
+        return self.table("oplus"), self.table("commonality"), *unary
 
-    def _binary_table(self, op) -> np.ndarray:
-        """oplus (``np.bitwise_or``) or commonality (``np.bitwise_and``), as in ``tables()``."""
+    def table(self, op: str) -> np.ndarray:
+        """The rule of ``op`` over every pair of ``elements()``, as in ``tables()``."""
         bm = self.space.masks
         size, dtype = len(bm.lower), np.min_scalar_type(len(self.labels()) - 1)
-        lo, up = bm.class_lower, bm.class_upper
-        subsets = np.arange(size, dtype=lo.dtype)
-        # a class enters a mixed case as the collapse of its members: their
-        # union, or for commonality their intersection unless soft
-        collapse = lo if op is np.bitwise_and and not self.soft else up
-        mask = np.concatenate([subsets, collapse])
-        out = (bm.class_id.astype(dtype) + size)[op(mask[:, None], mask)]
-        out[:size, :size] = op(subsets[:, None], subsets)
-        out[size:, size:] = self.quotient._lattice_table(op).astype(dtype) + size
+        on_subsets, left, right, on_classes = self._rules[op]
+        subsets = np.arange(size, dtype=bm.lower.dtype)
+        left, right = (np.concatenate([subsets, getattr(bm, "class_" + s)]) for s in (left, right))
+        out = (bm.class_id.astype(dtype) + size)[on_subsets(bm.complement, left[:, None], right)]
+        out[:size, :size] = on_subsets(bm.complement, subsets[:, None], subsets)
+        out[size:, size:] = self.quotient.table(on_classes).astype(dtype) + size
         return out
 
     def frak_l(self, x: MixedElement) -> MixedElement:
@@ -157,41 +157,29 @@ class CeraModel:
             return MixedElement.type1(self.space.upper(x.payload))
         return MixedElement.type2(self.quotient.possibility(x.payload))
 
-    def _binary(
-        self, x, y, on_subsets, left, right, on_classes, lift=MixedElement.type1
-    ) -> MixedElement:
-        """The one rule of every binary operation.
-
-        Two subsets combine by ``on_subsets`` and ``lift`` tags the result;
-        two classes combine by ``on_classes``.  In a mixed case the class
-        argument enters as the collapse of its members that ``left`` or
-        ``right`` names: their union is its ``upper`` bound, their
-        intersection its ``lower`` bound.  The result lands in a class.
-        """
+    def _binary(self, op: str, x, y, lift=MixedElement.type1) -> MixedElement:
+        """The rule of ``op`` on one pair; ``lift`` tags a result of two subsets."""
+        on_subsets, left, right, on_classes = self._rules[op]
         if x.is_type1 and y.is_type1:
-            return lift(on_subsets(x.payload, y.payload))
+            return lift(on_subsets(Subset.complement, x.payload, y.payload))
         if x.is_type2 and y.is_type2:
-            return MixedElement.type2(on_classes(x.payload, y.payload))
+            return MixedElement.type2(self.quotient.apply(on_classes, x.payload, y.payload))
         a = getattr(x.payload, left) if x.is_type2 else x.payload
         b = getattr(y.payload, right) if y.is_type2 else y.payload
-        return self.class_of(on_subsets(a, b))
+        return self.class_of(on_subsets(Subset.complement, a, b))
 
     def oplus(self, x: MixedElement, y: MixedElement) -> MixedElement:
-        """Aggregation; mixed cases aggregate across every member."""
-        return self._binary(x, y, or_, "upper", "upper", self.quotient.join)
+        return self._binary("oplus", x, y)
 
     def odot(self, x: MixedElement, y: MixedElement) -> MixedElement:
-        """Commonality; mixed cases keep what is common to every member."""
-        return self._binary(x, y, and_, "lower", "lower", self.quotient.meet)
+        return self._binary("odot", x, y)
 
     def circ(self, x: MixedElement, y: MixedElement) -> MixedElement:
-        """Relaxed commonality; mixed cases meet the union of members."""
-        return self._binary(x, y, and_, "upper", "upper", self.quotient.meet)
+        return self._binary("circ", x, y)
 
     def commonality(self, x: MixedElement, y: MixedElement) -> MixedElement:
         """The commonality slot of this model (relaxed when soft)."""
-        collapse = "upper" if self.soft else "lower"
-        return self._binary(x, y, and_, collapse, collapse, self.quotient.meet)
+        return self._binary("commonality", x, y)
 
     def sim_neg(self, x: MixedElement) -> MixedElement:
         if x.is_type1:
@@ -201,24 +189,15 @@ class CeraModel:
     def partial_neg(self, x: MixedElement) -> MixedElement:
         """Class negation; undefined on plain subsets."""
         if x.is_type1:
-            raise UndefinedOperationError(
-                f"negation undefined on type-1 element {x}"
-            )
+            raise UndefinedOperationError(f"negation undefined on type-1 element {x}")
         return MixedElement.type2(self.quotient.neg(x.payload))
 
     def rightsquig(self, x: MixedElement, y: MixedElement) -> MixedElement:
-        # union over members z of (x + z complement) = x + lower complement
-        return self._binary(x, y, _or_not, "upper", "lower", self.quotient.implies)
+        return self._binary("rightsquig", x, y)
 
     def two_head(self, x: MixedElement, y: MixedElement) -> MixedElement:
         """As the squiggly arrow, but the all-subset case lands in a class."""
-        return self._binary(
-            x, y, _or_not, "upper", "lower", self.quotient.implies, self.class_of
-        )
-
-
-def _or_not(x: Subset, y: Subset) -> Subset:
-    return x | y.complement()
+        return self._binary("rightsquig", x, y, self.class_of)
 
 
 def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> AxiomReport:
@@ -260,11 +239,12 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
     one_el = (els,)
     two_el = (els, els)
 
-    # Tag detectors, on the bounds: x ~> x is m | ~m on a subset mask m and
-    # the quotient's implies(c, c) on a class; ~ is defined on classes only.
+    # Tag detectors, on the bounds: x ~> x is the rule of ~> on each subset
+    # mask and on the bounds of each class; ~ is defined on classes only.
+    (on_subsets, _, _, on_classes), c = RULES["rightsquig"], bm.complement
     lo, up = bm.class_lower, bm.class_upper
-    x = (top_i ^ lo | lo) & (top_i ^ up | up)
-    squig = np.concatenate([t1 | top_i ^ t1, bm.class_index(x, x).astype(np.intp) + size])
+    classes = bm.class_index(*BINARY_RULES[on_classes](c, lo, up, lo, up))
+    squig = np.concatenate([on_subsets(c, t1, t1), classes.astype(np.intp) + size])
     record("type-1", [("x ~> x = T iff type-1", (squig == top_i) != type1, one_el)])
     defined = ~type1
     record("type-2", [("neg defined iff type-2", defined == type1, one_el)])

@@ -14,6 +14,12 @@ class UnknownElementError(KeyError):
     """A pair or sequence mentions an element outside the carrier."""
 
 
+def _check_known(elements, *items) -> None:
+    for item in items:
+        if item not in elements:
+            raise UnknownElementError(f"unknown element {item!r}")
+
+
 @dataclass(frozen=True)
 class IndiscernibilityRelation:
     """Materialized closure of the generating pairs."""
@@ -23,9 +29,7 @@ class IndiscernibilityRelation:
     related: frozenset
 
     def holds(self, a, b) -> bool:
-        for item in (a, b):
-            if item not in self.elements:
-                raise UnknownElementError(f"unknown element {item!r}")
+        _check_known(self.elements, a, b)
         return (a, b) in self.related
 
 
@@ -41,9 +45,7 @@ def close(
     carrier = set(elements)
     succ = {x: {x} for x in elements}
     for a, b in pairs:
-        for item in (a, b):
-            if item not in carrier:
-                raise UnknownElementError(f"unknown element {item!r}")
+        _check_known(carrier, a, b)
         succ[a].add(b)
         if mode == "equivalence":
             succ[b].add(a)
@@ -85,8 +87,7 @@ def ipc(sequence: Sequence, rel: IndiscernibilityRelation) -> list[CountTag]:
     tags: list[CountTag] = []
     previous = None
     for item in sequence:
-        if item not in rel.elements:
-            raise UnknownElementError(f"unknown element {item!r}")
+        _check_known(rel.elements, item)
         if previous is None:
             tags.append(CountTag(block=1, value=1))
         elif rel.holds(previous, item):
@@ -113,6 +114,7 @@ class DiscernibilitySquare:
         assert self.extents["DIS"] <= self.extents["IS.NOT"]
 
     def holds(self, predicate: str, a, b) -> bool:
+        _check_known(self.elements, a, b)
         return (a, b) in self.extents[predicate]
 
     def figure_of(self, p: str, q: str) -> Figure:

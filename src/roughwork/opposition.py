@@ -65,8 +65,9 @@ class CaseSpace:
             for w in self.worlds:
                 if w not in per_world:
                     raise ValueError(f"sentence {sentence!r} unvalued at {w!r}")
-                t, f = per_world[w]
-                if not isinstance(t, (bool, int)) or not isinstance(f, (bool, int)):
+                pair = per_world[w]
+                shaped = isinstance(pair, Sequence) and len(pair) == 2
+                if not shaped or not all(isinstance(v, (bool, int)) for v in pair):
                     raise ValueError("valuations must be (t, f) bit pairs")
 
     @classmethod

@@ -182,9 +182,9 @@ def relation_matrix(
         condition = _BOUND_CONDITIONS[kind]
         return elements, condition(lower[:, None], upper[:, None], lower, upper)
     if kind is ParthoodKind.ADDITIVE:
-        return elements, model._binary_table(np.bitwise_or) == r
+        return elements, model.table("oplus") == r
     if kind is ParthoodKind.COMMON:
-        return elements, model._binary_table(np.bitwise_and) == r[:, None]
+        return elements, model.table("commonality") == r[:, None]
     # roughly consistent and natural parthood compare the classes of the elements
     quotient = model.quotient if kind in MIXED_KINDS else model.cera.quotient
     classes = model.class_ids()

@@ -2,12 +2,11 @@
 
 Two layers: the concrete quotient algebra a space induces on its rough
 classes, and exhaustive axiom checkers for arbitrary finite candidate
-structures given by operation tables.  A single quotient operation builds
-one fresh RoughClass, whose bounds are checked by one lookup in
-``space.masks``; ``labels()`` builds a class only when indexed.  Whole
-tables are index expressions over the same ``space.masks``, whose lookup
-by bounds makes that check on every cell at once; the checkers read them
-as they are.
+structures given by operation tables.  Each quotient operation is one
+rule on bounds.  A single query builds the one RoughClass it gives, checked
+by one lookup in ``space.masks``; a whole table runs the rule on the masks
+of every class, and the lookup by bounds checks every cell at once.  The
+checkers read the tables as they are.
 """
 
 from __future__ import annotations
@@ -24,13 +23,30 @@ from roughwork.approx import ApproximationSpace, Labels, RoughClass, Subset
 from roughwork.granular import AxiomReport, lattice_laws, sweep_laws
 
 
+# Each quotient operation: a rule from the complement ``c`` and the bounds of one or
+# two classes to those of the result, run on Subsets by ``QuotientAlgebra.apply`` (so
+# a foreign operand raises as the Subset operation does) and on masks by ``table``.
+UNARY_RULES = {
+    "neg": lambda c, la, ua: (c(ua), c(la)),
+    "necessity": lambda c, la, ua: (la, la),
+    "possibility": lambda c, la, ua: (ua, ua),  # ¬L¬a: the definite class of Ua
+}
+BINARY_RULES = {
+    "meet": lambda c, la, ua, lb, ub: (la & lb, ua & ub),
+    "join": lambda c, la, ua, lb, ub: (la | lb, ua | ub),
+    # (¬La ⊔ Lb) ⊓ (L¬a ⊔ ¬L¬b) on definite operands: (¬La ∪ Lb) ∩ (¬Ua ∪ Ub)
+    "implies": lambda c, la, ua, lb, ub: ((c(la) | lb) & (c(ua) | ub),) * 2,
+}
+_LEQ = lambda la, ua, lb, ub: la & ~lb | ua & ~ub == 0  # on masks: ints or arrays
+
+
 class QuotientAlgebra:
     """The rough classes of a space under componentwise bound operations."""
 
     def __init__(self, space: ApproximationSpace):
         self.space = space
-        self.zero = self._cls(space.universe.empty, space.universe.empty)
-        self.one = self._cls(space.universe.full, space.universe.full)
+        self.zero = RoughClass(space, space.universe.empty, space.universe.empty)
+        self.one = RoughClass(space, space.universe.full, space.universe.full)
 
     @cached_property
     def carrier(self) -> tuple[RoughClass, ...]:
@@ -40,60 +56,52 @@ class QuotientAlgebra:
         """The carrier, each class built when indexed: ``space.class_labels()``."""
         return self.space.class_labels()
 
-    def _cls(self, lower: Subset, upper: Subset) -> RoughClass:
+    def apply(self, op: str, a: RoughClass, b: RoughClass | None = None) -> RoughClass:
+        """The rule of ``op`` on the bounds of ``a`` (and ``b``): the one class it gives."""
+        if b is None:
+            lower, upper = UNARY_RULES[op](Subset.complement, a.lower, a.upper)
+        else:
+            lower, upper = BINARY_RULES[op](Subset.complement, a.lower, a.upper, b.lower, b.upper)
         return RoughClass(self.space, lower, upper)
 
     def meet(self, a: RoughClass, b: RoughClass) -> RoughClass:
-        return self._cls(a.lower & b.lower, a.upper & b.upper)
+        return self.apply("meet", a, b)
 
     def join(self, a: RoughClass, b: RoughClass) -> RoughClass:
-        return self._cls(a.lower | b.lower, a.upper | b.upper)
+        return self.apply("join", a, b)
 
     def neg(self, a: RoughClass) -> RoughClass:
-        return self._cls(a.upper.complement(), a.lower.complement())
+        return self.apply("neg", a)
 
     def necessity(self, a: RoughClass) -> RoughClass:
-        return self._cls(a.lower, a.lower)
+        return self.apply("necessity", a)
 
     def possibility(self, a: RoughClass) -> RoughClass:
-        """¬L¬a, worked out on the bounds: the definite class of Ua."""
-        return self._cls(a.upper, a.upper)
+        return self.apply("possibility", a)
 
     def implies(self, a: RoughClass, b: RoughClass) -> RoughClass:
-        """(¬La ⊔ Lb) ⊓ (L¬a ⊔ ¬L¬b), worked out on the bounds: every operand is
-        definite, so this is the definite class of (¬La ∪ Lb) ∩ (¬Ua ∪ Ub)."""
-        x = (a.lower.complement() | b.lower) & (a.upper.complement() | b.upper)
-        return self._cls(x, x)
+        return self.apply("implies", a, b)
 
     def leq(self, a: RoughClass, b: RoughClass) -> bool:
         a.lower._check(b.lower)
-        return a.lower.mask & ~b.lower.mask | a.upper.mask & ~b.upper.mask == 0
+        return _LEQ(a.lower.mask, a.upper.mask, b.lower.mask, b.upper.mask)
 
     def leq_matrix(self) -> np.ndarray:
         """leq over the carrier, as a boolean matrix in carrier order."""
         lo, up = self.space.masks.class_lower, self.space.masks.class_upper
-        return (lo[:, None] & ~lo == 0) & (up[:, None] & ~up == 0)
+        return _LEQ(lo[:, None], up[:, None], lo, up)
+
+    def table(self, op: str) -> np.ndarray:
+        """The rule of ``op`` on every class, or pair of classes, as class indices."""
+        bm = self.space.masks
+        c, lo, up = bm.complement, bm.class_lower, bm.class_upper
+        if op in BINARY_RULES:
+            return bm.class_index(*BINARY_RULES[op](c, lo[:, None], up[:, None], lo, up))
+        return bm.class_index(*UNARY_RULES[op](c, lo, up))
 
     def tables(self) -> tuple[np.ndarray, ...]:
         """meet, join, neg, necessity and possibility as class-index arrays."""
-        return (
-            self._lattice_table(np.bitwise_and),
-            self._lattice_table(np.bitwise_or),
-            *self._unary_tables(),
-        )
-
-    def _lattice_table(self, op) -> np.ndarray:
-        """The meet (``np.bitwise_and``) or join (``np.bitwise_or``) table."""
-        bm = self.space.masks
-        lo, up = bm.class_lower, bm.class_upper
-        return bm.class_index(op(lo[:, None], lo), op(up[:, None], up))
-
-    def _unary_tables(self) -> tuple[np.ndarray, ...]:
-        """neg, necessity and possibility, the last three of ``tables()``."""
-        bm = self.space.masks
-        lo, up = bm.class_lower, bm.class_upper
-        full = len(bm.lower) - 1
-        return bm.class_index(full ^ up, full ^ lo), bm.class_index(lo, lo), bm.class_index(up, up)
+        return tuple(map(self.table, ("meet", "join", "neg", "necessity", "possibility")))
 
     def to_candidate(self) -> FiniteAlgebraCandidate:
         """The arrays of ``tables()`` as they are, over ``labels()``."""

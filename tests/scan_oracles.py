@@ -78,6 +78,13 @@ each world TT/TF/FT/FF, the hexagon and the discernibility square that
 rebuilt their extents as a ``CaseSpace`` and classified each pair through
 it, and the combination profile that tested every pattern at every world
 through its label closures.
+
+And the quotient and mixed operations as ``QuotientAlgebra`` and ``CeraModel``
+wrote them on objects, one method each, before each became one rule on bounds
+that the element method and the table both read.  The oracles that fill whole
+tables cell by cell (the quotient candidate, the mixed tables, the tag
+detectors) and the composed implication and possibility call these, so no
+rule is compared with itself.
 """
 
 from __future__ import annotations
@@ -692,15 +699,127 @@ class ScanPoset:
         return True
 
 
+class ObjectQuotient:
+    """The quotient operations as ``QuotientAlgebra`` wrote them on Subset
+    bounds, one method each, before each became one rule on bound masks."""
+
+    def __init__(self, space: ApproximationSpace):
+        self.space = space
+        self.zero = self._cls(space.universe.empty, space.universe.empty)
+        self.one = self._cls(space.universe.full, space.universe.full)
+
+    def _cls(self, lower: Subset, upper: Subset) -> RoughClass:
+        return RoughClass(self.space, lower, upper)
+
+    def meet(self, a: RoughClass, b: RoughClass) -> RoughClass:
+        return self._cls(a.lower & b.lower, a.upper & b.upper)
+
+    def join(self, a: RoughClass, b: RoughClass) -> RoughClass:
+        return self._cls(a.lower | b.lower, a.upper | b.upper)
+
+    def neg(self, a: RoughClass) -> RoughClass:
+        return self._cls(a.upper.complement(), a.lower.complement())
+
+    def necessity(self, a: RoughClass) -> RoughClass:
+        return self._cls(a.lower, a.lower)
+
+    def possibility(self, a: RoughClass) -> RoughClass:
+        return self._cls(a.upper, a.upper)
+
+    def implies(self, a: RoughClass, b: RoughClass) -> RoughClass:
+        x = (a.lower.complement() | b.lower) & (a.upper.complement() | b.upper)
+        return self._cls(x, x)
+
+    def leq(self, a: RoughClass, b: RoughClass) -> bool:
+        a.lower._check(b.lower)
+        return a.lower.mask & ~b.lower.mask | a.upper.mask & ~b.upper.mask == 0
+
+
+def _or_not(x: Subset, y: Subset) -> Subset:
+    return x | y.complement()
+
+
+class ObjectCera:
+    """The operations of ``CeraModel`` as it wrote them on objects, before
+    each mixed operation became one rule: the tag dispatch of ``_binary``
+    with its collapse sides given at each call, over ``ObjectQuotient``."""
+
+    def __init__(self, model: CeraModel):
+        self.space = space = model.space
+        self.soft = model.soft
+        self.quotient = ObjectQuotient(space)
+        self.top = MixedElement.type1(space.universe.full)
+
+    def class_of(self, x: Subset) -> MixedElement:
+        return MixedElement.type2(self.space.rough_class_of(x))
+
+    def frak_l(self, x: MixedElement) -> MixedElement:
+        if x.is_type1:
+            return MixedElement.type1(self.space.lower(x.payload))
+        return MixedElement.type2(self.quotient.necessity(x.payload))
+
+    def black_lozenge(self, x: MixedElement) -> MixedElement:
+        if x.is_type1:
+            return MixedElement.type1(self.space.upper(x.payload))
+        return MixedElement.type2(self.quotient.possibility(x.payload))
+
+    def _binary(
+        self, x, y, on_subsets, left, right, on_classes, lift=MixedElement.type1
+    ) -> MixedElement:
+        if x.is_type1 and y.is_type1:
+            return lift(on_subsets(x.payload, y.payload))
+        if x.is_type2 and y.is_type2:
+            return MixedElement.type2(on_classes(x.payload, y.payload))
+        a = getattr(x.payload, left) if x.is_type2 else x.payload
+        b = getattr(y.payload, right) if y.is_type2 else y.payload
+        return self.class_of(on_subsets(a, b))
+
+    def oplus(self, x: MixedElement, y: MixedElement) -> MixedElement:
+        return self._binary(x, y, operator.or_, "upper", "upper", self.quotient.join)
+
+    def odot(self, x: MixedElement, y: MixedElement) -> MixedElement:
+        return self._binary(x, y, operator.and_, "lower", "lower", self.quotient.meet)
+
+    def circ(self, x: MixedElement, y: MixedElement) -> MixedElement:
+        return self._binary(x, y, operator.and_, "upper", "upper", self.quotient.meet)
+
+    def commonality(self, x: MixedElement, y: MixedElement) -> MixedElement:
+        collapse = "upper" if self.soft else "lower"
+        return self._binary(x, y, operator.and_, collapse, collapse, self.quotient.meet)
+
+    def sim_neg(self, x: MixedElement) -> MixedElement:
+        if x.is_type1:
+            return MixedElement.type1(x.payload.complement())
+        return MixedElement.type2(self.quotient.neg(x.payload))
+
+    def partial_neg(self, x: MixedElement) -> MixedElement:
+        if x.is_type1:
+            raise UndefinedOperationError(
+                f"negation undefined on type-1 element {x}"
+            )
+        return MixedElement.type2(self.quotient.neg(x.payload))
+
+    def rightsquig(self, x: MixedElement, y: MixedElement) -> MixedElement:
+        return self._binary(x, y, _or_not, "upper", "lower", self.quotient.implies)
+
+    def two_head(self, x: MixedElement, y: MixedElement) -> MixedElement:
+        return self._binary(
+            x, y, _or_not, "upper", "lower", self.quotient.implies, self.class_of
+        )
+
+
 def implies(q: QuotientAlgebra, a: RoughClass, b: RoughClass) -> RoughClass:
-    """``QuotientAlgebra.implies`` composed from the other quotient operations."""
+    """``QuotientAlgebra.implies`` composed from the other quotient operations
+    in their object forms."""
+    q = ObjectQuotient(q.space)
     left = q.join(q.neg(q.necessity(a)), q.necessity(b))
     right = q.join(q.necessity(q.neg(a)), q.neg(q.necessity(q.neg(b))))
     return q.meet(left, right)
 
 
 def possibility(q: QuotientAlgebra, a: RoughClass) -> RoughClass:
-    """``QuotientAlgebra.possibility`` composed as ¬L¬a."""
+    """``QuotientAlgebra.possibility`` composed as ¬L¬a in object forms."""
+    q = ObjectQuotient(q.space)
     return q.neg(q.necessity(q.neg(a)))
 
 
@@ -813,14 +932,15 @@ def element_classes(kind: ParthoodKind, model) -> np.ndarray:
 
 
 def quotient_candidate(q: QuotientAlgebra) -> FiniteAlgebraCandidate:
-    """``to_candidate`` by one quotient operation per cell."""
-    index = {c: i for i, c in enumerate(q.carrier)}
+    """``to_candidate`` by one object quotient operation per cell."""
+    carrier, ops = q.carrier, ObjectQuotient(q.space)
+    index = {c: i for i, c in enumerate(carrier)}
     return FiniteAlgebraCandidate(
-        carrier=q.carrier,
-        meet=[[index[q.meet(a, b)] for b in q.carrier] for a in q.carrier],
-        join=[[index[q.join(a, b)] for b in q.carrier] for a in q.carrier],
-        neg=[index[q.neg(a)] for a in q.carrier],
-        necessity=[index[q.necessity(a)] for a in q.carrier],
+        carrier=carrier,
+        meet=[[index[ops.meet(a, b)] for b in carrier] for a in carrier],
+        join=[[index[ops.join(a, b)] for b in carrier] for a in carrier],
+        neg=[index[ops.neg(a)] for a in carrier],
+        necessity=[index[ops.necessity(a)] for a in carrier],
         zero=index[q.space.rough_class_of(q.space.universe.empty)],
         one=index[q.space.rough_class_of(q.space.universe.full)],
     )
@@ -844,8 +964,8 @@ def quotient_poset(space: ApproximationSpace) -> tuple[BoundedPoset, UnaryOp]:
 
 
 def cera_tables(model: CeraModel) -> tuple[np.ndarray, ...]:
-    """``CeraModel.tables`` by one element operation per cell."""
-    els = model.elements()
+    """``CeraModel.tables`` by one object operation per cell."""
+    els, ops = model.elements(), ObjectCera(model)
     index = {el: i for i, el in enumerate(els)}
     n = len(els)
     dtype = np.min_scalar_type(n - 1)
@@ -853,29 +973,29 @@ def cera_tables(model: CeraModel) -> tuple[np.ndarray, ...]:
     times = np.empty((n, n), dtype=dtype)
     for i, a in enumerate(els):
         for j, b in enumerate(els):
-            plus[i, j] = index[model.oplus(a, b)]
-            times[i, j] = index[model.commonality(a, b)]
-    low = np.array([index[model.frak_l(a)] for a in els], dtype=dtype)
-    dia = np.array([index[model.black_lozenge(a)] for a in els], dtype=dtype)
-    neg = np.array([index[model.sim_neg(a)] for a in els], dtype=dtype)
+            plus[i, j] = index[ops.oplus(a, b)]
+            times[i, j] = index[ops.commonality(a, b)]
+    low = np.array([index[ops.frak_l(a)] for a in els], dtype=dtype)
+    dia = np.array([index[ops.black_lozenge(a)] for a in els], dtype=dtype)
+    neg = np.array([index[ops.sim_neg(a)] for a in els], dtype=dtype)
     return plus, times, low, dia, neg
 
 
 def cera_tag_detectors(model: CeraModel) -> dict[str, AxiomCheck]:
     """The ``type-1`` and ``type-2`` checks of ``check_cera_identities``, by
-    one ``rightsquig`` and one ``partial_neg`` call per element."""
-    els = model.elements()
+    one object ``rightsquig`` and one ``partial_neg`` call per element."""
+    els, ops = model.elements(), ObjectCera(model)
     size = 1 << model.space.universe.size
 
     def neg_defined(a: MixedElement) -> bool:
         try:
-            model.partial_neg(a)
+            ops.partial_neg(a)
         except UndefinedOperationError:
             return False
         return True
 
     laws = (
-        ("type-1", "x ~> x = T iff type-1", lambda a: model.rightsquig(a, a) == model.top),
+        ("type-1", "x ~> x = T iff type-1", lambda a: ops.rightsquig(a, a) == ops.top),
         ("type-2", "neg defined iff type-2", lambda a: not neg_defined(a)),
     )
     out = {}

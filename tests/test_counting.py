@@ -140,6 +140,18 @@ def test_discernibility_square_on_the_worked_relation():
     assert not square.holds("IS", "a", "c")
 
 
+def test_discernibility_square_refuses_elements_outside_the_carrier():
+    """As the relation does, for every predicate and either side of the pair."""
+    rel = close("ab", [("a", "b")])
+    square = discernibility_square(rel)
+    for predicate in ("IS", "IS.NOT", "IND", "DIS"):
+        for pair in (("zz", "a"), ("a", "zz")):
+            with pytest.raises(UnknownElementError, match="unknown element 'zz'"):
+                square.holds(predicate, *pair)
+    with pytest.raises(UnknownElementError, match="unknown element 'zz'"):
+        rel.holds("zz", "a")
+
+
 def test_discernibility_square_collapses_on_the_diagonal_relation():
     square = discernibility_square(close("ab", []))
     # with no indiscernibility beyond identity the pair turns into a

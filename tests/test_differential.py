@@ -1314,6 +1314,50 @@ def test_implies_matches_the_composed_form_on_every_class_pair():
                 assert q.implies(a, b) == oracle.implies(q, a, b)
 
 
+MIXED_UNARY = ("frak_l", "black_lozenge", "sim_neg", "partial_neg")
+MIXED_BINARY = ("oplus", "odot", "circ", "commonality", "rightsquig", "two_head")
+
+
+def strays(atoms: str) -> list[MixedElement]:
+    """Operands from elsewhere: a subset and a class over other atoms, a class
+    over a larger universe, whose masks are out of range on ``atoms``, and a
+    class of the one-block and of the discrete partition of ``atoms``."""
+    xyz = CeraModel(ApproximationSpace.from_partition("xyz", ["xy", "z"]))
+    wide = CeraModel(ApproximationSpace.from_partition("abcdef", ["ab", "cd", "ef"]))
+    lumped = CeraModel(ApproximationSpace.from_partition(atoms, [atoms]))
+    discrete = CeraModel(ApproximationSpace.discrete(atoms))
+    x = xyz.space.universe.singleton("x")
+    return [MixedElement.type1(x), xyz.class_of(x)] + [
+        m.class_of(m.space.universe.singleton("a")) for m in (wide, lumped, discrete)
+    ]
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["odot", "circ"])
+def test_element_operations_match_their_object_forms_on_every_pair(soft):
+    """Every mixed operation on every element and element pair, and the
+    quotient order on every pair of classes, of every partition of up to
+    five atoms gives the result, or the error type and text, of its object
+    form; so do the operands of ``strays``."""
+    outcomes = set()
+    for space in SPACES:
+        model = CeraModel(space, soft=soft)
+        objects = oracle.ObjectCera(model)
+        els = model.elements() + strays("".join(space.universe.atoms))
+        pairs = [(x, y) for x in els for y in els]
+        for name in MIXED_UNARY + MIXED_BINARY:
+            new, old = getattr(model, name), getattr(objects, name)
+            args = pairs if name in MIXED_BINARY else [(x,) for x in els]
+            got = [raised(new, *xs) for xs in args]
+            assert got == [raised(old, *xs) for xs in args], name
+            outcomes |= {type(v) if isinstance(v, MixedElement) else v[0] for v in got}
+        classes = [(x.payload, y.payload) for x, y in pairs if x.is_type2 and y.is_type2]
+        new, old = model.quotient.leq, objects.quotient.leq
+        assert [raised(new, a, b) for a, b in classes] == [raised(old, a, b) for a, b in classes]
+    assert outcomes == {
+        MixedElement, UniverseMismatchError, ValueError, cera.UndefinedOperationError
+    }
+
+
 def test_kernel_realizability_and_membership_match_the_block_scans():
     """RoughClass accepts exactly the bounds the block scans accepted, on
     every (lower, upper) pair of every space, and each class it accepts

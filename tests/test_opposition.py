@@ -65,6 +65,12 @@ def test_case_space_validation():
         CaseSpace(("w1", "w2"), {"A": {"w1": (1, 0)}})
 
 
+def test_case_space_checks_each_valuation_shape_before_unpacking_it():
+    for value in (5, (1, 0, 1), (1,), None, "tf"):
+        with pytest.raises(ValueError, match=r"valuations must be \(t, f\) bit pairs"):
+            CaseSpace(("w1",), {"A": {"w1": value}})
+
+
 def test_hexagon_worked_example(example_space):
     x = example_space.universe.parse("aef")
     report = hexagon(example_space, x)
