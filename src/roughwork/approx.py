@@ -37,11 +37,14 @@ class CapExceededError(RuntimeError):
     """A search or carrier is larger than the cap it runs under."""
 
 
-def check_cap(carrier: Sized, cap: int | None, message: str) -> None:
+def check_cap(carrier: Sized | int, cap: int | None, message: str) -> None:
     """Raise ``CapExceededError`` if ``carrier`` is longer than ``cap`` (None: no
-    cap), with ``message`` formatted with the carrier's ``size`` and the ``cap``."""
-    if cap is not None and len(carrier) > cap:
-        raise CapExceededError(message.format(size=len(carrier), cap=cap))
+    cap), with ``message`` formatted with the carrier's ``size`` and the ``cap``.
+    A carrier may be given by its length, which ``len`` cannot report past
+    ``sys.maxsize``: a search can count more candidate families than that."""
+    size = carrier if isinstance(carrier, int) else len(carrier)
+    if cap is not None and size > cap:
+        raise CapExceededError(message.format(size=size, cap=cap))
 
 
 class Labels(Sequence):

@@ -183,6 +183,7 @@ class CeraModel:
 
     def sim_neg(self, x: MixedElement) -> MixedElement:
         if x.is_type1:
+            self.space._check(x.payload)
             return MixedElement.type1(x.payload.complement())
         return MixedElement.type2(self.quotient.neg(x.payload))
 

@@ -28,6 +28,7 @@ from roughwork.approx import (
     Subset,
     Universe,
     UniverseMismatchError,
+    check_cap,
 )
 
 SEARCH_CANDIDATE_CAP = 10**7
@@ -517,7 +518,14 @@ def search_admissible_granulations(
     Families are drawn from nonempty subsets in canonical order: by size,
     then lexicographically by mask, so the result order is deterministic.
     The candidate count is bounded up front; an oversized search raises
-    instead of running forever.
+    instead of running forever.  The cap counts every candidate family,
+    also where the class bound below settles the search.
+
+    The atoms' classes are their signatures over the tables' distinct
+    outputs.  k granules cut the atoms into at most 2^k cells, and a
+    representable family keeps each cell inside one class, so with more
+    than 2^max_granules classes no family is representable and the search
+    returns [] before any predicate call.
 
     No family is checked whole.  A depth-first walk over granules of
     increasing mask, which meets the families of each size in canonical
@@ -525,60 +533,67 @@ def search_admissible_granulations(
     representable iff the cover holds every pair a table output splits.
     Lower stability is per granule and full underlap per pair, so a
     family failing either fails with every extension and the walk prunes
-    there.  Both are worked out only for granules of representable
-    families, once each: over the whole pool up front they would cost
-    about 4^n predicate calls even when no family is representable.
+    there.  Each walk node checks its own family once, at the first
+    representable extension it meets; each representable extension then
+    tests only its new granule: its lower stability and its underlap with
+    each granule before it.  Both are worked out once per granule, and
+    only for granules of representable families: over the whole pool up
+    front they would cost about 4^n predicate calls even when no family
+    is representable.
     """
     if max_granules < 1:
         raise ValueError("max_granules must be at least 1")
     if lower_op.universe != upper_op.universe:
         raise UniverseMismatchError("operator tables over different universes")
-    universe = lower_op.universe
-    pool = universe.labels()[1:]
-    total = sum(comb(len(pool), k) for k in range(1, max_granules + 1))
-    if total > candidate_cap:
-        raise SearchCapExceededError(
-            f"{total} candidate families exceed the cap of {candidate_cap}"
-        )
-    n, pool = universe.size, list(pool)
-    seps = [_separation(n, g.mask) for g in pool]
+    n = lower_op.universe.size
+    total = sum(comb((1 << n) - 1, k) for k in range(1, max_granules + 1))
+    check_cap(total, candidate_cap, "{size} candidate families exceed the cap of {cap}")
     need = _cover(n, set(lower_op._table) | set(upper_op._table))
+    # atom i opens a class iff some output splits it from every atom before it
+    classes = sum(need >> i * n & (1 << i) - 1 == (1 << i) - 1 for i in range(n))
+    if classes > 1 << max_granules:
+        return []
     tests = _GranuleTests(parthood, lower_op, upper_op)
-    found: list[list[tuple[Subset, ...]]] = [[] for _ in range(max_granules)]
+    pool, ls, above = tests.subsets, tests.ls, tests.above
+    seps = [_separation(n, m) for m in range(len(pool))]
+    found: list[list[tuple[int, ...]]] = [[] for _ in range(max_granules)]
 
-    def culprit(family: tuple[Subset, ...]) -> int | None:
-        """A position p such that family[:p + 1] already fails, or None if
-        the family is admissible."""
-        for pos, g in enumerate(family):
-            if tests.ls_witness(g) is not None:
-                return pos
-        for q in range(1, len(family)):
-            for p in range(q):
-                if not tests.underlap(family[p], family[q]):
-                    return q
-        return None
+    def clash(family: tuple[int, ...], g: int) -> bool:
+        """Whether ``family``, which passes, fails once granule ``g`` joins it."""
+        if g not in ls:
+            tests.ls_witness(pool[g])
+        if ls[g] is not None:
+            return True
+        for f in family:
+            if f not in above or g not in above:
+                tests.underlap(pool[f], pool[g])
+            if not above[f] & above[g]:
+                return True
+        return False
 
-    def extend(family: tuple[Subset, ...], cover: int, start: int) -> int | None:
+    def extend(family: tuple[int, ...], cover: int, start: int, passes: bool) -> int | None:
         """Walk the extensions of ``family`` in canonical order; return p
         once family[:p + 1] is found to fail, which ends every walk below it."""
         depth = len(family)
-        for j in range(start, len(pool)):
-            g = pool[j]
-            if tests.ls.get(g.mask) is not None:
+        for g in range(start, len(pool)):
+            if ls.get(g) is not None:
                 continue
-            grown, c = family + (g,), cover | seps[j]
-            if need & ~c == 0:
-                bad = culprit(grown)
-                if bad is not None:
-                    if bad < depth:
+            grown, c = family + (g,), cover | seps[g]
+            representable = need & ~c == 0
+            if representable:
+                if not passes:
+                    bad = next((p for p in range(depth) if clash(family[:p], family[p])), None)
+                    if bad is not None:
                         return bad
+                    passes = True
+                if clash(family, g):
                     continue
                 found[depth].append(grown)
             if depth + 1 < max_granules:
-                bad = extend(grown, c, j + 1)
+                bad = extend(grown, c, g + 1, representable)
                 if bad is not None and bad < depth:
                     return bad
         return None
 
-    extend((), 0, 0)
-    return [family for bucket in found for family in bucket]
+    extend((), 0, 1, True)
+    return [tuple(pool[m] for m in family) for bucket in found for family in bucket]

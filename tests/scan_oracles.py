@@ -789,6 +789,8 @@ class ObjectCera:
 
     def sim_neg(self, x: MixedElement) -> MixedElement:
         if x.is_type1:
+            if x.payload.universe != self.space.universe:
+                raise UniverseMismatchError(f"{x.payload!r} is over a foreign universe")
             return MixedElement.type1(x.payload.complement())
         return MixedElement.type2(self.quotient.neg(x.payload))
 

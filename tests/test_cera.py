@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from roughwork.approx import ApproximationSpace, RoughClass, Subset
+from roughwork.approx import (
+    ApproximationSpace,
+    RoughClass,
+    Subset,
+    Universe,
+    UniverseMismatchError,
+)
 from roughwork.cera import (
     CeraModel,
     MixedElement,
@@ -116,6 +122,13 @@ def test_negations(model):
     assert bounds(model.partial_neg(el2(model, "a"))) == ("efq", "S")
     with pytest.raises(UndefinedOperationError):
         model.partial_neg(el1(model, "a"))
+
+
+def test_unary_operations_refuse_a_subset_over_a_foreign_universe(model):
+    x = MixedElement.type1(Universe("xy").parse("x"))
+    for op in (model.sim_neg, model.frak_l, model.black_lozenge):
+        with pytest.raises(UniverseMismatchError, match=r"^<Subset x> is over a foreign universe$"):
+            op(x)
 
 
 def test_constants(model):

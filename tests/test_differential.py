@@ -6,7 +6,8 @@ seeded corruptions of those structures: one-entry mutants of quotient
 candidates, perturbed operator tables, and partial maps on quotient
 orders and on posets whose meets and joins are partial.  The granulation
 search must return the oracle's families in the oracle's order, and make
-no predicate call the decomposition does not need.  Every whole-carrier
+no predicate call the decomposition does not need; tables with more atom
+classes than its granules can cut cells it settles before its walk.  Every whole-carrier
 table (rough classes, quotient candidate, mixed tables, parthood
 matrices, maximal antichains) must equal the object fill it replaced;
 the g-simple matrix also on granules that overlap, leave atoms uncovered
@@ -79,9 +80,11 @@ from __future__ import annotations
 import dataclasses
 import operator
 import random
+import sys
 import warnings
 from collections import Counter
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -107,6 +110,7 @@ from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
 from roughwork.crad import _class as pair_class
 from roughwork.granular import (
     INCLUSION,
+    SEARCH_CANDIDATE_CAP,
     GranularModel,
     OperatorTable,
     ParthoodPredicate,
@@ -1525,6 +1529,56 @@ def test_search_cap_raises_before_any_predicate_call(example_space):
             lower, lower, 2, counting(INCLUSION, calls), candidate_cap=100
         )
     assert calls == []
+
+
+def atom_classes(lower: OperatorTable, upper: OperatorTable) -> int:
+    """The atoms' distinct signatures over the tables' distinct outputs."""
+    u = lower.universe
+    outs = sorted({op(x).mask for op in (lower, upper) for x in u.subsets()})
+    return len({tuple(out >> i & 1 for out in outs) for i in range(u.size)})
+
+
+def test_search_settles_tables_with_more_classes_than_cells_before_the_walk(monkeypatch):
+    cases = search_cases()
+    for n in range(1, 7):
+        u = Universe("abcdef"[:n])
+        identity = OperatorTable.from_callable(u, lambda x: x)
+        complement = OperatorTable.from_callable(u, lambda x: x.complement())
+        for k in range(1, 4):
+            if sum(comb(2**n - 1, j) for j in range(1, k + 1)) <= SEARCH_CANDIDATE_CAP:
+                cases += [(identity, identity, k), (complement, identity, k)]
+    built = []
+    real = granular._GranuleTests
+    monkeypatch.setattr(granular, "_GranuleTests", lambda *a: built.append(a) or real(*a))
+    settled = walked = 0
+    for lower, upper, k in cases:
+        built.clear()
+        calls: list = []
+        got = search_admissible_granulations(lower, upper, k, counting(INCLUSION, calls))
+        if lower.universe.size <= 5:
+            assert got == oracle.search_oracle(lower, upper, k)
+        # k granules cut the atoms into at most 2^k cells
+        if atom_classes(lower, upper) > 2**k:
+            assert got == [] and calls == [] and built == []
+            settled += 1
+        else:
+            walked += len(built)
+    assert settled > 0 and walked > 0
+    u = Universe("abcd")
+    identity = OperatorTable.from_callable(u, lambda x: x)
+    assert atom_classes(identity, identity) == 2**2
+    tight = search_admissible_granulations(identity, identity, 2)
+    assert tight and tight == oracle.search_oracle(identity, identity, 2)
+
+
+def test_search_cap_counts_families_past_the_largest_length():
+    u = Universe("abcdefgh")
+    identity = OperatorTable.from_callable(u, lambda x: x)
+    total = sum(comb(255, k) for k in range(1, 13))
+    assert total > sys.maxsize
+    with pytest.raises(SearchCapExceededError) as raised:
+        search_admissible_granulations(identity, identity, 12)
+    assert str(raised.value) == f"{total} candidate families exceed the cap of {SEARCH_CANDIDATE_CAP}"
 
 
 def test_pair_operations_match_the_gates_written_out_on_every_pair_of_k():
