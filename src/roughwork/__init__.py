@@ -4,6 +4,7 @@ from roughwork.approx import (
     ApproximationSpace,
     ApproxTriple,
     RoughClass,
+    SpaceMismatchError,
     Subset,
     Universe,
     UniverseMismatchError,
@@ -68,6 +69,7 @@ __all__ = [
     "PropertySystem",
     "QuotientAlgebra",
     "RoughClass",
+    "SpaceMismatchError",
     "Subset",
     "UnaryOp",
     "UndefinedOperationError",

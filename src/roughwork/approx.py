@@ -29,6 +29,10 @@ class UniverseMismatchError(ValueError):
     """Operands live over different universes."""
 
 
+class SpaceMismatchError(ValueError):
+    """A rough class meets an operation of another space over its universe."""
+
+
 class UnknownAtomError(ValueError):
     """An atom name does not belong to the universe."""
 
@@ -200,7 +204,8 @@ class Subset:
         return Subset(self.universe, self.mask ^ ((1 << self.universe.size) - 1))
 
     def is_subset_of(self, other: Subset) -> bool:
-        self._check(other)
+        if self.universe is not other.universe:
+            self._check(other)
         return self.mask & ~other.mask == 0
 
     def is_proper_subset_of(self, other: Subset) -> bool:
@@ -352,6 +357,13 @@ class ApproximationSpace:
     def _check(self, x: Subset) -> None:
         if x.universe != self.universe:
             raise UniverseMismatchError(f"{x!r} is over a foreign universe")
+
+    def _check_class(self, c: RoughClass) -> None:
+        """Reject a class of another space over this universe.  A class over
+        another universe is left to the universe checks its bounds meet."""
+        s = c.space
+        if s is not self and s != self and s.universe == self.universe:
+            raise SpaceMismatchError(f"{c!r} is a class of another space than {self!r}")
 
     def lower(self, x: Subset) -> Subset:
         self._check(x)

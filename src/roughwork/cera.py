@@ -166,7 +166,9 @@ class CeraModel:
             return MixedElement.type2(self.quotient.apply(on_classes, x.payload, y.payload))
         a = getattr(x.payload, left) if x.is_type2 else x.payload
         b = getattr(y.payload, right) if y.is_type2 else y.payload
-        return self.class_of(on_subsets(Subset.complement, a, b))
+        out = on_subsets(Subset.complement, a, b)
+        self.space._check_class(x.payload if x.is_type2 else y.payload)
+        return self.class_of(out)
 
     def oplus(self, x: MixedElement, y: MixedElement) -> MixedElement:
         return self._binary("oplus", x, y)

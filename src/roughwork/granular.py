@@ -46,7 +46,7 @@ class ParthoodPredicate:
         return self.holds(a, b) and not self.holds(b, a)
 
 
-INCLUSION = ParthoodPredicate("inclusion", lambda a, b: a.is_subset_of(b))
+INCLUSION = ParthoodPredicate("inclusion", Subset.is_subset_of)
 
 
 class OperatorTable:
@@ -290,6 +290,9 @@ class GranularModel:
                 raise UniverseMismatchError("granule over a foreign universe")
             if g.is_empty:
                 raise ValueError("granules must be nonempty")
+        for name, op in (("lower", self.lower_op), ("upper", self.upper_op)):
+            if op.universe != self.universe:
+                raise UniverseMismatchError(f"{name} table over a foreign universe")
 
     def lower(self, x: Subset) -> Subset:
         return self.lower_op(x)
@@ -448,7 +451,7 @@ class _GranuleTests:
         lo, up = lower_op._table, upper_op._table
         self.part = part
         self.subsets = list(u.subsets())
-        self.lowers = [Subset(u, m) for m in lo]
+        self.lowers = [self.subsets[m] for m in lo]
         self.definite = [z for z in self.subsets if lo[z.mask] == z.mask == up[z.mask]]
         self.ls: dict[int, Subset | None] = {}
         self.above: dict[int, int] = {}
@@ -531,9 +534,11 @@ def search_admissible_granulations(
     increasing mask, which meets the families of each size in canonical
     order, carries each family's cover (``_cover``) down: the family is
     representable iff the cover holds every pair a table output splits.
-    Lower stability is per granule and full underlap per pair, so a
-    family failing either fails with every extension and the walk prunes
-    there.  Each walk node checks its own family once, at the first
+    Where it places the last granule it tests that first, so a last
+    extension that is not representable costs one cover test and builds
+    no family.  Lower stability is per granule and full underlap per
+    pair, so a family failing either fails with every extension and the
+    walk prunes there.  Each walk node checks its own family once, at the first
     representable extension it meets; each representable extension then
     tests only its new granule: its lower stability and its underlap with
     each granule before it.  Both are worked out once per granule, and
@@ -575,11 +580,13 @@ def search_admissible_granulations(
         """Walk the extensions of ``family`` in canonical order; return p
         once family[:p + 1] is found to fail, which ends every walk below it."""
         depth = len(family)
+        last = depth + 1 == max_granules
         for g in range(start, len(pool)):
-            if ls.get(g) is not None:
-                continue
-            grown, c = family + (g,), cover | seps[g]
+            c = cover | seps[g]
             representable = need & ~c == 0
+            if last and not representable or ls.get(g) is not None:
+                continue
+            grown = family + (g,)
             if representable:
                 if not passes:
                     bad = next((p for p in range(depth) if clash(family[:p], family[p])), None)
@@ -589,11 +596,11 @@ def search_admissible_granulations(
                 if clash(family, g):
                     continue
                 found[depth].append(grown)
-            if depth + 1 < max_granules:
+            if not last:
                 bad = extend(grown, c, g + 1, representable)
                 if bad is not None and bad < depth:
                     return bad
         return None
 
     extend((), 0, 1, True)
-    return [tuple(pool[m] for m in family) for bucket in found for family in bucket]
+    return [tuple(map(pool.__getitem__, family)) for bucket in found for family in bucket]

@@ -25,7 +25,8 @@ from roughwork.granular import AxiomReport, lattice_laws, sweep_laws
 
 # Each quotient operation: a rule from the complement ``c`` and the bounds of one or
 # two classes to those of the result, run on Subsets by ``QuotientAlgebra.apply`` (so
-# a foreign operand raises as the Subset operation does) and on masks by ``table``.
+# a foreign operand raises as the Subset operation does, and a class of another space
+# over the same universe raises SpaceMismatchError) and on masks by ``table``.
 UNARY_RULES = {
     "neg": lambda c, la, ua: (c(ua), c(la)),
     "necessity": lambda c, la, ua: (la, la),
@@ -62,7 +63,12 @@ class QuotientAlgebra:
             lower, upper = UNARY_RULES[op](Subset.complement, a.lower, a.upper)
         else:
             lower, upper = BINARY_RULES[op](Subset.complement, a.lower, a.upper, b.lower, b.upper)
-        return RoughClass(self.space, lower, upper)
+        space = self.space
+        if a.space is not space or b is not None and b.space is not space:
+            for c in (a, b):
+                if c is not None:
+                    space._check_class(c)
+        return RoughClass(space, lower, upper)
 
     def meet(self, a: RoughClass, b: RoughClass) -> RoughClass:
         return self.apply("meet", a, b)
@@ -83,7 +89,12 @@ class QuotientAlgebra:
         return self.apply("implies", a, b)
 
     def leq(self, a: RoughClass, b: RoughClass) -> bool:
-        a.lower._check(b.lower)
+        space = self.space
+        if a.space is not space or b.space is not space:
+            a.lower._check(b.lower)
+            space._check(a.lower)
+            space._check_class(a)
+            space._check_class(b)
         return _LEQ(a.lower.mask, a.upper.mask, b.lower.mask, b.upper.mask)
 
     def leq_matrix(self) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from roughwork.approx import (
     ApproximationSpace,
     RoughClass,
+    SpaceMismatchError,
     Subset,
     Universe,
     UniverseMismatchError,
@@ -129,6 +131,28 @@ def test_unary_operations_refuse_a_subset_over_a_foreign_universe(model):
     for op in (model.sim_neg, model.frak_l, model.black_lozenge):
         with pytest.raises(UniverseMismatchError, match=r"^<Subset x> is over a foreign universe$"):
             op(x)
+
+
+def test_binary_operations_refuse_a_class_of_another_partition():
+    """``ab|c`` against the discrete space on ``abc``: a class of the one
+    is no operand of the other, in the quotient case and the mixed one,
+    while the same partition built apart is the model's own."""
+    s = CeraModel(ApproximationSpace.from_partition("abc", [["a", "b"], ["c"]]))
+    d = CeraModel(ApproximationSpace.discrete("abc"))
+    ab_of_d = el2(d, "ab")
+    message = (
+        rf"^{re.escape(repr(ab_of_d.payload))} is a class of another space than "
+        rf"{re.escape(repr(s.space))}$"
+    )
+    for name in ("oplus", "odot", "circ", "commonality", "rightsquig", "two_head"):
+        op = getattr(s, name)
+        for other in (el2(s, "c"), el1(s, "c")):
+            for args in ((other, ab_of_d), (ab_of_d, other)):
+                with pytest.raises(SpaceMismatchError, match=message):
+                    op(*args)
+    again = CeraModel(ApproximationSpace.from_partition("abc", [["a", "b"], ["c"]]))
+    assert s.oplus(el2(s, "c"), el2(again, "a")) == el2(s, "ac")
+    assert s.oplus(el1(s, "c"), el2(again, "a")) == el2(s, "abc")
 
 
 def test_constants(model):

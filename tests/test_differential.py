@@ -103,7 +103,7 @@ from roughwork import (
     parthood,
     prerough,
 )
-from roughwork.approx import UniverseMismatchError
+from roughwork.approx import SpaceMismatchError, UniverseMismatchError
 from roughwork.cera import CeraModel, MixedElement, check_cera_identities
 from roughwork.counting import SQUARE_PREDICATES, close, discernibility_square
 from roughwork.crad import CradModel, DialecticalPair, UndefinedResultError
@@ -1336,12 +1336,45 @@ def strays(atoms: str) -> list[MixedElement]:
     ]
 
 
+def object_outcome(space: ApproximationSpace, old, *xs):
+    """What the object form ``old`` gives on ``xs``, except that a class of
+    another space over ``space``'s universe raises SpaceMismatchError, naming
+    the first such operand, wherever the object form raised no universe
+    mismatch or undefined operation first."""
+    want = raised(old, *xs)
+    classes = (x.payload if isinstance(x, MixedElement) else x for x in xs)
+    other = next(
+        (
+            c
+            for c in classes
+            if isinstance(c, RoughClass) and c.space != space and c.space.universe == space.universe
+        ),
+        None,
+    )
+    if other is None or isinstance(want, tuple) and want[0] in (
+        UniverseMismatchError, cera.UndefinedOperationError
+    ):
+        return want
+    return SpaceMismatchError, f"{other!r} is a class of another space than {space!r}"
+
+
+def leq_outcome(space: ApproximationSpace, old, a: RoughClass, b: RoughClass):
+    """``object_outcome`` of the quotient order, which also refuses two
+    classes over one foreign universe, where the object form compared them."""
+    if a.space.universe == b.space.universe != space.universe:
+        return UniverseMismatchError, f"{a.lower!r} is over a foreign universe"
+    return object_outcome(space, old, a, b)
+
+
 @pytest.mark.parametrize("soft", [False, True], ids=["odot", "circ"])
 def test_element_operations_match_their_object_forms_on_every_pair(soft):
     """Every mixed operation on every element and element pair, and the
     quotient order on every pair of classes, of every partition of up to
     five atoms gives the result, or the error type and text, of its object
-    form; so do the operands of ``strays``."""
+    form; so do the operands of ``strays``, except where the object forms
+    took a class of another partition of the same atoms as their own
+    (``object_outcome``) or compared two classes over one foreign universe
+    (``leq_outcome``): those now raise."""
     outcomes = set()
     for space in SPACES:
         model = CeraModel(space, soft=soft)
@@ -1352,13 +1385,17 @@ def test_element_operations_match_their_object_forms_on_every_pair(soft):
             new, old = getattr(model, name), getattr(objects, name)
             args = pairs if name in MIXED_BINARY else [(x,) for x in els]
             got = [raised(new, *xs) for xs in args]
-            assert got == [raised(old, *xs) for xs in args], name
+            assert got == [object_outcome(space, old, *xs) for xs in args], name
             outcomes |= {type(v) if isinstance(v, MixedElement) else v[0] for v in got}
         classes = [(x.payload, y.payload) for x, y in pairs if x.is_type2 and y.is_type2]
         new, old = model.quotient.leq, objects.quotient.leq
-        assert [raised(new, a, b) for a, b in classes] == [raised(old, a, b) for a, b in classes]
+        got = [raised(new, a, b) for a, b in classes]
+        assert got == [leq_outcome(space, old, a, b) for a, b in classes]
     assert outcomes == {
-        MixedElement, UniverseMismatchError, ValueError, cera.UndefinedOperationError
+        MixedElement,
+        SpaceMismatchError,
+        UniverseMismatchError,
+        cera.UndefinedOperationError,
     }
 
 
@@ -1518,6 +1555,83 @@ def test_search_predicate_calls_are_needed_and_once_per_granule(monkeypatch):
         oracle.search_oracle(lower, upper, k, counting(INCLUSION, old_calls))
         assert len(new_calls) <= len(old_calls)
     assert granules_tested > 0
+
+
+def perturbed_partition_cases() -> list:
+    """(lower, upper, k): the 2,2,1 partition tables at k = 3 and the 2,2,2
+    ones at k = 2, each with one entry of the lower or of the upper table
+    perturbed, on several seeds; ``search_cases`` holds neither shape."""
+    cases = []
+    for blocks, k in ((["ab", "cd", "e"], 3), (["ab", "cd", "ef"], 2)):
+        model = from_space(ApproximationSpace.from_partition("".join(blocks), blocks))
+        for seed in range(5):
+            rng = random.Random(seed)
+            cases.append((perturbed(model.lower_op, rng, 1), model.upper_op, k))
+            cases.append((model.lower_op, perturbed(model.upper_op, rng, 1), k))
+    return cases
+
+
+def test_search_matches_oracle_on_perturbed_partition_tables():
+    cases = perturbed_partition_cases()
+    found = walked = 0
+    for lower, upper, k in cases:
+        new = search_admissible_granulations(lower, upper, max_granules=k)
+        assert new == oracle.search_oracle(lower, upper, max_granules=k)
+        found += len(new)
+        walked += atom_classes(lower, upper) <= 2**k
+    assert found > 0 and walked > len(cases) // 2
+
+
+def representable_granules(lower: OperatorTable, upper: OperatorTable, k: int) -> set[int]:
+    """The granules that lie in some family of at most k granules in whose
+    generated field every table output lies."""
+    n = lower.universe.size
+    # pair (i, j) of atoms is bit i * n + j of what a mask splits
+    splits = [
+        sum(1 << i * n + j for i, j in product(range(n), repeat=2) if (m >> i ^ m >> j) & 1)
+        for m in range(1 << n)
+    ]
+    need = 0
+    for out in set(lower._table) | set(upper._table):
+        need |= splits[out]
+    out = set()
+    for size in range(1, k + 1):
+        for family in combinations(range(1, 1 << n), size):
+            cover = 0
+            for g in family:
+                cover |= splits[g]
+            if need & ~cover == 0:
+                out.update(family)
+    return out
+
+
+def test_search_tests_clashes_only_on_granules_of_representable_families(monkeypatch):
+    """Every granule whose lower stability or underlap the search works out
+    lies in a representable family of at most k granules: the walk decides
+    representability, also when it places the last granule, before it tests
+    a clash."""
+    evaluated = set()
+    for name in ("_ls_witness", "_definite_above"):
+        real = getattr(granular, name)
+
+        def spy(part, g, *rest, real=real):
+            evaluated.add(g.mask)
+            return real(part, g, *rest)
+
+        monkeypatch.setattr(granular, name, spy)
+    u = Universe("abcde")
+    identity = OperatorTable.from_callable(u, lambda x: x)
+    complement = OperatorTable.from_callable(u, lambda x: x.complement())
+    cases = search_cases() + perturbed_partition_cases()
+    cases += [(identity, identity, 3), (complement, identity, 3)]
+    tested = 0
+    for lower, upper, k in cases:
+        evaluated.clear()
+        search_admissible_granulations(lower, upper, k)
+        if evaluated:
+            assert evaluated <= representable_granules(lower, upper, k)
+        tested += len(evaluated)
+    assert tested > 0
 
 
 def test_search_cap_raises_before_any_predicate_call(example_space):

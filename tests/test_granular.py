@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 import scan_oracles as oracle
 from fixture_data import TEN_ATOM_MODEL
-from roughwork import ApproximationSpace, Universe, granular
+from roughwork import ApproximationSpace, Subset, Universe, UniverseMismatchError, granular
 from roughwork.granular import (
+    INCLUSION,
     GranularModel,
     OperatorTable,
     SearchCapExceededError,
@@ -118,6 +120,48 @@ def test_admissibility_wra_fails_for_ab_granule(example_space):
     x, out = report.wra.witness
     assert out in (example_space.lower(x), example_space.upper(x))
     assert not generated_field_contains(u, model.granules, out)
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_model_refuses_a_table_over_a_foreign_universe(side):
+    ab, xy = Universe("ab"), Universe("xy")
+    own = OperatorTable.from_callable(ab, lambda x: x)
+    foreign = OperatorTable.from_callable(xy, lambda x: x)
+    tables = {"lower_op": own, "upper_op": own, f"{side}_op": foreign}
+    with pytest.raises(UniverseMismatchError, match=rf"^{side} table over a foreign universe$"):
+        GranularModel(ab, (ab.parse("a"),), **tables)
+    # a table over an equal universe built apart is the model's own
+    again = OperatorTable.from_callable(Universe("ab"), lambda x: x)
+    GranularModel(ab, (ab.parse("a"),), **{**tables, f"{side}_op": again})
+
+
+def test_inclusion_predicate_answers_as_subset_test_did():
+    """INCLUSION.holds on one universe object, on equal universes built
+    apart and on foreign ones: the inclusion test, or the mismatch error
+    ``Subset._check`` raised ahead of every inclusion test."""
+    u = Universe("abc")
+    groups = [
+        [(u, u)],
+        [(u, Universe("abc"))],
+        [(u, Universe("abd")), (u, Universe("ab")), (Universe("xy"), u)],
+    ]
+    for pairs in groups:
+        for left, right in pairs:
+            for a in left.subsets():
+                for b in right.subsets():
+                    if left == right:
+                        want = a.mask & ~b.mask == 0
+                    else:
+                        want = (
+                            UniverseMismatchError,
+                            f"{a!r} and {b!r} belong to different universes",
+                        )
+                    for holds in (INCLUSION.holds, Subset.is_subset_of, operator.le):
+                        try:
+                            got = holds(a, b)
+                        except UniverseMismatchError as exc:
+                            got = type(exc), str(exc)
+                        assert got == want
 
 
 def test_admissibility_discrete_singletons():

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughwork import ApproximationSpace
-from roughwork.approx import RoughClass
+from roughwork.approx import RoughClass, SpaceMismatchError, UniverseMismatchError
 from roughwork.model_io import load_model
 from roughwork.negation import check_quotient_negation
 from roughwork.prerough import (
@@ -97,6 +98,36 @@ def test_order_agreement_with_bounds(example_space):
         for b in alg.carrier:
             bound_leq = a.lower <= b.lower and a.upper <= b.upper
             assert alg.leq(a, b) == bound_leq
+
+
+def test_quotient_refuses_a_class_of_another_partition():
+    """A class of another partition of the same atoms is not one of the
+    quotient's own: ``ab|c`` against the discrete space on ``abc``.  The
+    same partition built apart is the quotient's own."""
+    s = ApproximationSpace.from_partition("abc", [["a", "b"], ["c"]])
+    d = ApproximationSpace.discrete("abc")
+    q, u = quotient_algebra(s), s.universe
+    a_of_d = d.rough_class_of(u.parse("a"))
+    message = rf"^{re.escape(repr(a_of_d))} is a class of another space than {re.escape(repr(s))}$"
+    for call in (
+        lambda: q.leq(q.zero, a_of_d),
+        lambda: q.leq(a_of_d, q.one),
+        lambda: q.join(q.zero, a_of_d),
+        lambda: q.meet(a_of_d, q.one),
+        lambda: q.neg(a_of_d),
+        lambda: q.necessity(a_of_d),
+    ):
+        with pytest.raises(SpaceMismatchError, match=message):
+            call()
+    xy = ApproximationSpace.discrete("xy")
+    x = xy.rough_class_of(xy.universe.parse("x"))
+    with pytest.raises(UniverseMismatchError, match=r"^<Subset x> is over a foreign universe$"):
+        q.leq(x, x)
+    again = ApproximationSpace.from_partition("abc", [["a", "b"], ["c"]])
+    a = again.rough_class_of(u.parse("a"))
+    assert q.leq(q.zero, a) and not q.leq(q.one, a)
+    assert q.join(q.zero, a) == s.rough_class_of(u.parse("a"))
+    assert q.neg(a) == RoughClass(s, u.parse("c"), u.full)
 
 
 def test_quotient_passes_both_checkers(example_space):
