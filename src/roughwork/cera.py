@@ -158,14 +158,18 @@ class CeraModel:
         return MixedElement.type2(self.quotient.possibility(x.payload))
 
     def _binary(self, op: str, x, y, lift=MixedElement.type1) -> MixedElement:
-        """The rule of ``op`` on one pair; ``lift`` tags a result of two subsets."""
+        """The rule of ``op`` on one pair; ``lift`` tags a result of two subsets.
+        The two operands the rule reads are checked first, so that an error
+        names them, not a complement the rule takes."""
         on_subsets, left, right, on_classes = self._rules[op]
         if x.is_type1 and y.is_type1:
+            x.payload._check(y.payload)
             return lift(on_subsets(Subset.complement, x.payload, y.payload))
         if x.is_type2 and y.is_type2:
             return MixedElement.type2(self.quotient.apply(on_classes, x.payload, y.payload))
         a = getattr(x.payload, left) if x.is_type2 else x.payload
         b = getattr(y.payload, right) if y.is_type2 else y.payload
+        a._check(b)
         out = on_subsets(Subset.complement, a, b)
         self.space._check_class(x.payload if x.is_type2 else y.payload)
         return self.class_of(out)

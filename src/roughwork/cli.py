@@ -474,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_crad.add_argument("right")
     p_crad.set_defaults(handler=_cmd_crad)
 
-    p_neg = sub.add_parser("negation", parents=[common])
+    # the flags belong to the action, whose defaults would overwrite any parsed before it
+    p_neg = sub.add_parser("negation")
     neg_sub = p_neg.add_subparsers(dest="action", required=True)
     neg_check = neg_sub.add_parser("check", parents=[common])
     neg_check.set_defaults(handler=_cmd_negation)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from roughwork.opposition import Figure, figure_of
+from roughwork.opposition import Figure, pair_figures
 
 CLOSURE_MODES = ("equivalence", "reflexive-transitive")
 
@@ -131,8 +131,4 @@ def discernibility_square(rel: IndiscernibilityRelation) -> DiscernibilitySquare
         "IND": frozenset(rel.related),
         "DIS": worlds - rel.related,
     }
-    figures = {}
-    for i, p in enumerate(SQUARE_PREDICATES):
-        for q in SQUARE_PREDICATES[i + 1 :]:
-            figures[(p, q)] = figure_of(extents[p], extents[q], worlds)
-    return DiscernibilitySquare(rel.elements, extents, figures)
+    return DiscernibilitySquare(rel.elements, extents, pair_figures(extents, worlds))

@@ -51,6 +51,12 @@ def figure_of(a, b, every) -> Figure:
     return classify_from_questions(bool(a & b), (a | b) != every)
 
 
+def pair_figures(extents: Mapping, every) -> dict:
+    """The figure of each pair of sentences named in ``extents``, keyed
+    (p, q) in the order ``extents`` lists them, by ``figure_of``."""
+    return {(p, q): figure_of(extents[p], extents[q], every) for p, q in combinations(extents, 2)}
+
+
 @dataclass(frozen=True)
 class CaseSpace:
     """Worlds with a (t, f) valuation for every sentence at every world."""
@@ -169,11 +175,7 @@ def hexagon(space: ApproximationSpace, x: Subset) -> HexagonReport:
             DegeneratePartitionWarning,
             stacklevel=2,
         )
-    every = space.universe.full.mask
-    figures = {
-        (p, q): figure_of(regions[p].mask, regions[q].mask, every)
-        for p, q in combinations(HEXAGON_NODE_ORDER, 2)
-    }
+    figures = pair_figures({k: r.mask for k, r in regions.items()}, space.universe.full.mask)
     return HexagonReport(nodes=regions, figures=figures, degenerate=degenerate)
 
 
@@ -243,28 +245,16 @@ def joint_consistency(tables: Iterable[ReferenceTable]) -> JointConsistencyResul
     family, so an unsatisfiable answer is a proof of emptiness.
     """
     tables = tuple(tables)
-    names: list[str] = []
-    for table in tables:
-        for predicate in (table.left, table.right):
-            if predicate not in names:
-                names.append(predicate)
-    checked = 0
-    for values in product((True, False), repeat=len(names)):
-        assignment = dict(zip(names, values))
-        checked += 1
-        ok = True
-        for table in tables:
-            lv = assignment[table.left]
-            rv = assignment[table.right]
-            for left, right, entry in table.rows:
-                if entry == "NP" and (left == "T") == lv and (right == "T") == rv:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return JointConsistencyResult(True, assignment, checked)
-    return JointConsistencyResult(False, None, checked)
+    names = list(dict.fromkeys(p for t in tables for p in (t.left, t.right)))
+    forbidden = [
+        (t.left, t.right, a == "T", b == "T")
+        for t in tables for a, b, entry in t.rows if entry == "NP"
+    ]
+    for checked, values in enumerate(product((True, False), repeat=len(names)), 1):
+        model = dict(zip(names, values))
+        if not any(model[p] == pv and model[q] == qv for p, q, pv, qv in forbidden):
+            return JointConsistencyResult(True, model, checked)
+    return JointConsistencyResult(False, None, 1 << len(names))
 
 
 COMBINATION_PATTERNS = (

@@ -62,6 +62,7 @@ class QuotientAlgebra:
         if b is None:
             lower, upper = UNARY_RULES[op](Subset.complement, a.lower, a.upper)
         else:
+            a.lower._check(b.lower)  # before a rule names a complement
             lower, upper = BINARY_RULES[op](Subset.complement, a.lower, a.upper, b.lower, b.upper)
         space = self.space
         if a.space is not space or b is not None and b.space is not space:

@@ -85,6 +85,9 @@ that the element method and the table both read.  The oracles that fill whole
 tables cell by cell (the quotient candidate, the mixed tables, the tag
 detectors) and the composed implication and possibility call these, so no
 rule is compared with itself.
+
+And the joint consistency search as it re-read every table's NP rows for
+each assignment, before it listed the forbidden rows once per call.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ from __future__ import annotations
 import operator
 import warnings
 from functools import partial
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -141,9 +144,11 @@ from roughwork.opposition import (
     CaseSpace,
     DegeneratePartitionWarning,
     HexagonReport,
+    JointConsistencyResult,
     MissingAnnotationError,
     NonClassicalValuationError,
     PairClassification,
+    ReferenceTable,
     classify_from_questions,
 )
 from roughwork.parthood import (
@@ -727,6 +732,7 @@ class ObjectQuotient:
         return self._cls(a.upper, a.upper)
 
     def implies(self, a: RoughClass, b: RoughClass) -> RoughClass:
+        a.lower._check(b.lower)
         x = (a.lower.complement() | b.lower) & (a.upper.complement() | b.upper)
         return self._cls(x, x)
 
@@ -742,7 +748,10 @@ def _or_not(x: Subset, y: Subset) -> Subset:
 class ObjectCera:
     """The operations of ``CeraModel`` as it wrote them on objects, before
     each mixed operation became one rule: the tag dispatch of ``_binary``
-    with its collapse sides given at each call, over ``ObjectQuotient``."""
+    with its collapse sides given at each call, over ``ObjectQuotient``.
+    ``_binary`` and ``ObjectQuotient.implies`` check the two operands a rule
+    reads before it runs, so a foreign operand's error names what was
+    passed, not a complement the rule takes."""
 
     def __init__(self, model: CeraModel):
         self.space = space = model.space
@@ -767,11 +776,13 @@ class ObjectCera:
         self, x, y, on_subsets, left, right, on_classes, lift=MixedElement.type1
     ) -> MixedElement:
         if x.is_type1 and y.is_type1:
+            x.payload._check(y.payload)
             return lift(on_subsets(x.payload, y.payload))
         if x.is_type2 and y.is_type2:
             return MixedElement.type2(on_classes(x.payload, y.payload))
         a = getattr(x.payload, left) if x.is_type2 else x.payload
         b = getattr(y.payload, right) if y.is_type2 else y.payload
+        a._check(b)
         return self.class_of(on_subsets(a, b))
 
     def oplus(self, x: MixedElement, y: MixedElement) -> MixedElement:
@@ -1571,3 +1582,30 @@ def combination_profile(
         if any(holds(la, a, w) and holds(lb, b, w) for w in cs.worlds):
             realized.add(f"{la}/{lb}")
     return frozenset(realized)
+
+
+def joint_consistency(tables: Iterable[ReferenceTable]) -> JointConsistencyResult:
+    """``opposition.joint_consistency`` reading every table's rows for each assignment."""
+    tables = tuple(tables)
+    names: list[str] = []
+    for table in tables:
+        for predicate in (table.left, table.right):
+            if predicate not in names:
+                names.append(predicate)
+    checked = 0
+    for values in product((True, False), repeat=len(names)):
+        assignment = dict(zip(names, values))
+        checked += 1
+        ok = True
+        for table in tables:
+            lv = assignment[table.left]
+            rv = assignment[table.right]
+            for left, right, entry in table.rows:
+                if entry == "NP" and (left == "T") == lv and (right == "T") == rv:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return JointConsistencyResult(True, assignment, checked)
+    return JointConsistencyResult(False, None, checked)

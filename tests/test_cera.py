@@ -155,6 +155,25 @@ def test_binary_operations_refuse_a_class_of_another_partition():
     assert s.oplus(el1(s, "c"), el2(again, "a")) == el2(s, "abc")
 
 
+def test_a_foreign_operand_error_names_the_operands_the_rule_reads():
+    """``ab|c`` against ``xy|z``: the arrows and the quotient implication
+    name what was passed (a bound its class enters as), not the complement
+    their rule takes of it (``S`` = ¬0, ``bc`` = ¬a, ``c`` = ¬ab)."""
+    s = CeraModel(ApproximationSpace.from_partition("abc", [["a", "b"], ["c"]]))
+    t = CeraModel(ApproximationSpace.from_partition("xyz", [["x", "y"], ["z"]]))
+    a, x, xy = el1(s, "a"), el2(t, "x"), el2(t, "xy")
+    cases = [
+        (s.rightsquig, (a, x), "<Subset a> and <Subset 0>"),  # lower of [x]
+        (s.two_head, (a, x), "<Subset a> and <Subset 0>"),
+        (s.two_head, (x, a), "<Subset xy> and <Subset a>"),  # upper of [x]
+        (s.rightsquig, (a, el1(t, "x")), "<Subset a> and <Subset x>"),
+        (s.quotient.implies, (el2(s, "ab").payload, xy.payload), "<Subset ab> and <Subset xy>"),
+    ]
+    for op, args, names in cases:
+        with pytest.raises(UniverseMismatchError, match=rf"^{names} belong to different universes$"):
+            op(*args)
+
+
 def test_constants(model):
     assert model.bottom.is_type1 and model.top.is_type1
     assert model.zero.is_type2 and model.one.is_type2

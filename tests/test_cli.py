@@ -128,6 +128,31 @@ def test_negation_subcommands(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["negation", "--model", "/nonexistent", "check"],
+        ["negation", "--cap", "3", "falsify", "no-index-0-n"],
+        ["negation", "--format", "json", "check"],
+    ],
+)
+def test_negation_flags_before_the_action_are_refused(capsys, argv):
+    """A flag before the action would be overwritten by the action's
+    defaults, so it is an argument error, not a silent misread."""
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (2, "")
+
+
+def test_negation_flags_after_the_action_are_read(capsys):
+    assert run(capsys, "negation", "check", "--cap", "3") == (
+        4, "", "cap exceeded: quotient of 18 rough classes exceeds the cap 3\n"
+    )
+    code, out, _ = run(capsys, "negation", "falsify", "no-index-0-n", "--cap", "3")
+    assert (code, out) == (0, "no counterexample on lattices with at most 3 elements\n")
+    code, out, _ = run(capsys, "negation", "check", "--format", "csv")
+    assert code == 0 and out.splitlines()[:2] == ["check,status,witness", "N1,FAIL,[a]"]
+
+
 def refuse_poset(self, *args):
     raise AssertionError("the quotient order was rebuilt as a BoundedPoset")
 

@@ -139,6 +139,8 @@ from roughwork.opposition import (
     classify_pair,
     combination_profile,
     hexagon,
+    joint_consistency,
+    reference_tables,
 )
 from roughwork.parthood import MIXED_KINDS, SUBSET_KINDS, ParthoodKind, analyze
 from roughwork.prerough import (
@@ -717,6 +719,33 @@ def test_hexagon_and_square_figures_match_the_checked_classification(monkeypatch
         assert square.figures == {(p, q): classify_pair(cs, p, q).figure for p, q in pairs}
         assert square == oracle.discernibility_square(rel)
     assert hexagons == sum(1 << s.universe.size for s in SPACES)
+
+
+def test_figures_come_in_the_order_of_their_sentence_pairs():
+    """The hexagon and the square list their figures pair by pair, in the
+    order of their nodes and predicates."""
+    for space in SPACES:
+        u = space.universe
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegeneratePartitionWarning)
+            for x in u.subsets():
+                assert list(hexagon(space, x).figures) == list(combinations(HEXAGON_NODE_ORDER, 2))
+        rel = close(u.atoms, [(b.atom_names()[0], a) for b in space.blocks for a in b.atom_names()])
+        assert list(discernibility_square(rel).figures) == list(combinations(SQUARE_PREDICATES, 2))
+
+
+def test_joint_consistency_matches_the_per_table_scan_on_every_subset_of_the_catalog():
+    """Every subset of the 12 reference tables, in catalog order and reversed,
+    gets the oracle's verdict, model and count of assignments checked."""
+    tables = reference_tables()
+    verdicts = Counter()
+    for bits in range(1 << len(tables)):
+        chosen = [t for i, t in enumerate(tables) if bits >> i & 1]
+        for order in (chosen, chosen[::-1]):
+            got = joint_consistency(order)
+            assert got == oracle.joint_consistency(order)
+            verdicts[got.satisfiable] += 1
+    assert verdicts == {True: 5888, False: 2304}
 
 
 def case_spaces(max_worlds: int):
