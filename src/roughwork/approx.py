@@ -185,7 +185,8 @@ class Subset:
     def _check(self, other: Subset) -> None:
         if self.universe is not other.universe and self.universe != other.universe:
             raise UniverseMismatchError(
-                f"{self!r} and {other!r} belong to different universes"
+                f"{self!r} of {self.universe!r} and {other!r} of {other.universe!r}"
+                " belong to different universes"
             )
 
     def union(self, other: Subset) -> Subset:
@@ -308,7 +309,7 @@ class ApproximationSpace:
             if block.is_empty:
                 raise ValueError("blocks must be nonempty")
             if block.mask & seen:
-                raise ValueError(f"blocks overlap at {block}")
+                raise ValueError(f"blocks overlap at {Subset(universe, block.mask & seen)}")
             seen |= block.mask
         if seen != universe.full.mask:
             raise ValueError("blocks do not cover the universe")

@@ -235,7 +235,7 @@ def check_cera_identities(model: CeraModel, cap: int = IDENTITY_CARRIER_CAP) -> 
     results: dict[str, AxiomCheck] = {}
 
     def record(name: str, clauses) -> None:
-        """clauses: (label, violation array or row function, element axes)."""
+        """clauses: (label, violation array or (rows, function) pair, element axes)."""
         for clause, bad, axes in clauses:
             witness = first_violation(bad, axes)
             if witness is not None:

@@ -90,7 +90,7 @@ def ipc(sequence: Sequence, rel: IndiscernibilityRelation) -> list[CountTag]:
         _check_known(rel.elements, item)
         if previous is None:
             tags.append(CountTag(block=1, value=1))
-        elif rel.holds(previous, item):
+        elif (previous, item) in rel.related:
             tags.append(CountTag(block=tags[-1].block + 1, value=1))
         else:
             tags.append(CountTag(block=tags[-1].block, value=tags[-1].value + 1))

@@ -92,9 +92,7 @@ class _Parser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
@@ -127,8 +125,6 @@ class _Parser:
 
     def primary(self) -> Expr:
         tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", len(self.text))
         if tok.kind == "(":
             self.take()
             node = self.expr()

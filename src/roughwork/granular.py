@@ -121,9 +121,7 @@ class AxiomCheck:
         return cls(witness is None, witness)
 
 
-def first_violation(
-    bad: np.ndarray | Callable[[int], np.ndarray], axes: Sequence[Sequence]
-) -> tuple | None:
+def first_violation(bad: np.ndarray | tuple, axes: Sequence[Sequence]) -> tuple | None:
     """The elements at the first violating cell of a law, or None.
 
     ``bad`` is a boolean array, True where the law fails, whose
@@ -131,18 +129,15 @@ def first_violation(
     ignored).  Cells are taken in row-major order, which is the
     order of the nested loops ``for a in axes[0]: for b in axes[1]: ...``,
     so the witness is the one such a loop would stop at.  A law whose
-    array would exceed carrier² cells passes ``bad`` as a function from
-    an index on the first axis to the array over the remaining axes; its
-    rows are then built and swept one at a time, in order.  A pair
-    ``(rows, function)`` sweeps only the given rows, in the given order,
-    which must hold every row that can fail.
+    array would exceed carrier² cells passes a pair ``(rows, function)``:
+    the function maps an index on the first axis to the array over the
+    remaining axes, and only the given rows are built and swept, one at a
+    time, in the given order, which must hold every row that can fail.
     """
-    rows = range(len(axes[0]))
     if isinstance(bad, tuple):
-        rows, bad = bad
-    if callable(bad):
+        rows, row = bad
         for i in rows:
-            rest = first_violation(bad(i), axes[1:])
+            rest = first_violation(row(i), axes[1:])
             if rest is not None:
                 return (axes[0][i], *rest)
         return None
@@ -244,8 +239,8 @@ def lattice_laws(meet: np.ndarray, join: np.ndarray, block: range, dist=None) ->
 def sweep_laws(carrier: Sequence, laws: dict) -> dict[str, AxiomCheck]:
     """Check laws over powers of one carrier, keeping their order.
 
-    Each law is a violation array, row function or (rows, function) pair,
-    as ``first_violation`` takes them, over carrier^k for k of at most 3.
+    Each law is a violation array or a (rows, function) pair, as
+    ``first_violation`` takes them, over carrier^k for k of at most 3.
     """
     axes = (carrier,) * 3
     return {

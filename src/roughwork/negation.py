@@ -231,7 +231,8 @@ def check_quotient_negation(quotient: QuotientAlgebra) -> NegationProfile:
     the empty set, is the least element; witnesses are ``labels()``.
     """
     labels = quotient.labels()
-    meet, join, neg = (t.astype(np.min_scalar_type(-len(labels))) for t in quotient.tables()[:3])
+    dtype = np.min_scalar_type(-len(labels))
+    meet, join, neg = (quotient.table(op).astype(dtype) for op in ("meet", "join", "neg"))
     return _negation_profile(labels, quotient.leq_matrix(), meet, join, 0, neg, -1)
 
 
@@ -385,7 +386,7 @@ def falsify_theorem(
     the confirming operation.
     """
     if claim_id not in CLAIM_IDS:
-        raise ValueError(f"unknown claim {claim_id!r}; expected one of {CLAIM_IDS}")
+        raise ValueError(f"unknown claim {claim_id!r}; expected one of {', '.join(CLAIM_IDS)}")
     if size_cap > FALSIFY_SIZE_CAP:
         raise SearchTooLargeError(
             f"size cap {size_cap} exceeds the bound {FALSIFY_SIZE_CAP}"

@@ -135,7 +135,8 @@ def classify_pair(
     every = frozenset(cs.worlds)
     row = {"TT": ta & tb, "TF": ta - tb, "FT": tb - ta, "FF": every - ta - tb}
     profile = {k: ("T" if v else "NP") for k, v in row.items()}
-    return PairClassification(figure_of(ta, tb, every), bool(row["TT"]), bool(row["FF"]), profile)
+    tt, ff = bool(row["TT"]), bool(row["FF"])
+    return PairClassification(classify_from_questions(tt, ff), tt, ff, profile)
 
 
 HEXAGON_NODE_ORDER = ("L", "B", "E", "U", "Lc", "LE")
@@ -162,7 +163,7 @@ def hexagon(space: ApproximationSpace, x: Subset) -> HexagonReport:
     upper = space.upper(x)
     regions = {
         "L": lower,
-        "B": space.boundary(x),
+        "B": upper - lower,
         "E": upper.complement(),
         "U": upper,
         "Lc": lower.complement(),

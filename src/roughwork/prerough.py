@@ -116,8 +116,8 @@ class QuotientAlgebra:
         return tuple(map(self.table, ("meet", "join", "neg", "necessity", "possibility")))
 
     def to_candidate(self) -> FiniteAlgebraCandidate:
-        """The arrays of ``tables()`` as they are, over ``labels()``."""
-        meet, join, neg, necessity, _ = self.tables()
+        """The arrays of ``table`` as they are, over ``labels()``."""
+        meet, join, neg, necessity = map(self.table, ("meet", "join", "neg", "necessity"))
         return FiniteAlgebraCandidate(
             carrier=self.labels(), meet=meet, join=join, neg=neg, necessity=necessity,
             zero=0, one=int(self.space.masks.class_id[-1]),

@@ -7,6 +7,7 @@ of the block-scan implementation under test.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -23,6 +24,11 @@ from roughwork import (
     UniverseMismatchError,
     UnknownAtomError,
 )
+from roughwork.approx import ApproxTriple
+from roughwork.cera import CeraModel, MixedElement
+from roughwork.crad import CradModel
+from roughwork.granular import GranularModel, OperatorTable, search_admissible_granulations
+from roughwork.parthood import ParthoodKind, holds
 from roughwork.prerough import quotient_algebra
 
 ATOM_POOL = "abcdefgh"
@@ -316,3 +322,111 @@ def test_subset_names_complement_and_text_on_every_mask():
         assert x.atom_names() == names
         assert x.complement().mask == full ^ mask
         assert str(x) == {0: "0", full: "S"}.get(mask, "".join(names))
+
+
+
+def _assign_mask():
+    Universe("ab").parse("a").mask = 1
+
+
+def _refusals() -> dict:
+    """Each call, by name, with the error type and text it raises."""
+    ab, xy = Universe("ab"), Universe("xy")
+    space = ApproximationSpace.from_partition("ab", [["a", "b"]])
+    a, b = ab.parse("a"), ab.parse("b")
+    ident = OperatorTable.from_callable(ab, lambda x: x)
+    foreign = OperatorTable.from_callable(xy, lambda x: x)
+    model = CeraModel(space)
+    out_of_range = "mask {} out of range for Universe(['a', 'b'])"
+    return {
+        "mask-above-range": (lambda: Subset(ab, 4), ValueError, out_of_range.format("0x4")),
+        "mask-below-range": (lambda: Subset(ab, -1), ValueError, out_of_range.format("-0x1")),
+        "subset-assignment": (_assign_mask, AttributeError, "Subset is immutable"),
+        "triple-sandwich": (
+            lambda: ApproxTriple(a, b, ab.full),
+            ValueError,
+            "(a, b, S) breaks lower <= x <= upper",
+        ),
+        "foreign-block": (
+            lambda: ApproximationSpace(ab, [xy.full]),
+            UniverseMismatchError,
+            "block over a foreign universe",
+        ),
+        "empty-block": (
+            lambda: ApproximationSpace(ab, [ab.empty, ab.full]),
+            ValueError,
+            "blocks must be nonempty",
+        ),
+        "type1-payload": (
+            lambda: MixedElement.type1("a"),
+            TypeError,
+            "type-1 elements hold subsets, got 'a'",
+        ),
+        "type2-payload": (
+            lambda: MixedElement.type2(a),
+            TypeError,
+            "type-2 elements hold rough classes, got <Subset a>",
+        ),
+        "foreign-table-output": (
+            lambda: OperatorTable.from_callable(ab, lambda x: xy.empty),
+            UniverseMismatchError,
+            "operator output over foreign universe",
+        ),
+        "foreign-table-input": (
+            lambda: ident(xy.empty),
+            UniverseMismatchError,
+            "<Subset 0> not over the table's universe",
+        ),
+        "no-granules": (
+            lambda: GranularModel(ab, (), ident, ident),
+            ValueError,
+            "granule list must be nonempty",
+        ),
+        "foreign-granule": (
+            lambda: GranularModel(ab, (xy.full,), ident, ident),
+            UniverseMismatchError,
+            "granule over a foreign universe",
+        ),
+        "empty-granule": (
+            lambda: GranularModel(ab, (ab.empty,), ident, ident),
+            ValueError,
+            "granules must be nonempty",
+        ),
+        "search-no-granules": (
+            lambda: search_admissible_granulations(ident, ident, 0),
+            ValueError,
+            "max_granules must be at least 1",
+        ),
+        "search-two-universes": (
+            lambda: search_admissible_granulations(ident, foreign, 2),
+            UniverseMismatchError,
+            "operator tables over different universes",
+        ),
+        "mixed-parthood-on-subsets": (
+            lambda: holds(ParthoodKind.ADDITIVE, model, a, b),
+            TypeError,
+            "additive parthood compares mixed elements",
+        ),
+        "natural-parthood-on-subsets": (
+            lambda: holds(ParthoodKind.NATURAL_CRAD, CradModel(model), a, b),
+            TypeError,
+            "natural parthood compares dialectical pairs",
+        ),
+        "no-antichains": (
+            lambda: quotient_algebra(space).maximal_antichains(0),
+            ValueError,
+            "limit must be at least 1",
+        ),
+    }
+
+
+REFUSALS = _refusals()
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_library_refuses_bad_input_with_its_own_error(case):
+    """Checks that no other test reaches, each with its typed error and
+    exact text; ``pytest.raises`` still checks both under ``python -O``."""
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -162,15 +162,21 @@ def test_a_foreign_operand_error_names_the_operands_the_rule_reads():
     s = CeraModel(ApproximationSpace.from_partition("abc", [["a", "b"], ["c"]]))
     t = CeraModel(ApproximationSpace.from_partition("xyz", [["x", "y"], ["z"]]))
     a, x, xy = el1(s, "a"), el2(t, "x"), el2(t, "xy")
+    abc, xyz = "Universe(['a', 'b', 'c'])", "Universe(['x', 'y', 'z'])"
     cases = [
-        (s.rightsquig, (a, x), "<Subset a> and <Subset 0>"),  # lower of [x]
-        (s.two_head, (a, x), "<Subset a> and <Subset 0>"),
-        (s.two_head, (x, a), "<Subset xy> and <Subset a>"),  # upper of [x]
-        (s.rightsquig, (a, el1(t, "x")), "<Subset a> and <Subset x>"),
-        (s.quotient.implies, (el2(s, "ab").payload, xy.payload), "<Subset ab> and <Subset xy>"),
+        (s.rightsquig, (a, x), f"<Subset a> of {abc} and <Subset 0> of {xyz}"),  # lower of [x]
+        (s.two_head, (a, x), f"<Subset a> of {abc} and <Subset 0> of {xyz}"),
+        (s.two_head, (x, a), f"<Subset xy> of {xyz} and <Subset a> of {abc}"),  # upper of [x]
+        (s.rightsquig, (a, el1(t, "x")), f"<Subset a> of {abc} and <Subset x> of {xyz}"),
+        (
+            s.quotient.implies,
+            (el2(s, "ab").payload, xy.payload),
+            f"<Subset ab> of {abc} and <Subset xy> of {xyz}",
+        ),
     ]
     for op, args, names in cases:
-        with pytest.raises(UniverseMismatchError, match=rf"^{names} belong to different universes$"):
+        message = rf"^{re.escape(names)} belong to different universes$"
+        with pytest.raises(UniverseMismatchError, match=message):
             op(*args)
 
 
@@ -290,7 +296,7 @@ def test_witness_mapping_points_at_cells():
     assert first_violation(np.zeros((2, 3), dtype=bool), axes) is None
     single = np.array([True])
     assert first_violation(single, (np.array(["k"]),)) == ("k",)
-    assert first_violation(lambda i: bad[i], axes) == ("r1", "c2")
+    assert first_violation((range(2), lambda i: bad[i]), axes) == ("r1", "c2")
 
 
 def test_payload_validation():

@@ -374,6 +374,95 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         assert "model error" in err and fragment in err
 
 
+ONE_BLOCK = {"universe": ["a", "b"], "partition": [["a", "b"]]}
+UPPER = {"0": "0", "a": "ab", "b": "ab", "ab": "ab"}
+
+# (model file body or None for the bundled model, arguments, exit code, stderr)
+REFUSED = [
+    (
+        {"universe": ["a", "a"], "partition": [["a"]]},
+        [],
+        3,
+        "model error: duplicate atom names in ('a', 'a')",
+    ),
+    (
+        {"universe": ["0"], "partition": [["0"]]},
+        [],
+        3,
+        "model error: atom name '0' is empty or reserved",
+    ),
+    (
+        {
+            **ONE_BLOCK,
+            "lowerTable": {"0": "0", "a": "0", "b": "0", "ab": "abz"},
+            "upperTable": UPPER,
+        },
+        [],
+        3,
+        "model error: lowerTable entry 'ab': cannot read an atom at position 2 of 'abz'",
+    ),
+    (
+        {
+            **ONE_BLOCK,
+            "propertySystem": {"objects": ["g", "g"], "properties": ["h"], "manifests": []},
+        },
+        [],
+        3,
+        "model error: propertySystem: duplicate atom names in ('g', 'g')",
+    ),
+    (
+        {**ONE_BLOCK, "caseSpaces": {"c": {"worlds": ["w"], "valuation": {"p": {}}}}},
+        [],
+        3,
+        "model error: case space 'c': sentence 'p' unvalued at 'w'",
+    ),
+    (
+        {"universe": ["a", "b"], "partition": [["a"], ["a", "b"]]},
+        [],
+        3,
+        "model error: blocks overlap at a",
+    ),
+    (
+        None,
+        ["opposition", "classify", "maybe", "true"],
+        2,
+        "error: expected a boolean, got 'maybe'",
+    ),
+    (None, ["crad", "plus", "a", "(a,[a])"], 2, "error: pair 'a' must look like \"(a,[a])\""),
+    (
+        None,
+        ["crad", "plus", "(a,[a],b)", "(a,[a])"],
+        2,
+        "error: pair '(a,[a],b)' must have exactly two components",
+    ),
+    (None, ["eval", ")"], 2, "parse error: unexpected token ')' (at position 0)"),
+    (None, ["parthood", "analyze"], 2, "error: usage: parthood analyze <kind>"),
+    (None, ["parthood", "lateral", "a"], 2, "error: usage: parthood lateral <a> <b>"),
+    (None, ["count", "ipc", "--pairs", "a-b-c"], 2, "error: pair 'a-b-c' must look like x-y"),
+    (
+        None,
+        ["parthood", "additive", "a (+) b", "[a]"],
+        2,
+        "error: operand 'a (+) b' must be a set or class literal",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "body, argv, code, err",
+    REFUSED,
+    ids=[" ".join(c[1]) or c[3].removeprefix("model error: ") for c in REFUSED],
+)
+def test_refused_input_exits_with_its_code_and_message(capsys, tmp_path, body, argv, code, err):
+    """Validation no other test reaches: a bad model file exits 3, a bad
+    argument 2, each with one line on stderr and nothing on stdout."""
+    if body is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(body))
+        argv = ["space", "show", "--model", str(path)]
+    assert run(capsys, *argv) == (code, "", err + "\n")
+
+
 def test_an_empty_model_path_is_a_model_error_not_the_bundled_model(capsys):
     code, out, err = run(capsys, "space", "show", "--model", "")
     assert (code, out) == (3, "")

@@ -154,7 +154,8 @@ def test_inclusion_predicate_answers_as_subset_test_did():
                     else:
                         want = (
                             UniverseMismatchError,
-                            f"{a!r} and {b!r} belong to different universes",
+                            f"{a!r} of {left!r} and {b!r} of {right!r}"
+                            " belong to different universes",
                         )
                     for holds in (INCLUSION.holds, Subset.is_subset_of, operator.le):
                         try:

@@ -130,6 +130,21 @@ def test_quotient_refuses_a_class_of_another_partition():
     assert q.neg(a) == RoughClass(s, u.parse("c"), u.full)
 
 
+def test_a_universe_mismatch_names_both_universes():
+    """``[a]`` of ``ab|c`` implies ``[x]`` over ``xyz``: both lower bounds
+    print as ``0``, so the error tells them apart by their universes."""
+    s = ApproximationSpace.from_partition("abc", [["a", "b"], ["c"]])
+    t = ApproximationSpace.from_partition("xyz", [["x", "y"], ["z"]])
+    a = s.rough_class_of(s.universe.parse("a"))
+    x = t.rough_class_of(t.universe.parse("x"))
+    message = (
+        "<Subset 0> of Universe(['a', 'b', 'c']) and <Subset 0> of Universe(['x', 'y', 'z'])"
+        " belong to different universes"
+    )
+    with pytest.raises(UniverseMismatchError, match=f"^{re.escape(message)}$"):
+        quotient_algebra(s).implies(a, x)
+
+
 def test_quotient_passes_both_checkers(example_space):
     cand = quotient_algebra(example_space).to_candidate()
     assert check_pre_rough(cand).all_pass, repr(check_pre_rough(cand))
