@@ -1349,6 +1349,8 @@ def test_implies_matches_the_composed_form_on_every_class_pair():
 
 MIXED_UNARY = ("frak_l", "black_lozenge", "sim_neg", "partial_neg")
 MIXED_BINARY = ("oplus", "odot", "circ", "commonality", "rightsquig", "two_head")
+# Cases compared per value of soft; together 1,155,315, each distinct case once.
+CASES = {False: 995_685, True: 159_630}
 
 
 def strays(atoms: str) -> list[MixedElement]:
@@ -1395,7 +1397,8 @@ def leq_outcome(space: ApproximationSpace, old, a: RoughClass, b: RoughClass):
     return object_outcome(space, old, a, b)
 
 
-def test_element_operations_match_their_object_forms_on_every_pair():
+@pytest.mark.parametrize("soft", [False, True], ids=["odot", "circ"])
+def test_element_operations_match_their_object_forms_on_every_pair(soft):
     """Every mixed operation on every element and element pair, and the
     quotient order on every pair of classes, of every partition of up to
     five atoms gives the result, or the error type and text, of its object
@@ -1403,22 +1406,24 @@ def test_element_operations_match_their_object_forms_on_every_pair():
     took a class of another partition of the same atoms as their own
     (``object_outcome``) or compared two classes over one foreign universe
     (``leq_outcome``): those now raise.  Only ``commonality`` reads
-    ``soft``, so it runs under both values and the rest on ``soft=False``."""
+    ``soft``, so under ``soft=True`` it alone runs; the rest run once, on
+    ``soft=False``."""
     outcomes, cases = set(), 0
     for space in SPACES:
-        model, soft = CeraModel(space), CeraModel(space, soft=True)
+        model = CeraModel(space, soft=soft)
         objects = oracle.ObjectCera(model)
-        runs = [(model, objects, name) for name in MIXED_UNARY + MIXED_BINARY]
-        runs.append((soft, oracle.ObjectCera(soft), "commonality"))
+        names = ("commonality",) if soft else MIXED_UNARY + MIXED_BINARY
         els = model.elements() + strays("".join(space.universe.atoms))
         pairs = [(x, y) for x in els for y in els]
-        for m, objs, name in runs:
-            new, old = getattr(m, name), getattr(objs, name)
+        for name in names:
+            new, old = getattr(model, name), getattr(objects, name)
             args = pairs if name in MIXED_BINARY else [(x,) for x in els]
             got = [raised(new, *xs) for xs in args]
-            assert got == [object_outcome(space, old, *xs) for xs in args], (name, m.soft)
+            assert got == [object_outcome(space, old, *xs) for xs in args], name
             outcomes |= {type(v) if isinstance(v, MixedElement) else v[0] for v in got}
             cases += len(args)
+        if soft:
+            continue
         classes = [(x.payload, y.payload) for x, y in pairs if x.is_type2 and y.is_type2]
         new, old = model.quotient.leq, objects.quotient.leq
         got = [raised(new, a, b) for a, b in classes]
@@ -1428,9 +1433,8 @@ def test_element_operations_match_their_object_forms_on_every_pair():
         MixedElement,
         SpaceMismatchError,
         UniverseMismatchError,
-        cera.UndefinedOperationError,
-    }
-    assert cases == 1_155_315
+    } | (set() if soft else {cera.UndefinedOperationError})
+    assert cases == CASES[soft]
 
 
 def test_kernel_realizability_and_membership_match_the_block_scans():
