@@ -134,7 +134,8 @@ def _parse_bool(text: str) -> bool:
 
 
 def _positive_int(text: str) -> int:
-    """The type of ``--cap``, so ``args.cap or default`` is the cap; else exit 2."""
+    """The type of ``--cap``, so ``args.cap or default`` is the cap, and of
+    ``--max-granules``; else exit 2 before any model loads."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gran = sub.add_parser("granulation", parents=[common])
     p_gran.add_argument("action", choices=("search",))
-    p_gran.add_argument("--max-granules", type=int, default=2)
+    p_gran.add_argument("--max-granules", type=_positive_int, default=2)
     p_gran.set_defaults(handler=_cmd_granulation)
 
     return parser

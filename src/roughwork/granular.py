@@ -8,7 +8,8 @@ inside definite supersets.  Each has one definition, shared by the check
 and the search.  Representability is a bitmask cover test: a set lies in
 the field the granules generate iff every pair of atoms it splits is split
 by some granule.  Lower stability is a fact about one granule and full
-underlap about one pair; both are computed once per granule and kept.
+underlap about one pair; both are computed once per granule and kept, and
+the search under plain inclusion computes both for every mask up front.
 Monotonicity is tested on covers, then swept below failing ones only.
 """
 
@@ -432,6 +433,16 @@ def _definite_above(part: ParthoodPredicate, g: Subset, definite: Sequence[Subse
     return above
 
 
+def _superset_or(values: list[int]) -> list[int]:
+    """values[m] ORed over every superset of m, one pass per bit (Yates'
+    transform; Björklund et al. 2007, "Fourier meets Möbius", STOC)."""
+    bit = 1
+    while bit < len(values):
+        values = [v if m & bit else v | values[m | bit] for m, v in enumerate(values)]
+        bit <<= 1
+    return values
+
+
 class _GranuleTests:
     """Lower stability and the definite sets above a granule, per granule.
 
@@ -461,6 +472,18 @@ class _GranuleTests:
             if g.mask not in self.above:
                 self.above[g.mask] = _definite_above(self.part, g, self.definite)
         return self.above[x.mask] & self.above[y.mask] != 0
+
+    def fill(self) -> None:
+        """Both tests for every mask at once under plain inclusion, with no
+        predicate call.  g is lower stable iff it misses ~lower(a) for all
+        a ⊇ g, and the definite sets above g are those ⊇ g but g itself: two
+        superset ORs.  An unstable g keeps the atoms it loses, not a witness."""
+        full, own = len(self.subsets) - 1, [0] * len(self.subsets)
+        for i, z in enumerate(self.definite):
+            own[z.mask] = 1 << i
+        lost = _superset_or([full & ~low.mask for low in self.lowers])
+        self.ls = {g: self.subsets[g & z] if g & z else None for g, z in enumerate(lost)}
+        self.above = {g: z & ~b for g, (z, b) in enumerate(zip(_superset_or(own), own))}
 
 
 @dataclass(frozen=True)
@@ -536,10 +559,12 @@ def search_admissible_granulations(
     walk prunes there.  Each walk node checks its own family once, at the first
     representable extension it meets; each representable extension then
     tests only its new granule: its lower stability and its underlap with
-    each granule before it.  Both are worked out once per granule, and
-    only for granules of representable families: over the whole pool up
-    front they would cost about 4^n predicate calls even when no family
-    is representable.
+    each granule before it.  For plain inclusion both come from two
+    transforms of the whole pool after the class bound, so the walk skips
+    every unstable granule at every depth.  A custom parthood works them
+    out once per granule, and only for granules of representable families:
+    over the whole pool up front they would cost about 4^n predicate calls
+    even when no family is representable.
     """
     if max_granules < 1:
         raise ValueError("max_granules must be at least 1")
@@ -554,6 +579,8 @@ def search_admissible_granulations(
     if classes > 1 << max_granules:
         return []
     tests = _GranuleTests(parthood, lower_op, upper_op)
+    if parthood is INCLUSION:
+        tests.fill()
     pool, ls, above = tests.subsets, tests.ls, tests.above
     seps = [_separation(n, m) for m in range(len(pool))]
     found: list[list[tuple[int, ...]]] = [[] for _ in range(max_granules)]

@@ -238,6 +238,14 @@ def test_granulation_search(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("bad", ["0", "-1", "x"])
+def test_max_granules_is_refused_before_the_model_loads(capsys, bad):
+    argv = ("granulation", "search", "--max-granules", bad, "--model", "/nonexistent")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument --max-granules: expected a positive integer, got '{bad}'" in err
+
+
 CAPPED = [
     # argv, a cap that passes, the largest cap that is exceeded
     (("parthood", "analyze", "natural-crad"), "128", "127"),

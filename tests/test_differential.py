@@ -1665,11 +1665,58 @@ def test_search_tests_clashes_only_on_granules_of_representable_families(monkeyp
     tested = 0
     for lower, upper, k in cases:
         evaluated.clear()
-        search_admissible_granulations(lower, upper, k)
+        # plain inclusion fills both tests up front; this one takes the lazy path
+        search_admissible_granulations(lower, upper, k, counting(INCLUSION, []))
         if evaluated:
             assert evaluated <= representable_granules(lower, upper, k)
         tested += len(evaluated)
     assert tested > 0
+
+
+def test_granule_fill_matches_the_per_granule_tests():
+    """On every granule of every search input, and of identity and
+    complement tables on up to 6 atoms."""
+    cases = [(lower, upper) for lower, upper, _ in search_cases() + perturbed_partition_cases()]
+    for n in range(1, 7):
+        u = Universe("abcdef"[:n])
+        identity = OperatorTable.from_callable(u, lambda x: x)
+        complement = OperatorTable.from_callable(u, lambda x: x.complement())
+        cases += [(identity, identity), (complement, identity), (identity, complement)]
+    unstable = above = 0
+    for lower, upper in cases:
+        tests = granular._GranuleTests(INCLUSION, lower, upper)
+        tests.fill()
+        assert len(tests.ls) == len(tests.above) == len(tests.subsets)
+        for g in tests.subsets:
+            witness = granular._ls_witness(INCLUSION, g, tests.subsets, tests.lowers)
+            assert (tests.ls[g.mask] is None) == (witness is None), (lower, upper, g)
+            bits = granular._definite_above(INCLUSION, g, tests.definite)
+            assert tests.above[g.mask] == bits, (lower, upper, g)
+            unstable += witness is not None
+            above += bits != 0
+    assert unstable > 1000 and above > 1000
+
+
+def test_inclusion_search_calls_no_per_granule_test(monkeypatch):
+    called: list = []
+    for name in ("_ls_witness", "_definite_above"):
+        real = getattr(granular, name)
+
+        def spy(part, g, *rest, real=real, name=name):
+            called.append((name, g.mask))
+            return real(part, g, *rest)
+
+        monkeypatch.setattr(granular, name, spy)
+    found = 0
+    for lower, upper, k in search_cases() + perturbed_partition_cases():
+        got = search_admissible_granulations(lower, upper, k)
+        assert got == oracle.search_oracle(lower, upper, k)
+        assert called == []
+        found += len(got)
+    assert found > 0
+    # the spies do see the lazy path
+    search_admissible_granulations(*search_cases()[0][:2], 1, counting(INCLUSION, []))
+    assert called
 
 
 def test_search_cap_raises_before_any_predicate_call(example_space):
