@@ -189,15 +189,13 @@ def eval_expr(model: CeraModel, expr: Expr) -> MixedElement:
         if expr.is_class:
             return model.class_of(subset)
         return MixedElement.type1(subset)
-    try:
-        if isinstance(expr, UnaryExpr):
-            fn = getattr(model, _UNARY_DISPATCH[expr.op])
-            return fn(eval_expr(model, expr.arg))
+    if isinstance(expr, UnaryExpr):
+        fn = getattr(model, _UNARY_DISPATCH[expr.op])
+        args = (eval_expr(model, expr.arg),)
+    else:
         fn = getattr(model, _BINARY_DISPATCH[expr.op])
-        return fn(eval_expr(model, expr.left), eval_expr(model, expr.right))
+        args = (eval_expr(model, expr.left), eval_expr(model, expr.right))
+    try:
+        return fn(*args)
     except UndefinedOperationError as exc:
-        if getattr(exc, "_located", False):
-            raise
-        err = UndefinedOperationError(f"{exc} in {unparse(expr)!r}")
-        err._located = True
-        raise err from exc
+        raise UndefinedOperationError(f"{exc} in {unparse(expr)!r}") from exc

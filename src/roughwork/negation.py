@@ -12,7 +12,7 @@ checks read those tables directly, or the rough quotient's own tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -355,19 +355,15 @@ def _condition_masks(poset: BoundedPoset) -> tuple[np.ndarray, ...]:
     n = len(poset.elements)
     leq, meet = poset._rel, poset._meet
     bot = poset._bottom
-    maps = np.array(list(product(range(n), repeat=n)), dtype=np.int16)
+    # row r lists the images of 0..n-1, in itertools.product order
+    maps = np.indices((n,) * n, dtype=np.int16).reshape(n, -1).T
     cols = np.arange(n)
-    n1 = (meet[cols[None, :], maps] == bot).all(axis=1)
-    n2 = np.ones(len(maps), dtype=bool)
-    n9 = np.ones(len(maps), dtype=bool)
-    for x in range(n):
-        for y in range(n):
-            if leq[x, y]:
-                n2 &= leq[maps[:, y], maps[:, x]]
-            n9 &= leq[y, maps[:, x]] == (meet[x, y] == bot)
-    rows = np.arange(len(maps))[:, None]
-    ff = maps[rows, maps]
-    n3 = leq[cols[None, :], ff].all(axis=1)
+    # [r, x, y] pairs f(x) with f(y) and with y
+    fx, fy = maps[:, :, None], maps[:, None, :]
+    n1 = (meet[cols, maps] == bot).all(axis=1)
+    n2 = (leq[fy, fx] | ~leq).all(axis=(1, 2))
+    n3 = leq[cols, np.take_along_axis(maps, maps, axis=1)].all(axis=1)
+    n9 = (leq[cols, fx] == (meet == bot)).all(axis=(1, 2))
     return maps, n1, n2, n3, n9
 
 

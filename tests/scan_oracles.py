@@ -134,7 +134,6 @@ from roughwork.negation import (
     NegationProfile,
     SearchTooLargeError,
     UnaryOp,
-    _condition_masks,
     enumerate_distributive_lattices,
 )
 from roughwork.negation import check_negation as _table_check_negation
@@ -1257,6 +1256,27 @@ class GateCrad(CradModel):
         return result
 
 
+def condition_masks(poset: BoundedPoset) -> tuple[np.ndarray, ...]:
+    """``negation._condition_masks`` with one pass per pair (x, y)."""
+    n = len(poset.elements)
+    leq, meet = poset._rel, poset._meet
+    bot = poset._bottom
+    maps = np.array(list(product(range(n), repeat=n)), dtype=np.int16)
+    cols = np.arange(n)
+    n1 = (meet[cols[None, :], maps] == bot).all(axis=1)
+    n2 = np.ones(len(maps), dtype=bool)
+    n9 = np.ones(len(maps), dtype=bool)
+    for x in range(n):
+        for y in range(n):
+            if leq[x, y]:
+                n2 &= leq[maps[:, y], maps[:, x]]
+            n9 &= leq[y, maps[:, x]] == (meet[x, y] == bot)
+    rows = np.arange(len(maps))[:, None]
+    ff = maps[rows, maps]
+    n3 = leq[cols[None, :], ff].all(axis=1)
+    return maps, n1, n2, n3, n9
+
+
 def falsify_theorem(claim_id: str, size_cap: int = 5) -> FalsificationWitness | None:
     """``negation.falsify_theorem`` with one witness construction per claim."""
     if claim_id not in CLAIM_IDS:
@@ -1267,7 +1287,7 @@ def falsify_theorem(claim_id: str, size_cap: int = 5) -> FalsificationWitness | 
         )
     for n in range(1, size_cap + 1):
         for poset in enumerate_distributive_lattices(n):
-            maps, n1, n2, n3, n9 = _condition_masks(poset)
+            maps, n1, n2, n3, n9 = condition_masks(poset)
             if claim_id == "no-index-0-n":
                 candidates = n1 & n2 & (np.sort(maps, axis=1) == np.arange(n)).all(axis=1)
                 for row in maps[candidates]:

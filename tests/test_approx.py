@@ -339,6 +339,11 @@ def _refusals() -> dict:
     model = CeraModel(space)
     out_of_range = "mask {} out of range for Universe(['a', 'b'])"
     return {
+        "empty-universe": (
+            lambda: Universe([]),
+            ValueError,
+            "universe must contain at least one atom",
+        ),
         "mask-above-range": (lambda: Subset(ab, 4), ValueError, out_of_range.format("0x4")),
         "mask-below-range": (lambda: Subset(ab, -1), ValueError, out_of_range.format("-0x1")),
         "subset-assignment": (_assign_mask, AttributeError, "Subset is immutable"),
@@ -401,6 +406,11 @@ def _refusals() -> dict:
             lambda: search_admissible_granulations(ident, foreign, 2),
             UniverseMismatchError,
             "operator tables over different universes",
+        ),
+        "subset-parthood-on-mixed-elements": (
+            lambda: holds(ParthoodKind.CAUTIOUS, space, model.one, model.one),
+            TypeError,
+            "cautious parthood compares plain subsets",
         ),
         "mixed-parthood-on-subsets": (
             lambda: holds(ParthoodKind.ADDITIVE, model, a, b),

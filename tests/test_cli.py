@@ -180,6 +180,11 @@ def test_opposition_subcommands(capsys):
     assert "node  L  ef" in out
     assert "figure  L/Lc  Contradiction" in out
 
+    # abc is definite, so its boundary B is empty
+    code, out, _ = run(capsys, "opposition", "hexagon", "abc")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["degenerate", "B"]
+
     code, out, _ = run(capsys, "opposition", "tables", "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
@@ -227,6 +232,12 @@ def test_count_ipc_custom_input(capsys):
     )
     assert code == 0
     assert out.strip() == "1_1 1_2 2_2"
+
+    # with no pairs no element is related to its predecessor, so all count in one block
+    assert run(capsys, "count", "ipc", "--seq", "x,y,x") == (0, "1_1 2_1 3_1\n", "")
+    # w joins the elements, and closing x-w and w-y relates y to x: a new block
+    got = run(capsys, "count", "ipc", "--seq", "x,y", "--pairs", "x-w,w-y")
+    assert got == (0, "1_1 1_2\n", "")
 
 
 def test_granulation_search(capsys):

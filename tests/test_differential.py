@@ -7,7 +7,10 @@ candidates, perturbed operator tables, and partial maps on quotient
 orders and on posets whose meets and joins are partial.  The granulation
 search must return the oracle's families in the oracle's order, and make
 no predicate call the decomposition does not need; tables with more atom
-classes than its granules can cut cells it settles before its walk.  Every whole-carrier
+classes than its granules can cut cells it settles before its walk.  Each
+search input meets its oracle once: the plain-inclusion oracle tests
+carry the spies on both per-granule tests, which plain inclusion, filling
+them for every granule before its walk, must never call.  Every whole-carrier
 table (rough classes, quotient candidate, mixed tables, parthood
 matrices, maximal antichains) must equal the object fill it replaced;
 the g-simple matrix also on granules that overlap, leave atoms uncovered
@@ -24,7 +27,9 @@ results and errors from every pair operation; and each pair operation,
 with its K gate shared, must give the result or the error message the
 gates written out in place gave, on every ordered pair of K over every
 partition of up to four atoms.  The falsifier must give each claim's
-witness as one construction per claim did, at every cap up to five.
+witness as one construction per claim did, at every cap up to six, and
+its N1, N2, N3 and N9 masks must equal, byte for byte, those of one pass
+per pair of elements on every lattice it reads.
 The default operator tables, from ``from_space`` and from a model file
 without tables, must equal the object approximations on every partition
 of up to six atoms.
@@ -1513,11 +1518,31 @@ def search_cases():
     return cases
 
 
-def test_search_matches_oracle():
+def per_granule_spies(monkeypatch) -> list:
+    """Spy on the search's two per-granule tests, which plain inclusion
+    fills for every granule before its walk and other parthoods run
+    lazily: the list gets (name, granule mask) for each call."""
+    called: list = []
+    for name in ("_ls_witness", "_definite_above"):
+        real = getattr(granular, name)
+
+        def spy(part, g, *rest, real=real, name=name):
+            called.append((name, g.mask))
+            return real(part, g, *rest)
+
+        monkeypatch.setattr(granular, name, spy)
+    return called
+
+
+def test_search_matches_oracle(monkeypatch):
+    """Plain inclusion calls neither per-granule test on the way."""
+    called = per_granule_spies(monkeypatch)
     found = 0
-    for lower, upper, k in search_cases():
+    # search_cases lists each discrete partition's tables again as an identity pair
+    for lower, upper, k in dict.fromkeys(search_cases()):
         new = search_admissible_granulations(lower, upper, max_granules=k)
         assert new == oracle.search_oracle(lower, upper, max_granules=k)
+        assert called == []
         found += len(new)
     assert found > len(SPACES)
 
@@ -1525,7 +1550,7 @@ def test_search_matches_oracle():
 @pytest.mark.parametrize("part", [BY_SIZE, OVERLAP], ids=lambda p: p.name)
 def test_search_matches_oracle_for_custom_parthood(part):
     found = 0
-    for lower, upper, k in search_cases():
+    for lower, upper, k in dict.fromkeys(search_cases()):
         if lower.universe.size > 4:
             continue
         k = min(k, 2)
@@ -1555,7 +1580,7 @@ def test_admissibility_matches_oracle():
     assert failing == {"wra", "ls", "fu"}
 
 
-def counting(part: ParthoodPredicate, calls: list) -> ParthoodPredicate:
+def counted(part: ParthoodPredicate, calls: list) -> ParthoodPredicate:
     def holds(a, b):
         calls.append((a.mask, b.mask))
         return part.holds(a, b)
@@ -1568,29 +1593,19 @@ def test_search_predicate_calls_are_needed_and_once_per_granule(monkeypatch):
     identity = OperatorTable.from_callable(u, lambda x: x)
     calls: list = []
     # No family of two granules separates five atoms, so none is representable.
-    assert search_admissible_granulations(identity, identity, 2, counting(INCLUSION, calls)) == []
+    assert search_admissible_granulations(identity, identity, 2, counted(INCLUSION, calls)) == []
     assert calls == []
 
-    evaluated = {"ls": [], "above": []}
-    for name, key in (("_ls_witness", "ls"), ("_definite_above", "above")):
-        real = getattr(granular, name)
-
-        def spy(part, g, *rest, real=real, key=key):
-            evaluated[key].append(g.mask)
-            return real(part, g, *rest)
-
-        monkeypatch.setattr(granular, name, spy)
+    called = per_granule_spies(monkeypatch)
     granules_tested = 0
     for lower, upper, k in search_cases()[::9]:
-        for key in evaluated:
-            evaluated[key].clear()
+        called.clear()
         new_calls: list = []
-        search_admissible_granulations(lower, upper, k, counting(INCLUSION, new_calls))
-        for key, masks in evaluated.items():
-            assert len(masks) == len(set(masks)), key
-        granules_tested += len(evaluated["ls"])
+        search_admissible_granulations(lower, upper, k, counted(INCLUSION, new_calls))
+        assert len(called) == len(set(called)), called
+        granules_tested += sum(name == "_ls_witness" for name, _ in called)
         old_calls: list = []
-        oracle.search_oracle(lower, upper, k, counting(INCLUSION, old_calls))
+        oracle.search_oracle(lower, upper, k, counted(INCLUSION, old_calls))
         assert len(new_calls) <= len(old_calls)
     assert granules_tested > 0
 
@@ -1609,12 +1624,15 @@ def perturbed_partition_cases() -> list:
     return cases
 
 
-def test_search_matches_oracle_on_perturbed_partition_tables():
+def test_search_matches_oracle_on_perturbed_partition_tables(monkeypatch):
+    """Plain inclusion calls neither per-granule test on the way."""
+    called = per_granule_spies(monkeypatch)
     cases = perturbed_partition_cases()
     found = walked = 0
     for lower, upper, k in cases:
         new = search_admissible_granulations(lower, upper, max_granules=k)
         assert new == oracle.search_oracle(lower, upper, max_granules=k)
+        assert called == []
         found += len(new)
         walked += atom_classes(lower, upper) <= 2**k
     assert found > 0 and walked > len(cases) // 2
@@ -1648,15 +1666,7 @@ def test_search_tests_clashes_only_on_granules_of_representable_families(monkeyp
     lies in a representable family of at most k granules: the walk decides
     representability, also when it places the last granule, before it tests
     a clash."""
-    evaluated = set()
-    for name in ("_ls_witness", "_definite_above"):
-        real = getattr(granular, name)
-
-        def spy(part, g, *rest, real=real):
-            evaluated.add(g.mask)
-            return real(part, g, *rest)
-
-        monkeypatch.setattr(granular, name, spy)
+    called = per_granule_spies(monkeypatch)
     u = Universe("abcde")
     identity = OperatorTable.from_callable(u, lambda x: x)
     complement = OperatorTable.from_callable(u, lambda x: x.complement())
@@ -1664,9 +1674,10 @@ def test_search_tests_clashes_only_on_granules_of_representable_families(monkeyp
     cases += [(identity, identity, 3), (complement, identity, 3)]
     tested = 0
     for lower, upper, k in cases:
-        evaluated.clear()
+        called.clear()
         # plain inclusion fills both tests up front; this one takes the lazy path
-        search_admissible_granulations(lower, upper, k, counting(INCLUSION, []))
+        search_admissible_granulations(lower, upper, k, counted(INCLUSION, []))
+        evaluated = {mask for _, mask in called}
         if evaluated:
             assert evaluated <= representable_granules(lower, upper, k)
         tested += len(evaluated)
@@ -1698,24 +1709,14 @@ def test_granule_fill_matches_the_per_granule_tests():
 
 
 def test_inclusion_search_calls_no_per_granule_test(monkeypatch):
-    called: list = []
-    for name in ("_ls_witness", "_definite_above"):
-        real = getattr(granular, name)
-
-        def spy(part, g, *rest, real=real, name=name):
-            called.append((name, g.mask))
-            return real(part, g, *rest)
-
-        monkeypatch.setattr(granular, name, spy)
-    found = 0
-    for lower, upper, k in search_cases() + perturbed_partition_cases():
-        got = search_admissible_granulations(lower, upper, k)
-        assert got == oracle.search_oracle(lower, upper, k)
-        assert called == []
-        found += len(got)
-    assert found > 0
-    # the spies do see the lazy path
-    search_admissible_granulations(*search_cases()[0][:2], 1, counting(INCLUSION, []))
+    """The two oracle tests above spy on every plain-inclusion search they
+    make; here the same spies see the lazy path on an input where plain
+    inclusion calls neither test."""
+    called = per_granule_spies(monkeypatch)
+    lower, upper, _ = search_cases()[0]
+    search_admissible_granulations(lower, upper, 1)
+    assert called == []
+    search_admissible_granulations(lower, upper, 1, counted(INCLUSION, []))
     assert called
 
 
@@ -1725,7 +1726,7 @@ def test_search_cap_raises_before_any_predicate_call(example_space):
     calls: list = []
     with pytest.raises(SearchCapExceededError, match="exceed the cap of 100"):
         search_admissible_granulations(
-            lower, lower, 2, counting(INCLUSION, calls), candidate_cap=100
+            lower, lower, 2, counted(INCLUSION, calls), candidate_cap=100
         )
     assert calls == []
 
@@ -1738,7 +1739,11 @@ def atom_classes(lower: OperatorTable, upper: OperatorTable) -> int:
 
 
 def test_search_settles_tables_with_more_classes_than_cells_before_the_walk(monkeypatch):
+    """The oracle is asked only about inputs ``search_cases`` does not hold;
+    on those it holds, the lazy path must agree with plain inclusion, which
+    ``test_search_matches_oracle`` compares with the oracle."""
     cases = search_cases()
+    held = set(cases)
     for n in range(1, 7):
         u = Universe("abcdef"[:n])
         identity = OperatorTable.from_callable(u, lambda x: x)
@@ -1753,15 +1758,17 @@ def test_search_settles_tables_with_more_classes_than_cells_before_the_walk(monk
     for lower, upper, k in cases:
         built.clear()
         calls: list = []
-        got = search_admissible_granulations(lower, upper, k, counting(INCLUSION, calls))
-        if lower.universe.size <= 5:
-            assert got == oracle.search_oracle(lower, upper, k)
+        got = search_admissible_granulations(lower, upper, k, counted(INCLUSION, calls))
         # k granules cut the atoms into at most 2^k cells
         if atom_classes(lower, upper) > 2**k:
             assert got == [] and calls == [] and built == []
             settled += 1
         else:
             walked += len(built)
+        if (lower, upper, k) in held:
+            assert got == search_admissible_granulations(lower, upper, k)
+        elif lower.universe.size <= 5:
+            assert got == oracle.search_oracle(lower, upper, k)
     assert settled > 0 and walked > 0
     u = Universe("abcd")
     identity = OperatorTable.from_callable(u, lambda x: x)
@@ -1807,6 +1814,14 @@ def _witness_key(w):
     if w is None:
         return None
     return w.claim, w.poset.elements, w.poset._rel.tolist(), w.op.mapping, w.note
+
+
+def test_condition_masks_match_the_pair_loop_on_the_falsifiers_lattices(lattices):
+    """Every distributive lattice of up to six elements."""
+    for poset in (p for n in range(1, 7) for p in lattices[n] if p.is_distributive):
+        for new, old in zip(negation._condition_masks(poset), oracle.condition_masks(poset)):
+            assert new.dtype == old.dtype and new.shape == old.shape
+            assert new.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("claim", CLAIM_IDS)

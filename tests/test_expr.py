@@ -128,6 +128,10 @@ def test_eval_zero_literals(model):
 def test_eval_partial_negation_names_the_subterm(model):
     with pytest.raises(UndefinedOperationError, match="'neg bc'"):
         eval_expr(model, parse("neg bc"))
+    # nested, it is named once, as the innermost failing subterm
+    with pytest.raises(UndefinedOperationError) as raised:
+        eval_expr(model, parse("L (neg a)"))
+    assert str(raised.value) == "negation undefined on type-1 element a in 'neg a'"
 
 
 def test_eval_unknown_atom(model):
