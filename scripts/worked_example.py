@@ -29,11 +29,7 @@ def main() -> None:
     print("blocks:  ", " | ".join(str(b) for b in space.blocks))
     print()
 
-    triples = [
-        (x, space.lower(x), space.upper(x))
-        for x in u.subsets()
-        if not x.is_empty
-    ]
+    triples = space.triples()
     rough = [t for t in triples if t[1] != t[2]]
     print(f"{len(triples)} nonempty subsets, {len(rough)} of them rough")
     for x, lo, up in triples[:6]:

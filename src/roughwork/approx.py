@@ -386,7 +386,6 @@ class ApproximationSpace:
         return self.upper(x).difference(self.lower(x))
 
     def definiteness(self, x: Subset) -> dict[str, bool]:
-        self._check(x)
         lower_def = self.lower(x) == x
         upper_def = self.upper(x) == x
         return {

@@ -379,26 +379,19 @@ def _cmd_opposition(args) -> Report:
 
 
 def _cmd_count(args) -> Report:
-    if args.seq:
-        sequence = args.seq.split(",")
+    sequence = list(_IPC_SEQUENCE) if args.seq is None else args.seq.split(",")
+    if "" in sequence:
+        raise ValueError(f"sequence {args.seq!r} names an empty element")
+    if args.pairs is None:
+        pairs = list(_IPC_PAIRS) if args.seq is None else []
     else:
-        sequence = list(_IPC_SEQUENCE)
-    if args.pairs:
-        pairs = []
-        for chunk in args.pairs.split(","):
+        pairs = []  # an explicit "" names no pairs
+        for chunk in args.pairs.split(",") if args.pairs else ():
             sides = chunk.split("-")
-            if len(sides) != 2:
+            if len(sides) != 2 or "" in sides:
                 raise ValueError(f"pair {chunk!r} must look like x-y")
             pairs.append((sides[0], sides[1]))
-    elif args.seq:
-        pairs = []
-    else:
-        pairs = list(_IPC_PAIRS)
-    elements = list(dict.fromkeys(sequence))
-    for a, b in pairs:
-        for name in (a, b):
-            if name not in elements:
-                elements.append(name)
+    elements = list(dict.fromkeys([*sequence, *(name for pair in pairs for name in pair)]))
     rel = close(elements, pairs, mode=args.closure)
     tags = ipc(sequence, rel)
     rows = [(i, el, str(tag)) for i, (el, tag) in enumerate(zip(sequence, tags))]
@@ -517,10 +510,7 @@ def main(argv=None) -> int:
     except expr_mod.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ModelFormatError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ModelFormatError, OSError) as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
     except CapExceededError as exc:

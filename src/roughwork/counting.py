@@ -42,10 +42,9 @@ def close(
     elements = tuple(elements)
     if mode not in CLOSURE_MODES:
         raise ValueError(f"closure mode must be one of {CLOSURE_MODES}")
-    carrier = set(elements)
     succ = {x: {x} for x in elements}
     for a, b in pairs:
-        _check_known(carrier, a, b)
+        _check_known(succ, a, b)
         succ[a].add(b)
         if mode == "equivalence":
             succ[b].add(a)

@@ -18,10 +18,15 @@ class PropertySystem:
 
     def __post_init__(self):
         pairs = frozenset(tuple(p) for p in self.manifests)
+        # extents[h]: the objects manifesting h; intents[g]: what g manifests.
+        extents, intents = [0] * self.properties.size, [0] * self.objects.size
         for g, h in pairs:
-            self.objects.index(g)
-            self.properties.index(h)
+            i, j = self.objects.index(g), self.properties.index(h)
+            extents[j] |= 1 << i
+            intents[i] |= 1 << j
         object.__setattr__(self, "manifests", pairs)
+        object.__setattr__(self, "_extents", tuple(extents))
+        object.__setattr__(self, "_intents", tuple(intents))
 
     @classmethod
     def build(
@@ -32,48 +37,29 @@ class PropertySystem:
     ) -> PropertySystem:
         return cls(Universe(objects), Universe(properties), frozenset(manifests))
 
-    def _object_arg(self, a: Subset) -> None:
-        if a.universe != self.objects:
-            raise UniverseMismatchError(f"{a!r} is not over the object universe")
-
-    def _property_arg(self, b: Subset) -> None:
-        if b.universe != self.properties:
-            raise UniverseMismatchError(f"{b!r} is not over the property universe")
-
-    def _manifesting_objects(self, prop: str) -> Subset:
-        return self.objects.subset(g for g, h in self.manifests if h == prop)
-
-    def _manifested_properties(self, obj: str) -> Subset:
-        return self.properties.subset(h for g, h in self.manifests if g == obj)
+    def _image(self, x: Subset, side: str, box: bool) -> Subset:
+        """The other side's atoms whose mask meets x (♢) or lies inside x (□)."""
+        if side == "object":
+            source, target, masks = self.objects, self.properties, self._extents
+        else:
+            source, target, masks = self.properties, self.objects, self._intents
+        if x.universe != source:
+            raise UniverseMismatchError(f"{x!r} is not over the {side} universe")
+        hits = (m & ~x.mask == 0 if box else m & x.mask for m in masks)
+        return target.from_mask(sum(1 << i for i, hit in enumerate(hits) if hit))
 
     def i_diamond(self, a: Subset) -> Subset:
         """Properties manifested by at least one object of a."""
-        self._object_arg(a)
-        return self.properties.subset(
-            h for h in self.properties.atoms if self._manifesting_objects(h).meets(a)
-        )
+        return self._image(a, "object", box=False)
 
     def e_diamond(self, b: Subset) -> Subset:
         """Objects manifesting at least one property of b."""
-        self._property_arg(b)
-        return self.objects.subset(
-            g for g in self.objects.atoms if self._manifested_properties(g).meets(b)
-        )
+        return self._image(b, "property", box=False)
 
     def i_box(self, a: Subset) -> Subset:
         """Properties all of whose manifesting objects lie in a."""
-        self._object_arg(a)
-        return self.properties.subset(
-            h
-            for h in self.properties.atoms
-            if self._manifesting_objects(h).is_subset_of(a)
-        )
+        return self._image(a, "object", box=True)
 
     def e_box(self, b: Subset) -> Subset:
         """Objects all of whose manifested properties lie in b."""
-        self._property_arg(b)
-        return self.objects.subset(
-            g
-            for g in self.objects.atoms
-            if self._manifested_properties(g).is_subset_of(b)
-        )
+        return self._image(b, "property", box=True)

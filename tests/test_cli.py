@@ -238,6 +238,10 @@ def test_count_ipc_custom_input(capsys):
     # w joins the elements, and closing x-w and w-y relates y to x: a new block
     got = run(capsys, "count", "ipc", "--seq", "x,y", "--pairs", "x-w,w-y")
     assert got == (0, "1_1 1_2\n", "")
+    # an explicit empty --pairs names no pairs, with or without --seq, never the default pairs
+    assert run(capsys, "count", "ipc", "--seq", "x,y,x", "--pairs", "") == (0, "1_1 2_1 3_1\n", "")
+    no_pairs = " ".join(f"{i}_1" for i in range(1, 13))
+    assert run(capsys, "count", "ipc", "--pairs", "") == (0, no_pairs + "\n", "")
 
 
 def test_granulation_search(capsys):
@@ -458,6 +462,13 @@ REFUSED = [
     (None, ["parthood", "analyze"], 2, "error: usage: parthood analyze <kind>"),
     (None, ["parthood", "lateral", "a"], 2, "error: usage: parthood lateral <a> <b>"),
     (None, ["count", "ipc", "--pairs", "a-b-c"], 2, "error: pair 'a-b-c' must look like x-y"),
+    # An empty element is refused, and an explicit empty --seq is not read as the default.
+    (None, ["count", "ipc", "--seq", ""], 2, "error: sequence '' names an empty element"),
+    (None, ["count", "ipc", "--seq", "a,,b"], 2, "error: sequence 'a,,b' names an empty element"),
+    (None, ["count", "ipc", "--pairs", "a-b,,c-d"], 2, "error: pair '' must look like x-y"),
+    (None, ["count", "ipc", "--pairs", "a-"], 2, "error: pair 'a-' must look like x-y"),
+    # "--pairs -b" as two words is argparse's refusal; joined, the value reaches the check.
+    (None, ["count", "ipc", "--pairs=-b"], 2, "error: pair '-b' must look like x-y"),
     (
         None,
         ["parthood", "additive", "a (+) b", "[a]"],

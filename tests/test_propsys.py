@@ -89,18 +89,31 @@ def test_universe_mismatch():
         ps.e_box(ps.objects.full)
 
 
-def test_constructors_match_oracles_exhaustive_2x2():
-    objects, properties = ["g1", "g2"], ["h1", "h2"]
-    all_pairs = list(itertools.product(objects, properties))
-    for bits in range(1 << len(all_pairs)):
-        pairs = [p for i, p in enumerate(all_pairs) if bits >> i & 1]
-        ps = PropertySystem.build(objects, properties, pairs)
-        for a in ps.objects.subsets():
-            assert ps.i_diamond(a) == _oracle_i_diamond(ps, a)
-            assert ps.i_box(a) == _oracle_i_box(ps, a)
-        for b in ps.properties.subsets():
-            assert ps.e_diamond(b) == _oracle_e_diamond(ps, b)
-            assert ps.e_box(b) == _oracle_e_box(ps, b)
+def test_constructors_match_oracles_on_every_relation_up_to_3x3():
+    """Every relation of 1-3 objects and 1-3 properties, every operand, and
+    an operand from the wrong side for each constructor."""
+    for n_obj, n_prop in itertools.product(range(1, 4), repeat=2):
+        objects = [f"g{i}" for i in range(1, n_obj + 1)]
+        properties = [f"h{i}" for i in range(1, n_prop + 1)]
+        all_pairs = list(itertools.product(objects, properties))
+        for bits in range(1 << len(all_pairs)):
+            pairs = [p for i, p in enumerate(all_pairs) if bits >> i & 1]
+            ps = PropertySystem.build(objects, properties, pairs)
+            for a in ps.objects.subsets():
+                assert ps.i_diamond(a) == _oracle_i_diamond(ps, a)
+                assert ps.i_box(a) == _oracle_i_box(ps, a)
+            for b in ps.properties.subsets():
+                assert ps.e_diamond(b) == _oracle_e_diamond(ps, b)
+                assert ps.e_box(b) == _oracle_e_box(ps, b)
+            for constructor, side, wrong in (
+                (ps.i_diamond, "object", ps.properties.full),
+                (ps.i_box, "object", ps.properties.full),
+                (ps.e_diamond, "property", ps.objects.full),
+                (ps.e_box, "property", ps.objects.full),
+            ):
+                with pytest.raises(UniverseMismatchError) as info:
+                    constructor(wrong)
+                assert str(info.value) == f"{wrong!r} is not over the {side} universe"
 
 
 def test_adjunction_exhaustive_2x2():
