@@ -9,7 +9,7 @@ import argparse
 import warnings
 
 from roughwork.cera import CeraModel
-from roughwork.counting import close, ipc
+from roughwork.counting import IPC_PAIRS, IPC_SEQUENCE, close, ipc
 from roughwork.crad import CradModel, UndefinedResultError
 from roughwork.expr import eval_expr, parse
 from roughwork.model_io import default_model_path, load_model
@@ -88,13 +88,8 @@ def main() -> None:
         print(f"  {left}/{right}: {figure.value}")
     print()
 
-    elements = tuple("fbcakinhelgm")
-    pairs = [
-        ("a", "b"), ("b", "c"), ("e", "f"), ("i", "k"),
-        ("l", "m"), ("m", "n"), ("g", "h"),
-    ]
-    rel = close(elements, pairs)
-    tags = ipc(list(elements), rel)
+    rel = close(IPC_SEQUENCE, IPC_PAIRS)
+    tags = ipc(IPC_SEQUENCE, rel)
     print("counting:", " ".join(str(t) for t in tags))
 
 

@@ -1,5 +1,7 @@
 """Workbench for finite rough-set approximation spaces and their algebras."""
 
+from types import ModuleType as _ModuleType
+
 from roughwork.approx import (
     ApproximationSpace,
     ApproxTriple,
@@ -47,54 +49,10 @@ from roughwork.prerough import (
 )
 from roughwork.propsys import PropertySystem
 
-__all__ = [
-    "ApproximationSpace",
-    "ApproxTriple",
-    "BoundedPoset",
-    "CaseSpace",
-    "CeraModel",
-    "CountTag",
-    "CradModel",
-    "DialecticalPair",
-    "Figure",
-    "FiniteAlgebraCandidate",
-    "GranularModel",
-    "IndiscernibilityRelation",
-    "LoadedModel",
-    "MixedElement",
-    "ModelFormatError",
-    "NegationProfile",
-    "OperatorTable",
-    "ParthoodKind",
-    "PropertySystem",
-    "QuotientAlgebra",
-    "RoughClass",
-    "SpaceMismatchError",
-    "Subset",
-    "UnaryOp",
-    "UndefinedOperationError",
-    "UndefinedResultError",
-    "Universe",
-    "UniverseMismatchError",
-    "UnknownAtomError",
-    "analyze",
-    "check_admissibility",
-    "check_essential_pre_rough",
-    "check_gos_axioms",
-    "check_negation",
-    "check_pre_rough",
-    "classify_from_questions",
-    "classify_pair",
-    "close",
-    "falsify_theorem",
-    "hexagon",
-    "holds",
-    "ipc",
-    "joint_consistency",
-    "load_model",
-    "quotient_algebra",
-    "reference_tables",
-    "search_admissible_granulations",
-]
+# Every public name bound above; importing a submodule binds its name here too.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

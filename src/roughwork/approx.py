@@ -135,6 +135,8 @@ class Universe:
             return self.empty
         if text == FULL_NAME:
             return self.full
+        if not text:
+            raise UnknownAtomError(f"empty set text; the empty set is written {EMPTY_NAME!r}")
         by_length = sorted(self.atoms, key=len, reverse=True)
         mask = 0
         pos = 0

@@ -28,7 +28,7 @@ from roughwork.cera import (
     UndefinedOperationError,
     check_cera_identities,
 )
-from roughwork.counting import close, ipc
+from roughwork.counting import CLOSURE_MODES, IPC_PAIRS, IPC_SEQUENCE, close, ipc
 from roughwork.crad import CradModel, DialecticalPair
 from roughwork.granular import (
     SEARCH_CANDIDATE_CAP,
@@ -61,9 +61,6 @@ from roughwork.parthood import (
     holds,
 )
 from roughwork.prerough import check_essential_pre_rough, check_pre_rough, quotient_algebra
-
-_IPC_PAIRS = (("a", "b"), ("b", "c"), ("e", "f"), ("i", "k"), ("l", "m"), ("m", "n"), ("g", "h"))
-_IPC_SEQUENCE = tuple("fbcakinhelgm")
 
 
 class CLIError(Exception):
@@ -379,11 +376,11 @@ def _cmd_opposition(args) -> Report:
 
 
 def _cmd_count(args) -> Report:
-    sequence = list(_IPC_SEQUENCE) if args.seq is None else args.seq.split(",")
+    sequence = IPC_SEQUENCE if args.seq is None else args.seq.split(",")
     if "" in sequence:
         raise ValueError(f"sequence {args.seq!r} names an empty element")
     if args.pairs is None:
-        pairs = list(_IPC_PAIRS) if args.seq is None else []
+        pairs = IPC_PAIRS if args.seq is None else []
     else:
         pairs = []  # an explicit "" names no pairs
         for chunk in args.pairs.split(",") if args.pairs else ():
@@ -468,9 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     neg_falsify.set_defaults(handler=_cmd_negation)
 
     p_opp = sub.add_parser("opposition", parents=[common])
-    p_opp.add_argument(
-        "action", choices=("classify", "hexagon", "tables", "tsr")
-    )
+    p_opp.add_argument("action", choices=tuple(_OPPOSITION_ARITY))
     p_opp.add_argument("args", nargs="*")
     p_opp.add_argument(
         "--policy", choices=BRANCH_POLICIES, default="weak-falsity"
@@ -481,11 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("action", choices=("ipc",))
     p_count.add_argument("--seq", help="comma-separated sequence")
     p_count.add_argument("--pairs", help="comma-separated x-y pairs")
-    p_count.add_argument(
-        "--closure",
-        choices=("equivalence", "reflexive-transitive"),
-        default="equivalence",
-    )
+    p_count.add_argument("--closure", choices=CLOSURE_MODES, default="equivalence")
     p_count.set_defaults(handler=_cmd_count)
 
     p_gran = sub.add_parser("granulation", parents=[common])

@@ -9,6 +9,10 @@ from roughwork.opposition import Figure, pair_figures
 
 CLOSURE_MODES = ("equivalence", "reflexive-transitive")
 
+# The worked counting example, the defaults of ``count ipc``.
+IPC_SEQUENCE = tuple("fbcakinhelgm")
+IPC_PAIRS = (("a", "b"), ("b", "c"), ("e", "f"), ("i", "k"), ("l", "m"), ("m", "n"), ("g", "h"))
+
 
 class UnknownElementError(KeyError):
     """A pair or sequence mentions an element outside the carrier."""

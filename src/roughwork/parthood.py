@@ -54,23 +54,6 @@ class ParthoodKind(Enum):
         raise ValueError(f"unknown parthood kind {name!r}; expected one of {known}")
 
 
-SUBSET_KINDS = frozenset(
-    {
-        ParthoodKind.VERY_CAUTIOUS,
-        ParthoodKind.CAUTIOUS,
-        ParthoodKind.LATERAL,
-        ParthoodKind.POSSIBILIST,
-        ParthoodKind.ULTRA_CAUTIOUS,
-        ParthoodKind.LATERAL_PLUS,
-        ParthoodKind.BILATERAL,
-        ParthoodKind.LATERAL_PLUS_PLUS,
-        ParthoodKind.G_SIMPLE,
-    }
-)
-MIXED_KINDS = frozenset(
-    {ParthoodKind.ROUGHLY_CONSISTENT, ParthoodKind.ADDITIVE, ParthoodKind.COMMON}
-)
-
 # The condition of each bound-based kind on the lower and upper bounds of
 # a and b, as masks: Python ints for one pair, arrays for a whole matrix.
 _BOUND_CONDITIONS = {
@@ -83,6 +66,10 @@ _BOUND_CONDITIONS = {
     ParthoodKind.BILATERAL: lambda la, ua, lb, ub: ua & ~la & ~(ub & ~lb) == 0,
     ParthoodKind.LATERAL_PLUS_PLUS: lambda la, ua, lb, ub: ua & ~la & ~lb == 0,
 }
+SUBSET_KINDS = frozenset(_BOUND_CONDITIONS) | {ParthoodKind.G_SIMPLE}
+MIXED_KINDS = frozenset(
+    {ParthoodKind.ROUGHLY_CONSISTENT, ParthoodKind.ADDITIVE, ParthoodKind.COMMON}
+)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fixture_data
+import roughwork
 from roughwork import (
     ApproximationSpace,
     RoughClass,
@@ -32,6 +33,21 @@ from roughwork.parthood import ParthoodKind, holds
 from roughwork.prerough import quotient_algebra
 
 ATOM_POOL = "abcdefgh"
+
+# The package's public names, each defined by one of its modules.
+EXPORTS = [
+    "ApproxTriple", "ApproximationSpace", "BoundedPoset", "CaseSpace", "CeraModel",
+    "CountTag", "CradModel", "DialecticalPair", "Figure", "FiniteAlgebraCandidate",
+    "GranularModel", "IndiscernibilityRelation", "LoadedModel", "MixedElement",
+    "ModelFormatError", "NegationProfile", "OperatorTable", "ParthoodKind", "PropertySystem",
+    "QuotientAlgebra", "RoughClass", "SpaceMismatchError", "Subset", "UnaryOp",
+    "UndefinedOperationError", "UndefinedResultError", "Universe", "UniverseMismatchError",
+    "UnknownAtomError", "analyze", "check_admissibility", "check_essential_pre_rough",
+    "check_gos_axioms", "check_negation", "check_pre_rough", "classify_from_questions",
+    "classify_pair", "close", "falsify_theorem", "hexagon", "holds", "ipc",
+    "joint_consistency", "load_model", "quotient_algebra", "reference_tables",
+    "search_admissible_granulations",
+]
 
 
 def _lower_oracle(space: ApproximationSpace, x: Subset) -> Subset:
@@ -61,6 +77,17 @@ def spaces(draw, max_atoms: int = 6) -> ApproximationSpace:
     for atom, label in zip(atoms, labels):
         groups.setdefault(label, []).append(atom)
     return ApproximationSpace.from_partition(atoms, list(groups.values()))
+
+
+def test_package_exports_its_public_names_and_no_module():
+    assert sorted(roughwork.__all__) == EXPORTS
+    for name in EXPORTS:
+        obj = getattr(roughwork, name)
+        assert obj.__module__.startswith("roughwork.") and obj.__name__ == name
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    namespace: dict = {}
+    exec("from roughwork import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == EXPORTS
 
 
 def test_lower_upper_match_oracle_exhaustively(example_space):
@@ -97,6 +124,7 @@ def test_triples_match_frozen_listing(example_space):
 def test_triples_canonical_order(example_space):
     masks = [t.x.mask for t in example_space.triples()]
     assert masks == list(range(1, 64))
+    assert repr(example_space.triples()[5]) == "(bc, 0, abc)"
 
 
 def test_rough_eq(example_space):
@@ -280,6 +308,8 @@ def test_universe_mismatch_raises(example_space):
         example_space.lower(other.parse("x"))
     with pytest.raises(UniverseMismatchError):
         example_space.universe.parse("a").union(other.parse("x"))
+    with pytest.raises(UniverseMismatchError):
+        example_space.universe.parse("a").meets(other.parse("x"))
 
 
 def test_universe_size_cap():
@@ -303,6 +333,10 @@ def test_member_enumeration_counts(example_space):
 def test_from_pairs_builds_least_equivalence():
     space = ApproximationSpace.from_pairs("abcd", [("a", "b"), ("b", "a")])
     assert {str(b) for b in space.blocks} == {"ab", "c", "d"}
+    # equal spaces over equal universes, built apart, hash equal
+    same = ApproximationSpace.from_partition("abcd", [["a", "b"], ["c"], ["d"]])
+    assert same == space and hash(same) == hash(space)
+    assert same.universe is not space.universe and hash(same.universe) == hash(space.universe)
 
 
 def test_block_of_every_atom_and_unknown_atoms(example_space):
@@ -321,6 +355,7 @@ def test_subset_names_complement_and_text_on_every_mask():
         names = tuple(name for i, name in enumerate(u.atoms) if mask >> i & 1)
         assert x.atom_names() == names
         assert x.complement().mask == full ^ mask
+        assert not x.meets(x.complement()) and x.meets(u.full) == (mask != 0)
         assert str(x) == {0: "0", full: "S"}.get(mask, "".join(names))
 
 

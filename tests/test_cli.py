@@ -12,6 +12,7 @@ from roughwork import approx, cli, granular, model_io, negation
 from roughwork.approx import RoughClass
 from roughwork.cera import CeraModel
 from roughwork.cli import main
+from roughwork.counting import CLOSURE_MODES
 from roughwork.crad import CradModel
 from roughwork.granular import from_space
 from roughwork.model_io import ModelFormatError, default_model_path, load_model, parse_model
@@ -226,6 +227,21 @@ def test_count_ipc_defaults_to_worked_sequence(capsys):
     assert out.strip() == LITERAL_TAGS
 
 
+def test_closure_and_opposition_choices_are_the_library_lists(capsys):
+    for mode in CLOSURE_MODES:
+        assert run(capsys, "count", "ipc", "--closure", mode)[0] == 0
+    for argv, choices in (
+        (["count", "ipc", "--closure", "bogus"], CLOSURE_MODES),
+        (["opposition", "bogus"], ("classify", "hexagon", "tables", "tsr")),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        # argparse's quoting differs between Python versions, so only the names are read
+        last = err.splitlines()[-1]
+        assert "invalid choice" in last
+        assert all(choice in last for choice in choices), last
+
+
 def test_count_ipc_custom_input(capsys):
     code, out, _ = run(
         capsys, "count", "ipc", "--seq", "x,y,z", "--pairs", "x-y",
@@ -397,6 +413,7 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         assert "model error" in err and fragment in err
 
 
+EMPTY_TEXT = "error: empty set text; the empty set is written '0'"
 ONE_BLOCK = {"universe": ["a", "b"], "partition": [["a", "b"]]}
 UPPER = {"0": "0", "a": "ab", "b": "ab", "ab": "ab"}
 
@@ -434,6 +451,12 @@ REFUSED = [
         "model error: propertySystem: duplicate atom names in ('g', 'g')",
     ),
     (
+        {**ONE_BLOCK, "lowerTable": {"": "0", "a": "0", "b": "0", "ab": "ab"}, "upperTable": UPPER},
+        [],
+        3,
+        "model error: lowerTable entry '': empty set text; the empty set is written '0'",
+    ),
+    (
         {**ONE_BLOCK, "caseSpaces": {"c": {"worlds": ["w"], "valuation": {"p": {}}}}},
         [],
         3,
@@ -461,6 +484,9 @@ REFUSED = [
     (None, ["eval", ")"], 2, "parse error: unexpected token ')' (at position 0)"),
     (None, ["parthood", "analyze"], 2, "error: usage: parthood analyze <kind>"),
     (None, ["parthood", "lateral", "a"], 2, "error: usage: parthood lateral <a> <b>"),
+    # The empty set is written 0; an empty set text is refused, never read as it.
+    (None, ["parthood", "lateral", "", "a"], 2, EMPTY_TEXT),
+    (None, ["opposition", "hexagon", ""], 2, EMPTY_TEXT),
     (None, ["count", "ipc", "--pairs", "a-b-c"], 2, "error: pair 'a-b-c' must look like x-y"),
     # An empty element is refused, and an explicit empty --seq is not read as the default.
     (None, ["count", "ipc", "--seq", ""], 2, "error: sequence '' names an empty element"),

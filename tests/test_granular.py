@@ -45,11 +45,13 @@ def test_from_space_granules_and_tables(example_space, example_model):
 def test_gos_axioms_pass_on_classical(example_model):
     report = check_gos_axioms(example_model)
     assert report.all_pass, repr(report)
+    assert repr(report) == "<AxiomReport all pass>"
 
 
 def test_gos_strict_upper_fails_on_classical(example_model):
     report = check_gos_axioms(example_model, strict_upper=True)
     assert not report["upper-strict-expansion"].passed
+    assert repr(report) == "<AxiomReport failing: upper-strict-expansion>"
 
 
 def test_gos_monotonicity_witness(example_space):

@@ -36,6 +36,8 @@ def test_poset_construction_and_bounds():
 
     chain = BoundedPoset.chain(["lo", "mid", "hi"])
     assert chain.bottom == "lo" and chain.top == "hi"
+    assert repr(chain) == "<BoundedPoset ['lo', 'mid', 'hi']>"
+    assert repr(COMPLEMENT) == "UnaryOp({0: 3, 1: 2, 2: 1, 3: 0})"
     assert chain.leq("lo", "hi") and not chain.leq("hi", "mid")
 
     # bottom plus two incomparable atoms: no top, joins missing

@@ -46,6 +46,7 @@ def test_classify_pair_degenerate_and_complement_cases():
     cs = CaseSpace.from_sets(
         ("w1", "w2", "w3"), {"A": {"w1"}, "coA": {"w2", "w3"}}
     )
+    assert cs.sentences == ("A", "coA")
     assert classify_pair(cs, "A", "A").figure is Figure.SUB_ALTERNATION
     assert classify_pair(cs, "A", "coA").figure is Figure.CONTRADICTION
 
