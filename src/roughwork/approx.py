@@ -214,10 +214,6 @@ class Subset:
     def is_proper_subset_of(self, other: Subset) -> bool:
         return self.is_subset_of(other) and self.mask != other.mask
 
-    def meets(self, other: Subset) -> bool:
-        self._check(other)
-        return self.mask & other.mask != 0
-
     @property
     def is_empty(self) -> bool:
         return self.mask == 0

@@ -369,22 +369,6 @@ def check_gos_axioms(model: GranularModel, strict_upper: bool = False) -> AxiomR
     return AxiomReport(results)
 
 
-def check_operator_axioms(table: OperatorTable, kind: str) -> AxiomReport:
-    """Standalone table discipline: lower-style or upper-style."""
-    if kind not in ("lower", "upper"):
-        raise ValueError(f"kind must be 'lower' or 'upper', got {kind!r}")
-    masks, op = _mask_tables(table.universe, table)
-    if kind == "lower":
-        laws = {
-            "non-increasing": ~_not_within(masks, op) & (masks != op),
-            "idempotence": op[op] != op,
-        }
-    else:
-        laws = {"increasing": _not_within(masks, op)}
-    laws["monotonicity"] = _monotonicity(masks, op)
-    return AxiomReport(sweep_laws(table.universe.labels(), laws))
-
-
 def _separation(n: int, m: int) -> int:
     """The ordered atom pairs (i, j) that mask ``m`` splits, as bit i·n + j."""
     full = (1 << n) - 1
@@ -402,13 +386,6 @@ def _cover(n: int, masks: Iterable[int]) -> int:
     for m in masks:
         cover |= _separation(n, m)
     return cover
-
-
-def generated_field_contains(
-    universe: Universe, granules: Sequence[Subset], x: Subset
-) -> bool:
-    n = universe.size
-    return _separation(n, x.mask) & ~_cover(n, (g.mask for g in granules)) == 0
 
 
 def _ls_witness(
@@ -491,13 +468,6 @@ class AdmissibilityReport:
     wra: AxiomCheck
     ls: AxiomCheck
     fu: AxiomCheck
-
-    @property
-    def all_pass(self) -> bool:
-        return self.wra.passed and self.ls.passed and self.fu.passed
-
-    def flags(self) -> tuple[bool, bool, bool]:
-        return (self.wra.passed, self.ls.passed, self.fu.passed)
 
 
 def check_admissibility(model: GranularModel) -> AdmissibilityReport:

@@ -48,7 +48,6 @@ class LoadedModel:
     tables: tuple[OperatorTable, OperatorTable] | None = None
     property_system: PropertySystem | None = None
     case_spaces: dict[str, CaseSpace] = field(default_factory=dict)
-    source: str = ""
 
     @cached_property
     def granular(self) -> GranularModel:
@@ -113,9 +112,13 @@ def _parse_granules(space: ApproximationSpace, raw: object) -> tuple[Subset, ...
     out = []
     for names in _atom_lists(raw, "granules"):
         try:
-            out.append(space.universe.subset(names))
+            granule = space.universe.subset(names)
         except UnknownAtomError as exc:
             raise ModelFormatError(f"granule {names!r}: {exc}") from exc
+        if granule in out:
+            first = raw[out.index(granule)]
+            raise ModelFormatError(f"granules {first!r} and {names!r} name the same subset")
+        out.append(granule)
     return tuple(out)
 
 
@@ -167,10 +170,10 @@ def load_model(path: str | Path) -> LoadedModel:
             raw = json.loads(f.read())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ModelFormatError(f"{path}: not valid JSON: {exc}") from exc
-    return parse_model(raw, source=str(path))
+    return parse_model(raw)
 
 
-def parse_model(raw: object, source: str = "<memory>") -> LoadedModel:
+def parse_model(raw: object) -> LoadedModel:
     _require(isinstance(raw, dict), "model file must be a JSON object")
     unknown = set(raw) - _KNOWN_KEYS
     _require(not unknown, f"unknown keys: {sorted(unknown)}")
@@ -229,7 +232,6 @@ def parse_model(raw: object, source: str = "<memory>") -> LoadedModel:
         tables=tables,
         property_system=property_system,
         case_spaces=case_spaces,
-        source=source,
     )
 
 

@@ -67,13 +67,19 @@ class CaseSpace:
     def __post_init__(self):
         if not self.worlds:
             raise ValueError("a case space needs at least one world")
+        for i, w in enumerate(self.worlds):
+            if w in self.worlds[:i]:
+                raise ValueError(f"world {w!r} listed twice")
         for sentence, per_world in self.valuation.items():
+            for w in per_world:
+                if w not in self.worlds:
+                    raise ValueError(f"sentence {sentence!r} valued at unlisted world {w!r}")
             for w in self.worlds:
                 if w not in per_world:
                     raise ValueError(f"sentence {sentence!r} unvalued at {w!r}")
                 pair = per_world[w]
                 shaped = isinstance(pair, Sequence) and len(pair) == 2
-                if not shaped or not all(isinstance(v, (bool, int)) for v in pair):
+                if not shaped or not all(isinstance(v, (bool, int)) and v in (0, 1) for v in pair):
                     raise ValueError("valuations must be (t, f) bit pairs")
 
     @classmethod
@@ -85,10 +91,6 @@ class CaseSpace:
             for name, extent in extents.items()
         }
         return cls(worlds, valuation)
-
-    @property
-    def sentences(self) -> tuple:
-        return tuple(self.valuation)
 
     def pair(self, sentence, world) -> tuple[bool, bool]:
         try:

@@ -78,13 +78,6 @@ class RelationReport:
     transitive: AxiomCheck
     antisymmetric: AxiomCheck
 
-    def flags(self) -> dict[str, bool]:
-        return {
-            "reflexive": self.reflexive.passed,
-            "transitive": self.transitive.passed,
-            "antisymmetric": self.antisymmetric.passed,
-        }
-
 
 def _class_of(model: CeraModel, el: MixedElement) -> RoughClass:
     if el.is_type2:
@@ -141,18 +134,14 @@ def _carrier(kind: ParthoodKind, model) -> Labels:
     return model.labels()
 
 
-def carrier_elements(kind: ParthoodKind, model) -> list:
-    """The carrier the kind quantifies over, in deterministic order."""
-    return list(_carrier(kind, model))
-
-
 def relation_matrix(
     kind: ParthoodKind, model, cap: int = MATRIX_CAP
 ) -> tuple[Labels, np.ndarray]:
     """The carrier of the kind, as labels, and its relation as a boolean matrix.
 
     The matrix needs only the carrier size and the model's tables, and the
-    cap is checked first; label i builds element i of ``carrier_elements``.
+    cap is checked first; label i builds element i of the carrier, in the
+    order the witnesses of ``analyze`` follow.
     """
     elements = _carrier(kind, model)
     check_cap(elements, cap, "carrier of size {size} exceeds the matrix cap {cap}")

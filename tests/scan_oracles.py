@@ -101,7 +101,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from roughwork import cli, negation
+from roughwork import cli, negation, parthood
 from roughwork.approx import (
     ApproximationSpace,
     BoundMasks,
@@ -154,9 +154,7 @@ from roughwork.parthood import (
     MATRIX_CAP,
     MIXED_KINDS,
     SUBSET_KINDS,
-    CarrierCapExceededError,
     ParthoodKind,
-    carrier_elements,
     holds,
 )
 from roughwork.prerough import FiniteAlgebraCandidate, QuotientAlgebra
@@ -386,6 +384,23 @@ def check_operator_axioms(table: OperatorTable, kind: str) -> AxiomReport:
     return AxiomReport(results)
 
 
+def operator_laws_as_gos(lower: OperatorTable, upper: OperatorTable) -> list[tuple]:
+    """The laws above of each table on its side, as (the name
+    ``check_gos_axioms`` gives the law, check); non-increasing has none."""
+    names = {
+        ("lower", "idempotence"): "lower-idempotence",
+        ("lower", "monotonicity"): "lower-monotonicity",
+        ("upper", "increasing"): "upper-expansion",
+        ("upper", "monotonicity"): "upper-monotonicity",
+    }
+    return [
+        (names[side, law], check)
+        for side, table in (("lower", lower), ("upper", upper))
+        for law, check in check_operator_axioms(table, side).items()
+        if (side, law) in names
+    ]
+
+
 def check_negation(poset: BoundedPoset, f: UnaryOp) -> NegationProfile:
     """Decide N1-N6 and N9 exhaustively; undefined sides never falsify."""
     els = poset.elements
@@ -571,6 +586,9 @@ def admissibility_oracle(model: GranularModel) -> AdmissibilityReport:
     return AdmissibilityReport(wra=wra, ls=ls, fu=fu)
 
 
+ADMISSIBLE = AdmissibilityReport(AxiomCheck(True), AxiomCheck(True), AxiomCheck(True))
+
+
 def search_oracle(
     lower_op: OperatorTable,
     upper_op: OperatorTable,
@@ -614,7 +632,7 @@ def search_oracle(
                 upper_op=upper_op,
                 parthood=parthood,
             )
-            if admissibility_oracle(model).all_pass:
+            if admissibility_oracle(model) == ADMISSIBLE:
                 found.append(family)
     return found
 
@@ -1119,11 +1137,7 @@ def _bound_holds(kind: ParthoodKind, a: tuple[Subset, Subset], b: tuple[Subset, 
 def relation_matrix(kind: ParthoodKind, model, cap: int = MATRIX_CAP):
     """The relation cell by cell: one ``holds`` call per cell, except that
     the bound-based kinds compare each element's bounds as Subsets."""
-    elements = carrier_elements(kind, model)
-    if len(elements) > cap:
-        raise CarrierCapExceededError(
-            f"carrier of size {len(elements)} exceeds the matrix cap {cap}"
-        )
+    elements = list(parthood.relation_matrix(kind, model, cap)[0])  # the cap is checked there
     if kind in SUBSET_KINDS and kind is not ParthoodKind.G_SIMPLE:
         bounds = [(model.lower(a), model.upper(a)) for a in elements]
         rows = [[_bound_holds(kind, a, b) for b in bounds] for a in bounds]

@@ -468,6 +468,13 @@ REFUSED = [
         3,
         "model error: blocks overlap at a",
     ),
+    # One granule listed twice would be two granules to underlap.
+    (
+        {**ONE_BLOCK, "granules": [["a", "b"], ["b", "a"]]},
+        [],
+        3,
+        "model error: granules ['a', 'b'] and ['b', 'a'] name the same subset",
+    ),
     (
         None,
         ["opposition", "classify", "maybe", "true"],
@@ -653,6 +660,11 @@ def test_model_schema_errors(tmp_path):
     )
     case = {"worlds": ["w"], "valuation": {"p": {"w": "tf"}}}
     reject({"universe": ["a"], "partition": [["a"]], "caseSpaces": {"c": case}}, "pair")
+    case = {"worlds": ["w1"], "valuation": {"A": {"w1": [1, 0], "w9": [1, 1]}}}
+    reject(
+        {"universe": ["a"], "partition": [["a"]], "caseSpaces": {"c": case}},
+        "case space 'c': sentence 'A' valued at unlisted world 'w9'",
+    )
     case = {"worlds": [1], "valuation": {}}
     reject({"universe": ["a"], "partition": [["a"]], "caseSpaces": {"c": case}}, "worlds")
     ps = {"objects": "xy", "properties": "pq", "manifests": [["x", "p"]]}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 import random
 
@@ -20,12 +21,10 @@ from roughwork.granular import (
     SearchCapExceededError,
     check_admissibility,
     check_gos_axioms,
-    check_operator_axioms,
     from_space,
-    generated_field_contains,
     search_admissible_granulations,
 )
-from scan_oracles import generated_field_masks
+from scan_oracles import ADMISSIBLE, generated_field_masks
 
 
 @pytest.fixture(scope="module")
@@ -89,24 +88,15 @@ def test_gos_constant_empty_lower_passes_lower_axioms(example_space):
 def test_operator_axioms(example_space):
     u = example_space.universe
     lower = OperatorTable.from_callable(u, example_space.lower)
-    assert check_operator_axioms(lower, "lower").all_pass
-
-    first_atom = u.singleton(u.atoms[0])
-    padding = OperatorTable.from_callable(u, lambda x: x | first_atom)
-    report = check_operator_axioms(padding, "lower")
-    check = report["non-increasing"]
-    assert not check.passed
-    assert check.witness == (u.empty,)
-
     identity = OperatorTable.from_callable(u, lambda x: x)
-    assert check_operator_axioms(identity, "upper").all_pass
-    with pytest.raises(ValueError):
-        check_operator_axioms(identity, "sideways")
+    report = check_gos_axioms(GranularModel(u, tuple(example_space.blocks), lower, identity))
+    assert report.all_pass
+    for name, check in oracle.operator_laws_as_gos(lower, identity):
+        assert report[name] == check
 
 
 def test_admissibility_on_classical_example(example_model):
-    report = check_admissibility(example_model)
-    assert report.flags() == (True, True, True)
+    assert check_admissibility(example_model) == ADMISSIBLE
 
 
 def test_admissibility_wra_fails_for_ab_granule(example_space):
@@ -121,7 +111,7 @@ def test_admissibility_wra_fails_for_ab_granule(example_space):
     assert not report.wra.passed
     x, out = report.wra.witness
     assert out in (example_space.lower(x), example_space.upper(x))
-    assert not generated_field_contains(u, model.granules, out)
+    assert out.mask not in generated_field_masks(u, model.granules)
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -169,14 +159,12 @@ def test_inclusion_predicate_answers_as_subset_test_did():
 
 def test_admissibility_discrete_singletons():
     space = ApproximationSpace.discrete("abcd")
-    assert check_admissibility(from_space(space)).flags() == (True, True, True)
+    assert check_admissibility(from_space(space)) == ADMISSIBLE
 
 
 def test_admissibility_single_block_vacuous_underlap():
     space = ApproximationSpace.from_partition("abc", [["a", "b", "c"]])
-    report = check_admissibility(from_space(space))
-    assert report.fu.passed
-    assert report.all_pass
+    assert check_admissibility(from_space(space)) == ADMISSIBLE
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,7 +177,7 @@ def test_admissibility_classical_spaces(data):
     for a, l in zip(atoms, labels):
         groups.setdefault(l, []).append(a)
     space = ApproximationSpace.from_partition(atoms, list(groups.values()))
-    assert check_admissibility(from_space(space)).flags() == (True, True, True)
+    assert check_admissibility(from_space(space)) == ADMISSIBLE
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,10 +189,10 @@ def test_generated_field_two_routes_agree(data):
     masks = data.draw(
         st.lists(st.integers(1, (1 << n) - 1), min_size=k, max_size=k, unique=True)
     )
-    granules = [u.from_mask(m) for m in masks]
-    field = generated_field_masks(u, granules)
-    for x in u.subsets():
-        assert (x.mask in field) == generated_field_contains(u, granules, x)
+    field = generated_field_masks(u, [u.from_mask(m) for m in masks])
+    cover = granular._cover(n, masks)
+    for x in range(1 << n):
+        assert (x in field) == (granular._separation(n, x) & ~cover == 0)
 
 
 def test_generated_field_closure_properties(example_space):
@@ -233,7 +221,7 @@ def test_search_finds_block_granulation(example_space):
             lower_op=lower,
             upper_op=upper,
         )
-        assert check_admissibility(model).all_pass
+        assert check_admissibility(model) == ADMISSIBLE
 
 
 def test_search_empty_for_complement_lower():
@@ -312,15 +300,13 @@ def test_monotonicity_witness_lies_below_the_first_failing_cover():
     u = Universe("ab")
     table = OperatorTable.from_list(u, [1, 1, 3, 0])
     first = (u.empty, u.full)
-    for kind in ("lower", "upper"):
-        check = check_operator_axioms(table, kind)["monotonicity"]
-        assert check.witness == first
-        assert check == oracle.check_operator_axioms(table, kind)["monotonicity"]
     model = GranularModel(universe=u, granules=(u.full,), lower_op=table, upper_op=table)
     report = check_gos_axioms(model)
     for name in ("lower-monotonicity", "upper-monotonicity"):
         assert report[name].witness == first
     assert list(report.items()) == list(oracle.check_gos_axioms(model).items())
+    for name, check in oracle.operator_laws_as_gos(table, table):
+        assert report[name] == check
 
 
 @pytest.fixture
@@ -348,8 +334,6 @@ def test_passing_ten_atom_partition_sweeps_no_monotonicity_row(swept_rows):
     )
     model = from_space(space)
     assert check_gos_axioms(model).all_pass
-    for table in (model.lower_op, model.upper_op):
-        assert check_operator_axioms(table, "upper")["monotonicity"].passed
     assert swept_rows == []
 
 
@@ -361,14 +345,16 @@ def test_perturbed_table_sweeps_only_rows_below_a_failing_cover(swept_rows):
     model = from_space(space)
     rng = random.Random(3301)
     failing = 0
-    for base in (model.lower_op, model.upper_op):
+    for side in ("lower", "upper"):
         for _ in range(6):
-            table = list(base._table)
+            table = list(getattr(model, f"{side}_op")._table)
             table[rng.randrange(1 << n)] = rng.randrange(1 << n)
             op = OperatorTable.from_list(space.universe, table)
+            # the other side passes monotonicity with no marked row
+            perturbed = dataclasses.replace(model, **{f"{side}_op": op})
             swept_rows.clear()
-            check = check_operator_axioms(op, "upper")["monotonicity"]
-            assert check == oracle.check_operator_axioms(op, "upper")["monotonicity"]
+            check = check_gos_axioms(perturbed)[f"{side}-monotonicity"]
+            assert check == oracle.check_operator_axioms(op, side)["monotonicity"]
             covers = {
                 x
                 for x in range(1 << n)
@@ -401,8 +387,7 @@ def test_gos_and_operator_checks_build_no_power_set(monkeypatch):
 
     monkeypatch.setattr(Universe, "subsets", refuse)
     assert check_gos_axioms(model).all_pass
-    assert check_operator_axioms(model.lower_op, "lower").all_pass
-    check = check_operator_axioms(broken, "lower")["monotonicity"]
+    check = check_gos_axioms(dataclasses.replace(model, lower_op=broken))["lower-monotonicity"]
     assert check.witness == (u.parse("ab"), u.full)
 
 
@@ -419,7 +404,7 @@ def test_admissibility_separates_each_distinct_table_output_once(monkeypatch):
         return real(n, m)
 
     monkeypatch.setattr(granular, "_separation", spy)
-    assert check_admissibility(model).all_pass
+    assert check_admissibility(model) == ADMISSIBLE
     outputs = {*model.lower_op._table, *model.upper_op._table}
     # 64 distinct outputs among 2 · 4096 table cells, and one call per granule
     assert len(calls) <= len(outputs) + len(model.granules)

@@ -46,7 +46,6 @@ def test_classify_pair_degenerate_and_complement_cases():
     cs = CaseSpace.from_sets(
         ("w1", "w2", "w3"), {"A": {"w1"}, "coA": {"w2", "w3"}}
     )
-    assert cs.sentences == ("A", "coA")
     assert classify_pair(cs, "A", "A").figure is Figure.SUB_ALTERNATION
     assert classify_pair(cs, "A", "coA").figure is Figure.CONTRADICTION
 
@@ -64,10 +63,15 @@ def test_case_space_validation():
         CaseSpace((), {})
     with pytest.raises(ValueError, match="unvalued"):
         CaseSpace(("w1", "w2"), {"A": {"w1": (1, 0)}})
+    # A valuation at a world the space does not list is refused, not dropped.
+    with pytest.raises(ValueError, match="sentence 'A' valued at unlisted world 'w9'"):
+        CaseSpace(("w1",), {"A": {"w1": (1, 0), "w9": (1, 1)}})
+    with pytest.raises(ValueError, match="world 'w1' listed twice"):
+        CaseSpace(("w1", "w1"), {"A": {"w1": (1, 0)}})
 
 
 def test_case_space_checks_each_valuation_shape_before_unpacking_it():
-    for value in (5, (1, 0, 1), (1,), None, "tf"):
+    for value in (5, (1, 0, 1), (1,), None, "tf", (2, -1), (1, 2)):
         with pytest.raises(ValueError, match=r"valuations must be \(t, f\) bit pairs"):
             CaseSpace(("w1",), {"A": {"w1": value}})
 
