@@ -167,9 +167,10 @@ def relation_square(m: np.ndarray) -> np.ndarray:
 
 def _rows_agree(rows: np.ndarray, op: np.ndarray, combine: Callable) -> bool:
     """Whether packed rows[op[x, y]] = combine(rows[x], rows[y]) for all x, y."""
+    w = rows.T.copy()  # w[k] is word k of every row, so numpy loops run over rows, not words
     step = max(1, CHUNK_BYTES // rows.nbytes)  # each x row makes a rows-sized temporary
     return not any(
-        (rows[op[x : x + step]] != combine(rows[x : x + step, None], rows)).any()
+        (w.take(op[x : x + step], 1) != combine(w[:, x : x + step, None], w[:, None])).any()
         for x in range(0, len(rows), step)
     )
 
@@ -184,7 +185,7 @@ def associative(op: np.ndarray) -> bool:
     r = np.arange(len(op))
     if op.min() < 0 or op.max() >= len(r) or (op != op.T).any() or (op[r, r] != r).any():
         return False
-    return _rows_agree(np.packbits(op == r, axis=1), op, np.bitwise_and)
+    return _rows_agree(packed_rows(op == r), op, np.bitwise_and)
 
 
 def distributive(meet: np.ndarray, join: np.ndarray) -> bool:
@@ -204,8 +205,9 @@ def _distributive_past(meet: np.ndarray, join: np.ndarray, semilattices: bool) -
     col = r[:, None]
     if not semilattices or (meet[col, join] != col).any() or (join[col, meet] != col).any():
         return False
-    irreducible = ~np.isin(r, join[(join != col) & (join != r)])
-    return _rows_agree(np.packbits((meet == r) & irreducible, axis=1), join, np.bitwise_or)
+    irreducible = np.ones(len(r), dtype=bool)
+    irreducible[join[(join != col) & (join != r)]] = False
+    return _rows_agree(packed_rows((meet == r) & irreducible), join, np.bitwise_or)
 
 
 def lattice_laws(meet: np.ndarray, join: np.ndarray, block: range, dist=None) -> tuple:
@@ -286,6 +288,8 @@ class GranularModel:
                 raise UniverseMismatchError("granule over a foreign universe")
             if g.is_empty:
                 raise ValueError("granules must be nonempty")
+        if len(set(self.granules)) < len(self.granules):
+            raise ValueError(f"granule {max(self.granules, key=self.granules.count)} listed twice")
         for name, op in (("lower", self.lower_op), ("upper", self.upper_op)):
             if op.universe != self.universe:
                 raise UniverseMismatchError(f"{name} table over a foreign universe")

@@ -88,6 +88,11 @@ rule is compared with itself.
 
 And the joint consistency search as it re-read every table's NP rows for
 each assignment, before it listed the forbidden rows once per call.
+
+And the associativity and distributivity certificates as they packed their
+down-set rows into bytes with ``np.packbits`` and found the
+join-irreducibles with ``np.isin``, before they read the 64-bit words of
+``granular.packed_rows``.
 """
 
 from __future__ import annotations
@@ -1077,6 +1082,31 @@ def lattice_rows(mt: np.ndarray, jn: np.ndarray) -> dict[str, tuple]:
         "distributivity": (() if dist else r, lambda a: (mt[a][jni] != jn[mt[a]][:, mt[a]])
         | (jn[a][mti] != mt[jn[a]][:, jn[a]])),
     }
+
+
+def _byte_rows_agree(rows: np.ndarray, op: np.ndarray, combine: Callable) -> bool:
+    """Whether byte rows[op[x, y]] = combine(rows[x], rows[y]) for all x, y."""
+    return not (rows[op] != combine(rows[:, None], rows)).any()
+
+
+def associative_bytes(op: np.ndarray) -> bool:
+    """``granular.associative`` on down-set rows packed into bytes."""
+    r = np.arange(len(op))
+    if op.min() < 0 or op.max() >= len(r) or (op != op.T).any() or (op[r, r] != r).any():
+        return False
+    return _byte_rows_agree(np.packbits(op == r, axis=1), op, np.bitwise_and)
+
+
+def distributive_bytes(meet: np.ndarray, join: np.ndarray) -> bool:
+    """``granular.distributive`` on byte rows, its join-irreducibles by ``np.isin``."""
+    r = np.arange(len(meet))
+    col = r[:, None]
+    if not (associative_bytes(meet) and associative_bytes(join)):
+        return False
+    if (meet[col, join] != col).any() or (join[col, meet] != col).any():
+        return False
+    irreducible = ~np.isin(r, join[(join != col) & (join != r)])
+    return _byte_rows_agree(np.packbits((meet == r) & irreducible, axis=1), join, np.bitwise_or)
 
 
 def cera_block_rows(plus: np.ndarray, times: np.ndarray, idxs: np.ndarray, dist) -> tuple:

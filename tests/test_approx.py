@@ -431,6 +431,12 @@ def _refusals() -> dict:
             ValueError,
             "granules must be nonempty",
         ),
+        # Underlap quantifies over distinct granules, so a repeat would flip it.
+        "repeated-granule": (
+            lambda: GranularModel(ab, (a, ab.full, a), ident, ident),
+            ValueError,
+            "granule a listed twice",
+        ),
         "search-no-granules": (
             lambda: search_admissible_granulations(ident, ident, 0),
             ValueError,

@@ -36,8 +36,11 @@ of up to six atoms.
 The ternary-law certificates must leave every report as the nested-loop
 oracle gives it: on symmetric meet and join mutants of the quotients, on
 every lattice of up to six elements and on symmetric block mutants of the
-mixed tables, where the sweep must catch what a certificate rejects; and
-on a passing 54-class quotient and its mixed models no ternary row may be
+mixed tables, where the sweep must catch what a certificate rejects.
+Both certificates must give the verdicts of their byte-row forms on those
+quotient mutants and lattices, and on the quotients of 64, 81 and 108
+classes and their symmetric mutants, whose rows take one and two words.
+On a passing 54-class quotient and its mixed models no ternary row may be
 built.  ``granular.lattice_laws`` must sweep the rows, and build at every
 leading index the row, that the pre-rough base and the mixed suite each
 built before it, on those mutants and lattices.  The join-irreducible
@@ -381,17 +384,30 @@ def test_ternary_certificates_on_symmetric_mutants_and_small_lattices():
         for name in ("meet", "join")
     ]
     cands += [lattice_candidate(p) for p in lattices]
+    # Rows of one full 64-bit word (64 classes) and of two words (81 and 108
+    # classes), against the byte-row oracle and the sweep only.
+    wide = []
+    for blocks in (list("abcdef"), ["ab", "cd", "ef", "gh"], ["ab", "cd", "ef", "g", "h"]):
+        space = ApproximationSpace.from_partition("".join(blocks), blocks)
+        cand = quotient_algebra(space).to_candidate()
+        wide += [cand] + [
+            dataclasses.replace(cand, **{name: symmetric_mutant(getattr(cand, name), rng, range(cand.size))})
+            for name in ("meet", "join", "meet", "join")
+        ]
+    assert [c.size for c in wide[::5]] == [64, 81, 108]
     caught = Counter()
-    for cand in cands:
+    for cand in cands + wide:
         new = check_pre_rough(cand)
-        same(new, oracle.check_pre_rough(cand))
-        same(check_essential_pre_rough(cand), oracle.check_essential_pre_rough(cand))
+        if cand.size <= 32:
+            same(new, oracle.check_pre_rough(cand))
+            same(check_essential_pre_rough(cand), oracle.check_essential_pre_rough(cand))
         mt, jn = np.array(cand.meet), np.array(cand.join)
-        for law, certified in (
-            ("meet-associative", granular.associative(mt)),
-            ("join-associative", granular.associative(jn)),
-            ("distributivity", granular.distributive(mt, jn)),
+        for law, certified, old in (
+            ("meet-associative", granular.associative(mt), oracle.associative_bytes(mt)),
+            ("join-associative", granular.associative(jn), oracle.associative_bytes(jn)),
+            ("distributivity", granular.distributive(mt, jn), oracle.distributive_bytes(mt, jn)),
         ):
+            assert certified == old, law
             # A certificate decides PASS only; every FAIL is the sweep's.
             assert not (certified and not new[law].passed)
             caught[law] += not new[law].passed
